@@ -17,7 +17,8 @@ from scipy.sparse.linalg import splu
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
     furthest_point_sample
-from .spectral import ConnectionLaplacian, GraphLaplacian, Spectrum, scalar_frames
+from .spectral import ConnectionLaplacian, GraphLaplacian, Spectrum, \
+    positional_encodings, scalar_frames
 
 __all__ = [
     "TangentField",
@@ -190,29 +191,45 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
     )
 
 
+def _baseline_features(spectrum: Spectrum, encodings: np.ndarray,
+                       hyperparams: gp.MaternHyperparams) -> np.ndarray:
+    """Scalar features A (n, k) of every node under the nu = inf filter."""
+    filt = gp.spectral_filter(spectrum.eigenvalues, hyperparams)
+    c_norm = gp.normalization_constant(encodings, filt, 1)
+    return gp._features(encodings, filt, hyperparams.sigma, c_norm)
+
+
+def _check_baseline_inputs(spectrum: Spectrum, train_nodes: np.ndarray,
+                           train_vectors: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    if spectrum.m != 1:
+        raise ValueError("baseline needs a scalar (graph-Laplacian) spectrum")
+    train_vectors = np.asarray(train_vectors, dtype=float)
+    if train_vectors.ndim != 2:
+        raise ValueError("train_vectors must be a 2-D (nodes, channels) array")
+    return gp._validate_training(train_nodes, train_vectors, spectrum.n,
+                                 train_vectors.shape[1])
+
+
 def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
                                 train_vectors: np.ndarray, query_nodes: np.ndarray,
                                 hyperparams: gp.MaternHyperparams) -> np.ndarray:
     """Channel-wise scalar GP baseline on graph-Laplacian positional encodings.
 
     Each ambient channel is regressed independently with the nu = inf
-    (squared-exponential) spectral filter. Predictions are NOT projected to
-    tangent spaces, so they can protrude from the surface; that failure mode
-    is the point of the baseline.
+    (squared-exponential) spectral filter. The channels share one kernel, so
+    they share one k x k factorization with one right-hand side per channel.
+    Predictions are NOT projected to tangent spaces, so they can protrude
+    from the surface; that failure mode is the point of the baseline.
     """
-    if spectrum.m != 1:
-        raise ValueError("baseline needs a scalar (graph-Laplacian) spectrum")
+    train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
+                                                        train_vectors)
+    query_nodes = gp._validate_query(query_nodes, spectrum.n)
     hp = replace(hyperparams, nu=np.inf)
-    frames1 = scalar_frames(spectrum.n)
-    train_vectors = np.asarray(train_vectors, dtype=float)
-    query_nodes = np.asarray(query_nodes, dtype=np.int64).reshape(-1)
-    out = np.empty((query_nodes.shape[0], train_vectors.shape[1]))
-    for channel in range(train_vectors.shape[1]):
-        model = gp.fit(train_nodes, train_vectors[:, channel:channel + 1],
-                       spectrum, frames1, hp)
-        mean, _ = gp.predict(model, query_nodes)
-        out[:, channel] = mean[:, 0]
-    return out
+    encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
+    feats = _baseline_features(spectrum, encodings, hp)
+    _, weights, _ = gp._weight_posterior(feats[train_nodes], train_vectors, hp.sigma_n)
+    return feats[query_nodes] @ weights
 
 
 def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -223,24 +240,22 @@ def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
                                  ) -> gp.MaternHyperparams:
     """Shared (sigma, kappa, sigma_n) for the channel-wise baseline by
     maximizing the summed per-channel log marginal likelihood (nu = inf)."""
-    if spectrum.m != 1:
-        raise ValueError("baseline needs a scalar (graph-Laplacian) spectrum")
+    train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
+                                                        train_vectors)
     if search is None:
         search = gp.SearchConfig()
-    train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
-    train_vectors = np.asarray(train_vectors, dtype=float)
-    frames1 = scalar_frames(spectrum.n)
+    encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
 
     def objective(theta):
         try:
             hp = gp.MaternHyperparams(sigma=math.exp(theta[0]),
                                       kappa=math.exp(theta[1]), nu=np.inf,
                                       sigma_n=math.exp(theta[2]))
-            total = 0.0
-            for channel in range(train_vectors.shape[1]):
-                model = gp.fit(train_nodes, train_vectors[:, channel:channel + 1],
-                               spectrum, frames1, hp)
-                total += gp.log_marginal_likelihood(model)
+            feats = _baseline_features(spectrum, encodings, hp)[train_nodes]
+            chol, weights, jitter = gp._weight_posterior(feats, train_vectors,
+                                                         hp.sigma_n)
+            total = gp._weight_lml(feats, train_vectors, chol, weights,
+                                   hp.sigma_n**2 + jitter)
         except (gp.GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
             return -np.inf

@@ -6,6 +6,24 @@ eigenvectors and f are Matern filter values Phi(lambda)^-2. The filter
 normalization c_norm is chosen so the mean diagonal trace of the prior Gram
 over all nodes equals sigma^2 * m, making sigma the marginal standard
 deviation per tangent dimension.
+
+The kernel has rank k by construction: K = A A^T with features A of shape
+(N*d, k). Fitting, the log marginal likelihood and prediction therefore work
+on the k x k system M = s^2 I_k + A^T A, where s^2 = sigma_n^2 + jitter is the
+noise variance: one Cholesky factor of M, the weight mean w = M^-1 A^T y,
+mean A_q w and covariance s^2 A_q M^-1 A_q^T. That costs O(N*d*k^2) per fit
+or likelihood evaluation and O(q*d*k^2) per prediction of q nodes, and never
+builds an (N*d)^2 matrix. Jitter is added only when sigma_n = 0: then M
+would be singular whenever A has rank below k (fewer than k/m training
+nodes), so the factorization climbs the multiplicative ladder from 1e-10
+times the mean prior variance trace(A^T A)/(N*d). For sigma_n > 0 a failed
+factorization raises :class:`GramConditioningError` instead of adding noise
+silently. With rank(A) = k the k x k system is accurate over the whole
+hyperparameter search box; below that, M has k - rank(A) eigenvalues equal
+to s^2 which A^T A resolves only to about eps * |A|^2, so at tiny s^2 the
+log-determinant loses digits (as the dense Gram path does too).
+:func:`assemble_gram` builds the dense (N*d)^2 Gram matrix and serves only as
+a reference.
 """
 from __future__ import annotations
 
@@ -16,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial import cKDTree
 
-from .geometry import GaugeFrames, PointCloud, ProximityGraph
+from .geometry import GaugeFrames, PointCloud, ProximityGraph, _fix_column_signs
 from .spectral import Spectrum, positional_encodings
 
 __all__ = [
@@ -111,9 +129,15 @@ def _features(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
     return (sigma * np.sqrt(c_norm)) * flat * np.sqrt(filter_values)
 
 
-def _cholesky_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    scale = max(float(np.mean(np.diag(mat))), np.finfo(float).tiny)
-    for level in JITTER_LADDER:
+def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
+                          levels: tuple[float, ...] = JITTER_LADDER
+                          ) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of mat + level * scale * I at the first level that
+    factorizes, and the jitter added. ``scale`` defaults to the mean diagonal."""
+    if scale is None:
+        scale = float(np.mean(np.diag(mat)))
+    scale = max(scale, np.finfo(float).tiny)
+    for level in levels:
         try:
             chol = np.linalg.cholesky(mat + (level * scale) * np.eye(mat.shape[0]))
             return chol, level * scale
@@ -121,18 +145,59 @@ def _cholesky_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
             continue
     evals = np.linalg.eigvalsh(mat)
     raise GramConditioningError(
-        f"Cholesky failed at jitter {JITTER_LADDER[-1]:.0e} * {scale:.3e}; "
+        f"Cholesky failed at jitter {levels[-1]:.0e} * {scale:.3e}; "
         f"eigenvalue range [{evals.min():.3e}, {evals.max():.3e}]"
     )
 
 
+def _weight_posterior(feats: np.ndarray, targets: np.ndarray, sigma_n: float
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factor M = s^2 I + A^T A and solve for the weight mean M^-1 A^T Y.
+
+    ``targets`` holds one right-hand side per column (or a single vector).
+    Returns (lower Cholesky factor of M, weights, jitter) with
+    s^2 = sigma_n^2 + jitter; see the module docstring for the jitter rule.
+    """
+    rows, k = feats.shape
+    if rows < 1:
+        raise ValueError("need at least one training node")
+    gram = feats.T @ feats
+    gram = (gram + gram.T) / 2.0
+    if sigma_n > 0:
+        chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(k),
+                                             levels=(0.0,))
+    else:
+        # level 0 would leave zero noise and a singular M whenever rank(A) < k
+        chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / rows,
+                                             JITTER_LADDER[1:])
+    return chol, cho_solve((chol, True), feats.T @ targets), jitter
+
+
+def _weight_lml(feats: np.ndarray, targets: np.ndarray, chol: np.ndarray,
+                weights: np.ndarray, noise: float) -> float:
+    """Log marginal likelihood summed over the target columns.
+
+    Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2
+    + log det M) - (N/2) log 2 pi, with N rows, s^2 = ``noise`` and M the
+    matrix factored by ``chol``.
+    """
+    rows, k = feats.shape
+    columns = 1 if targets.ndim == 1 else targets.shape[1]
+    resid = targets - feats @ weights
+    quad = float(np.sum(resid * resid)) / noise + float(np.sum(weights * weights))
+    logdet = (rows - k) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
+
+
 def assemble_gram(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
                   sigma_n: float, c_norm: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Noisy Gram matrix over the given encodings plus its Cholesky factor.
+    """Dense noisy Gram matrix over the given encodings plus its Cholesky factor.
 
     Returns (K + sigma_n^2 I + jitter I, lower Cholesky factor, jitter used).
-    The jitter ladder climbs multiplicatively to 1e-4 (relative to the mean
-    diagonal); failure beyond that raises :class:`GramConditioningError`.
+    The jitter ladder starts at zero and climbs multiplicatively to 1e-4
+    (relative to the mean diagonal); failure beyond that raises
+    :class:`GramConditioningError`. This (N*d)^2 path is a reference for
+    tests only: fitting, the likelihood and prediction use the k x k system.
     """
     if encodings.shape[0] < 1:
         raise ValueError("need at least one training node")
@@ -149,7 +214,13 @@ def assemble_gram(encodings: np.ndarray, filter_values: np.ndarray, sigma: float
 @dataclass
 class VectorFieldGP:
     """Fitted vector-field GP: spectrum slice, encodings, hyperparameters,
-    training targets and the Cholesky factor of the noisy Gram matrix."""
+    training targets and the weight-space posterior.
+
+    ``chol`` is the lower Cholesky factor of the k x k matrix
+    M = s^2 I + A^T A, ``alpha`` the weight mean w = M^-1 A^T y, and
+    ``jitter`` the noise variance added to sigma_n^2 to give s^2 (nonzero
+    only when sigma_n = 0).
+    """
 
     spectrum: Spectrum
     encodings: np.ndarray  # (n, d, k), all nodes
@@ -158,24 +229,32 @@ class VectorFieldGP:
     targets: np.ndarray  # (n_train, d) ambient vectors
     filter_values: np.ndarray
     c_norm: float
-    chol: np.ndarray
-    alpha: np.ndarray  # (K + sigma_n^2 I)^{-1} y, flattened
+    chol: np.ndarray  # (k, k)
+    alpha: np.ndarray  # (k,) weight mean
     jitter: float
 
     @property
     def dim(self) -> int:
         return self.encodings.shape[1]
 
+    @property
+    def noise(self) -> float:
+        """Noise variance s^2 = sigma_n^2 + jitter of the fitted system."""
+        return self.hyperparams.sigma_n**2 + self.jitter
+
+    def features(self, encodings: np.ndarray) -> np.ndarray:
+        """Feature rows A of the given encodings under this model's kernel."""
+        return _features(encodings, self.filter_values, self.hyperparams.sigma,
+                         self.c_norm)
+
 
 def _fit_prepared(encodings: np.ndarray, train_nodes: np.ndarray, targets: np.ndarray,
                   spectrum: Spectrum, hyperparams: MaternHyperparams) -> VectorFieldGP:
     filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
     c_norm = normalization_constant(encodings, filter_values, spectrum.m)
-    _, chol, jitter = assemble_gram(
-        encodings[train_nodes], filter_values, hyperparams.sigma,
-        hyperparams.sigma_n, c_norm,
-    )
-    alpha = cho_solve((chol, True), targets.reshape(-1))
+    feats = _features(encodings[train_nodes], filter_values, hyperparams.sigma, c_norm)
+    chol, alpha, jitter = _weight_posterior(feats, targets.reshape(-1),
+                                            hyperparams.sigma_n)
     return VectorFieldGP(
         spectrum=spectrum,
         encodings=encodings,
@@ -190,62 +269,71 @@ def _fit_prepared(encodings: np.ndarray, train_nodes: np.ndarray, targets: np.nd
     )
 
 
-def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
-        frames: GaugeFrames, hyperparams: MaternHyperparams) -> VectorFieldGP:
-    """Condition the GP on ambient training vectors at the given nodes."""
+def _validate_training(train_nodes: np.ndarray, targets: np.ndarray, n: int,
+                       dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct in-range training nodes and finite (len(nodes), dim) targets."""
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     if np.unique(train_nodes).shape[0] != train_nodes.shape[0]:
         raise ValueError("training nodes must be distinct")
-    if train_nodes.min(initial=0) < 0 or train_nodes.max(initial=0) >= spectrum.n:
+    if train_nodes.min(initial=0) < 0 or train_nodes.max(initial=0) >= n:
         raise IndexError("training node out of range")
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (train_nodes.shape[0], frames.dim):
+    if targets.shape != (train_nodes.shape[0], dim):
         raise ValueError(
-            f"targets must have shape {(train_nodes.shape[0], frames.dim)}, "
+            f"targets must have shape {(train_nodes.shape[0], dim)}, "
             f"got {targets.shape}"
         )
     if not np.isfinite(targets).all():
         raise ValueError("targets contain NaN or Inf")
+    return train_nodes, targets
+
+
+def _validate_query(query_nodes: np.ndarray, n: int) -> np.ndarray:
+    query_nodes = np.asarray(query_nodes, dtype=np.int64).reshape(-1)
+    if query_nodes.size and (query_nodes.min() < 0 or query_nodes.max() >= n):
+        raise IndexError("query node out of range")
+    return query_nodes
+
+
+def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
+        frames: GaugeFrames, hyperparams: MaternHyperparams) -> VectorFieldGP:
+    """Condition the GP on ambient training vectors at the given nodes."""
+    train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
+                                              frames.dim)
     encodings = positional_encodings(spectrum, frames)
     return _fit_prepared(encodings, train_nodes, targets, spectrum, hyperparams)
 
 
 def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean vectors and per-node d x d covariance blocks."""
+    """Posterior mean vectors A_q w and per-node d x d covariance blocks of
+    s^2 A_q M^-1 A_q^T."""
     q, d, _ = query_encodings.shape
-    feats_train = _features(model.encodings[model.train_nodes], model.filter_values,
-                            model.hyperparams.sigma, model.c_norm)
-    feats_query = _features(query_encodings, model.filter_values,
-                            model.hyperparams.sigma, model.c_norm)
-    k_star = feats_query @ feats_train.T  # (q*d, N)
-    mean = (k_star @ model.alpha).reshape(q, d)
-    solved = cho_solve((model.chol, True), k_star.T)  # (N, q*d)
-    covs = np.empty((q, d, d))
-    for a in range(q):
-        rows = slice(a * d, (a + 1) * d)
-        prior = feats_query[rows] @ feats_query[rows].T
-        cov = prior - k_star[rows] @ solved[:, rows]
-        covs[a] = (cov + cov.T) / 2.0
-    return mean, covs
+    feats_query = model.features(query_encodings)
+    mean = (feats_query @ model.alpha).reshape(q, d)
+    half = solve_triangular(model.chol, feats_query.T, lower=True).reshape(-1, q, d)
+    covs = model.noise * np.einsum("kqd,kqe->qde", half, half)
+    return mean, (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
 def predict(model: VectorFieldGP, query_nodes: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and covariance blocks at graph nodes."""
-    query_nodes = np.asarray(query_nodes, dtype=np.int64).reshape(-1)
-    if query_nodes.size and (query_nodes.min() < 0
-                             or query_nodes.max() >= model.encodings.shape[0]):
-        raise IndexError("query node out of range")
+    query_nodes = _validate_query(query_nodes, model.encodings.shape[0])
     return predict_at_encodings(model, model.encodings[query_nodes])
 
 
 def log_marginal_likelihood(model: VectorFieldGP) -> float:
-    """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram."""
-    y = model.targets.reshape(-1)
-    n_obs = y.shape[0]
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.chol))))
-    return float(-0.5 * y @ model.alpha - 0.5 * logdet - 0.5 * n_obs * math.log(2 * math.pi))
+    """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram.
+
+    Evaluated on the k x k system in residual form,
+    -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2 + log det M)
+    - (N/2) log 2 pi, which needs no subtraction of nearly equal terms and
+    holds for N = N*d rows above or below k.
+    """
+    return _weight_lml(model.features(model.encodings[model.train_nodes]),
+                       model.targets.reshape(-1), model.chol, model.alpha,
+                       model.noise)
 
 
 @dataclass(frozen=True)
@@ -400,16 +488,13 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
 
     d = frames.dim
     q = query_nodes.shape[0]
-    solved_q = cho_solve((chol_mid, True), c_q)
-    covs = np.empty((q, d, d))
-    for a in range(q):
-        rows = slice(a * d, (a + 1) * d)
-        prior = a_q[rows] @ a_q[rows].T
-        nystrom = c_q[:, rows].T @ c_q[:, rows]
-        correction = hyperparams.sigma_n**2 * (c_q[:, rows].T @ solved_q[:, rows])
-        cov = prior - nystrom + correction
-        covs[a] = (cov + cov.T) / 2.0
-    return mean_flat.reshape(q, d), covs
+    solved_q = cho_solve((chol_mid, True), c_q).reshape(-1, q, d)
+    c_q = c_q.reshape(-1, q, d)
+    a_q = a_q.reshape(q, d, -1)
+    covs = (np.einsum("qdk,qek->qde", a_q, a_q)
+            - np.einsum("uqd,uqe->qde", c_q, c_q)
+            + hyperparams.sigma_n**2 * np.einsum("uqd,uqe->qde", c_q, solved_q))
+    return mean_flat.reshape(q, d), (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
 def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
@@ -448,7 +533,7 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
         u, s, _ = np.linalg.svd(edge_vecs, full_matrices=False)
         if s.shape[0] < m or s[m - 1] <= s[0] * max(edge_vecs.shape) * np.finfo(float).eps:
             raise ValueError(f"query point {a}: neighbourhood rank < {m}")
-        t_new = _fix_signs_frame(u[:, :m])
+        t_new = _fix_column_signs(u[:, :m])
         floor = (1e-8 * max(float(dists[a].mean()), np.finfo(float).tiny)) ** 2
         weights = 1.0 / (dists[a] ** 2 + floor)
         weights /= weights.sum()
@@ -465,12 +550,3 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
         out[a] = t_new @ acc
         new_frames[a] = t_new
     return out, GaugeFrames(new_frames)
-
-
-def _fix_signs_frame(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    for c in range(out.shape[1]):
-        r = int(np.argmax(np.abs(out[:, c])))
-        if out[r, c] < 0:
-            out[:, c] = -out[:, c]
-    return out

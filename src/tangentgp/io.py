@@ -490,8 +490,8 @@ def load_spectrum(directory) -> Spectrum:
 def save_model(directory, model: gp_mod.VectorFieldGP, frames: GaugeFrames) -> Path:
     """Persist a fitted model as spectrum dir + frames/targets CSV + manifest.
 
-    The Cholesky factor is recomputed on load (deterministically) rather
-    than serialized.
+    The k x k weight-space factor and weight mean are recomputed on load
+    (deterministically, O(N*d*k^2)) rather than serialized.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

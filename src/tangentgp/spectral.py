@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .geometry import GaugeFrames, ProximityGraph, TransportMaps
+from .geometry import GaugeFrames, ProximityGraph, TransportMaps, _fix_column_signs
 
 __all__ = [
     "GraphLaplacian",
@@ -149,15 +149,6 @@ class Spectrum:
 
 def _operator_fro_norm(mat: sparse.csr_matrix) -> float:
     return float(np.sqrt((mat.data**2).sum()))
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for c in range(out.shape[1]):
-        r = int(np.argmax(np.abs(out[:, c])))
-        if out[r, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -302,7 +293,7 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     next_val = float(vals[k]) if vals.shape[0] > k else None
     return Spectrum(
         eigenvalues=vals[:k],
-        eigenvectors=_fix_signs(vecs[:, :k]),
+        eigenvectors=_fix_column_signs(vecs[:, :k]),
         n=operator.n,
         m=operator.m,
         next_eigenvalue=next_val,

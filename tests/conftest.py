@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,17 @@ def build_setup(points, faces, k_neighbors=6, m=2):
     lap = tg.assemble_graph_laplacian(graph)
     con = tg.assemble_connection_laplacian(graph, frames, transports)
     return ManifoldSetup(cloud, faces, graph, frames, transports, lap, con)
+
+
+def svd_lml(feats, y, noise):
+    """Reference LML of y under K = A A^T + noise I from the thin SVD
+    A = U S V^T, with the part of y outside the range of U computed directly."""
+    u, s, _ = np.linalg.svd(feats, full_matrices=False)
+    uy = u.T @ y
+    resid = y - u @ uy
+    quad = resid @ resid / noise + np.sum(uy**2 / (s**2 + noise))
+    logdet = (y.shape[0] - s.shape[0]) * math.log(noise) + np.sum(np.log(s**2 + noise))
+    return -0.5 * quad - 0.5 * logdet - 0.5 * y.shape[0] * math.log(2 * math.pi)
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,18 @@ class TestBaseline:
         oot = tf.out_of_tangent_magnitude(pred, torus.frames, test)
         assert oot.value > 0.0
 
+    def test_out_of_range_nodes_rejected(self, torus):
+        spec = tg.eigendecompose(torus.lap, 10)
+        train = np.arange(0, 400, 8)
+        y = np.ones((50, 3))
+        hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=math.inf, sigma_n=0.01)
+        for query in (np.array([-1]), np.array([400])):
+            with pytest.raises(IndexError, match="query node"):
+                tf.baseline_scalar_rbf_predict(spec, train, y, query, hp)
+        with pytest.raises(IndexError, match="training node"):
+            tf.baseline_scalar_rbf_predict(spec, np.append(train[1:], 400), y,
+                                           train, hp)
+
     def test_fit_baseline_hyperparameters(self, torus, torus_truth):
         spec = tg.eigendecompose(torus.lap, 15)
         truth = torus_truth.field.ambient()

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import tangentgp as tg
@@ -17,7 +19,7 @@ from tangentgp.gp import (
 )
 from tangentgp.spectral import scalar_frames, truncate
 
-from conftest import build_setup
+from conftest import build_setup, svd_lml
 
 
 class TestSpectralFilter:
@@ -310,6 +312,95 @@ class TestLogMarginalLikelihood:
             model = tg.fit(np.arange(60), y, spec, small_torus.frames, hp)
             scores.append(tg.log_marginal_likelihood(model))
         assert grid[int(np.argmax(scores))] == true_noise
+
+
+def _dense_posterior(model, train, query):
+    """Oracle: Gram-space mean, d x d covariance blocks and LML with the
+    model's noise variance sigma_n^2 + jitter."""
+    d = model.dim
+    a_f = _features(model.encodings[train], model.filter_values,
+                    model.hyperparams.sigma, model.c_norm)
+    a_q = _features(model.encodings[query], model.filter_values,
+                    model.hyperparams.sigma, model.c_norm)
+    y = model.targets.reshape(-1)
+    noise = model.hyperparams.sigma_n**2 + model.jitter
+    gram = a_f @ a_f.T + noise * np.eye(y.shape[0])
+    k_star = a_q @ a_f.T
+    mean = (k_star @ np.linalg.solve(gram, y)).reshape(-1, d)
+    cov = a_q @ a_q.T - k_star @ np.linalg.solve(gram, k_star.T)
+    blocks = np.array([cov[a * d:(a + 1) * d, a * d:(a + 1) * d]
+                       for a in range(len(query))])
+    lml = (-0.5 * y @ np.linalg.solve(gram, y) - 0.5 * np.linalg.slogdet(gram)[1]
+           - 0.5 * y.shape[0] * math.log(2 * math.pi))
+    return mean, blocks, lml
+
+
+class TestWeightSpaceCore:
+    def test_zero_noise_keeps_dense_jitter(self, torus, torus_spectrum, torus_truth):
+        # the jitter rule of the dense Gram path: 1e-10 x mean prior variance,
+        # also when N*d = 15 < k = 20
+        spec = truncate(torus_spectrum, 20)
+        enc = tg.positional_encodings(spec, torus.frames)
+        truth = torus_truth.field.ambient()
+        query = np.arange(0, 400, 9)
+        for train in (np.arange(0, 400, 8), np.arange(0, 400, 80)):
+            hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=0.0)
+            model = tg.fit(train, truth[train], spec, torus.frames, hp)
+            _, _, dense_jitter = tg.assemble_gram(enc[train], model.filter_values,
+                                                  hp.sigma, 0.0, model.c_norm)
+            assert dense_jitter > 0
+            assert model.jitter == pytest.approx(dense_jitter, rel=1e-12)
+
+            mean, covs = tg.predict(model, query)
+            oracle_mean, oracle_covs, oracle_lml = _dense_posterior(model, train, query)
+            assert np.abs(mean - oracle_mean).max() <= 1e-5 * np.abs(oracle_mean).max()
+            assert np.abs(covs - oracle_covs).max() <= 1e-5 * np.abs(oracle_covs).max()
+            assert tg.log_marginal_likelihood(model) == pytest.approx(oracle_lml,
+                                                                      rel=1e-6)
+
+            noisy = tg.fit(train, truth[train], spec, torus.frames,
+                           tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5,
+                                                sigma_n=1e-3))
+            assert noisy.jitter == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([10, 20, 50]),
+           theta=st.tuples(*(st.floats(lo, hi) for lo, hi in SearchConfig().bounds)),
+           extra_nodes=st.integers(0, 150),
+           subset_seed=st.integers(0, 2**32 - 1))
+    def test_matches_independent_references_over_search_box(
+            self, torus, torus_spectrum, torus_truth, k, theta, extra_nodes,
+            subset_seed):
+        # at least k/m training nodes, so the features A have full column rank
+        # (the rank caveat in the gp module docstring covers smaller sets)
+        spec = truncate(torus_spectrum, k)
+        n_train = math.ceil(k / spec.m) + extra_nodes
+        rng = np.random.default_rng(subset_seed)
+        train = rng.choice(400, n_train, replace=False)
+        query = rng.choice(400, 30, replace=False)
+        hp = tg.MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
+                                  nu=1.5, sigma_n=math.exp(theta[2]))
+        truth = torus_truth.field.ambient()
+        model = tg.fit(train, truth[train], spec, torus.frames, hp)
+        assert model.jitter == 0.0
+
+        feats = _features(model.encodings[train], model.filter_values, hp.sigma,
+                          model.c_norm)
+        reference = svd_lml(feats, truth[train].reshape(-1),
+                            hp.sigma_n**2 + model.jitter)
+        assert tg.log_marginal_likelihood(model) == pytest.approx(reference, rel=1e-10)
+
+        if hp.sigma_n < 1e-2:
+            return
+        _, _, jitter = tg.assemble_gram(model.encodings[train], model.filter_values,
+                                        hp.sigma, hp.sigma_n, model.c_norm)
+        if jitter:
+            return
+        oracle_mean, oracle_covs, _ = _dense_posterior(model, train, query)
+        mean, covs = tg.predict(model, query)
+        # the dense oracle loses digits as (sigma / sigma_n)^2 grows
+        assert np.abs(mean - oracle_mean).max() <= 1e-5 * np.abs(truth).max()
+        assert np.abs(covs - oracle_covs).max() <= 1e-10 * hp.sigma**2
 
 
 class TestFitHyperparameters:

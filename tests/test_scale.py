@@ -1,13 +1,17 @@
 """Auto-dispatch of the iterative solver paths for operators above the dense
-cutoff (eigensolver -> Lanczos, heat flow -> implicit Euler)."""
+cutoff (eigensolver -> Lanczos, heat flow -> implicit Euler), and the memory
+of the GP on a training set too large for a dense Gram matrix."""
+import tracemalloc
+
 import numpy as np
 
 import tangentgp as tg
 from tangentgp import fields as tf
 from tangentgp import io as tio
+from tangentgp.gp import _features
 from tangentgp.spectral import DENSE_FALLBACK_SIZE
 
-from conftest import build_setup
+from conftest import build_setup, svd_lml
 
 
 def big_setup():
@@ -68,3 +72,28 @@ def test_anisotropic_knn_rejected_with_named_nodes():
         assert "coarse" in str(exc)
     else:
         raise AssertionError("expected TransportRankError on degenerate frames")
+
+
+def test_gp_cost_stays_in_k_dimensions():
+    # fit, LML and prediction on all 1600 nodes (N*d = 4800, k = 50): an
+    # (N*d)^2 Gram matrix alone would take 184 MB
+    cloud, graph, frames, con, lap = big_setup()
+    spec = tg.eigendecompose(con, 50, seed=0)
+    rng = np.random.default_rng(1)
+    targets = frames.to_ambient(rng.standard_normal((cloud.n, 2)))
+    nodes = np.arange(cloud.n)
+    hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
+    tracemalloc.start()
+    try:
+        model = tg.fit(nodes, targets, spec, frames, hp)
+        lml = tg.log_marginal_likelihood(model)
+        mean, covs = tg.predict(model, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert mean.shape == (cloud.n, 3) and covs.shape == (cloud.n, 3, 3)
+
+    feats = _features(model.encodings, model.filter_values, hp.sigma, model.c_norm)
+    oracle = svd_lml(feats, targets.reshape(-1), hp.sigma_n**2)
+    assert abs(lml - oracle) <= 1e-10 * abs(oracle)
