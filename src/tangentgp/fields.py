@@ -16,7 +16,7 @@ from scipy.sparse.linalg import splu
 
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
-    furthest_point_sample
+    _row_norms, furthest_point_sample
 from .spectral import ConnectionLaplacian, GraphLaplacian, Spectrum, \
     positional_encodings, scalar_frames
 
@@ -350,24 +350,26 @@ def boundary_angular_jump(graph: ProximityGraph, transports: TransportMaps,
     edges = graph.edges[boundary]
     if edges.shape[0] == 0:
         raise ValueError("mask has no boundary edges")
-    worst = -1.0
-    excluded = 0
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if not mask[i]:
-            i, j = j, i  # i is the masked (predicted) endpoint
-        pred = vectors[i]
-        coords_j = frames.frames[j].T @ vectors[j]
-        reference = frames.frames[i] @ (transports.into(i, j) @ coords_j)
-        np_, nr = np.linalg.norm(pred), np.linalg.norm(reference)
-        if np_ <= ZERO_NORM_TOL or nr <= ZERO_NORM_TOL:
-            excluded += 1
-            continue
-        diff = pred / np_ - reference / nr
-        angle = math.acos(min(1.0, max(-1.0, 1.0 - 0.5 * float(diff @ diff))))
-        worst = max(worst, angle)
-    if worst < 0:
+    maps = transports.for_edges(edges)
+    flip = ~mask[edges[:, 0]]
+    i = np.where(flip, edges[:, 1], edges[:, 0])  # the masked (predicted) endpoint
+    j = np.where(flip, edges[:, 0], edges[:, 1])
+    coords_j = np.swapaxes(frames.frames[j], 1, 2) @ vectors[j][:, :, None]
+    # into(i, j) is maps[e] when i < j and its transpose otherwise
+    moved = np.empty_like(coords_j)
+    moved[~flip] = maps[~flip] @ coords_j[~flip]
+    moved[flip] = np.swapaxes(maps[flip], 1, 2) @ coords_j[flip]
+    reference = (frames.frames[i] @ moved)[:, :, 0]
+    pred = vectors[i]
+    pred_norm, ref_norm = _row_norms(pred), _row_norms(reference)
+    keep = (pred_norm > ZERO_NORM_TOL) & (ref_norm > ZERO_NORM_TOL)
+    if not keep.any():
         raise ValueError("all boundary edges excluded by zero norms")
+    diff = pred[keep] / pred_norm[keep, None] - reference[keep] / ref_norm[keep, None]
+    cos = np.clip(1.0 - 0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0], -1.0, 1.0)
+    # acos is decreasing, so the largest angle is that of the smallest cosine
+    worst = math.acos(float(cos.min()))
+    excluded = int(edges.shape[0] - keep.sum())
     return MetricResult("boundary_max_angular_jump", worst,
                         edges.shape[0], excluded)
 
@@ -383,13 +385,13 @@ def direction_coherence(graph: ProximityGraph, transports: TransportMaps,
     coords = np.asarray(coords, dtype=float)
     norms = np.linalg.norm(coords, axis=1)
     units = np.where(norms[:, None] > ZERO_NORM_TOL, coords / np.maximum(norms, 1e-300)[:, None], 0.0)
+    maps = transports.for_edges(graph.edges)
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    into_i = (maps @ units[j][:, :, None])[:, :, 0]
+    into_j = (np.swapaxes(maps, 1, 2) @ units[i][:, :, None])[:, :, 0]
+    # add.at accumulates in index order: each node sums its terms in edge order
     acc = np.zeros_like(coords)
-    counts = np.zeros(graph.n)
-    for i, j in graph.edges:
-        i, j = int(i), int(j)
-        acc[i] += transports.into(i, j) @ units[j]
-        acc[j] += transports.into(j, i) @ units[i]
-        counts[i] += 1
-        counts[j] += 1
-    counts = np.maximum(counts, 1.0)
+    np.add.at(acc, graph.edges.reshape(-1),
+              np.stack([into_i, into_j], axis=1).reshape(-1, coords.shape[1]))
+    counts = np.maximum(np.bincount(graph.edges.reshape(-1), minlength=graph.n), 1.0)
     return np.linalg.norm(acc / counts[:, None], axis=1)

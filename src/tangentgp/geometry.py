@@ -161,14 +161,6 @@ class ProximityGraph:
         np.add.at(deg, self.edges[:, 1], self.weights)
         return deg
 
-    @cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return [np.array(sorted(v), dtype=np.int64) for v in nbrs]
-
     def weight_matrix(self) -> sparse.csr_matrix:
         i, j = self.edges[:, 0], self.edges[:, 1]
         w = sparse.coo_matrix(
@@ -254,11 +246,33 @@ def build_mesh_graph(cloud: PointCloud, faces: np.ndarray, weighting: str = "uni
     return graph
 
 
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to ``np.linalg.norm(row)``.
+
+    Both reduce through a BLAS dot product; ``einsum``, ``np.sum`` and
+    ``norm(axis=1)`` round differently in the last bit.
+    """
+    return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+
+
 def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
+    """Diameter of the cloud, bit-identical to a brute force over all pairs.
+
+    L, the distance from the point farthest from the centroid to its own
+    farthest point, bounds the diameter from below. A pair longer than L has
+    both points at centroid radius r >= L - r_max, so only those points (with
+    a small slack for rounding) enter the chunked brute force, whose squared
+    distances use the same formula as a scan of every pair.
+    """
+    radius = np.linalg.norm(points - points.mean(axis=0), axis=1)
+    far = int(np.argmax(radius))
+    bound = float(np.sqrt(np.sum((points - points[far]) ** 2, axis=1).max()))
+    slack = 1e-9 * (bound + float(np.abs(points).max()))
+    candidates = points[radius >= bound - radius[far] - slack]
     best = 0.0
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    for start in range(0, len(candidates), chunk):
+        block = candidates[start:start + chunk]
+        d2 = np.sum((block[:, None, :] - candidates[None, :, :]) ** 2, axis=2)
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 
@@ -269,7 +283,11 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
 
     Returns the selected indices (in selection order) and the achieved
     relative spacing: mean distance from each selected point to its nearest
-    selected neighbour, divided by the diameter of the full cloud.
+    selected neighbour, divided by the diameter of the full cloud. The
+    diameter is exact (equal to the brute force over all pairs) but compares
+    only points far enough from the centroid to belong to the farthest pair,
+    so interior points cost one distance each; a cloud whose points all lie
+    at one radius from the centroid is compared in full.
     """
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
     n = len(points)
@@ -347,39 +365,101 @@ def tangent_to_ambient(frames: GaugeFrames, i: int, v_hat: np.ndarray) -> np.nda
     return frames.frames[i] @ np.asarray(v_hat, dtype=float)
 
 
-def _graph_neighborhood(i: int, size: int, neighbor_lists: list[np.ndarray],
-                        points: np.ndarray) -> list[int]:
-    # breadth-first rings; within a ring order by distance then index
-    seen = {i}
-    out: list[int] = []
-    frontier = [i]
-    while frontier and len(out) < size:
-        ring: set[int] = set()
-        for u in frontier:
-            ring.update(int(v) for v in neighbor_lists[u] if v not in seen)
-        if not ring:
-            break
-        ordered = sorted(ring, key=lambda v: (np.linalg.norm(points[v] - points[i]), v))
-        out.extend(ordered)
-        seen.update(ring)
-        frontier = ordered
-    return out[:size]
-
-
 def _fix_column_signs(mat: np.ndarray) -> np.ndarray:
-    # sign convention: largest-magnitude entry of each column positive
-    out = mat.copy()
-    for c in range(out.shape[1]):
-        r = int(np.argmax(np.abs(out[:, c])))
-        if out[r, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+    """Sign convention: the largest-magnitude entry of each column is positive.
+
+    Takes one matrix or a stack of them (columns along the last axis).
+    """
+    rows = np.argmax(np.abs(mat), axis=-2)[..., None, :]
+    lead = np.take_along_axis(mat, rows, axis=-2)
+    return np.where(lead < 0, -mat, mat)
 
 
-def auto_frame_neighbors(degree: float, m: int, n: int) -> int:
+def auto_frame_neighbors(degree: float | np.ndarray, m: int, n: int) -> np.ndarray:
     """Default neighbourhood size for frame estimation: 2*round(degree),
-    clamped to [m, n-1]."""
-    return int(np.clip(2 * round(float(degree)), m, n - 1))
+    clamped to [m, n-1]. Takes one degree or an array of them."""
+    return np.clip(2 * np.round(np.asarray(degree, dtype=float)), m, n - 1).astype(np.int64)
+
+
+def _neighborhood_sizes(graph: ProximityGraph, m: int,
+                        n_neighbors: int | str) -> np.ndarray:
+    if isinstance(n_neighbors, str):
+        if n_neighbors != "auto":
+            raise ValueError(f"n_neighbors must be an int or 'auto', got {n_neighbors!r}")
+        return auto_frame_neighbors(graph.degrees, m, graph.n)
+    if n_neighbors < m:
+        raise ValueError(f"n_neighbors must be >= m={m}")
+    return np.full(graph.n, int(n_neighbors), dtype=np.int64)
+
+
+def _frame_neighborhoods(graph: ProximityGraph, points: np.ndarray,
+                         sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's frame neighbourhood as (node, neighbour) index arrays.
+
+    Node i's neighbourhood is its first ``sizes[i]`` other nodes in
+    breadth-first order: by hop count, then by distance to i, then by index
+    (fewer when its component is smaller). Pairs come grouped by node, in
+    ascending node order and in that order within a node.
+    """
+    n = graph.n
+    ends = np.concatenate([graph.edges, graph.edges[:, ::-1]])
+    adjacency = sparse.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                                  shape=(n, n))
+    reached = sparse.identity(n, format="csr")
+    ring = reached
+    found = np.zeros(n, dtype=np.int64)
+    nodes, nbrs, hops = [], [], []
+    hop = 0
+    # one ring per pass, grown only for nodes that still need neighbours
+    while True:
+        active = np.flatnonzero((found < sizes) & (np.diff(ring.indptr) > 0))
+        if active.size == 0:
+            break
+        hop += 1
+        select = sparse.csr_matrix((np.ones(active.size), (active, active)), shape=(n, n))
+        ring = select @ ring @ adjacency
+        ring.data[:] = 1.0
+        ring = ring - ring.multiply(reached)
+        ring.eliminate_zeros()
+        reached = reached + ring
+        found += np.diff(ring.indptr)
+        ring_coo = ring.tocoo()
+        nodes.append(ring_coo.row)
+        nbrs.append(ring_coo.col)
+        hops.append(np.full(ring_coo.nnz, hop))
+    nodes, nbrs, hops = (np.concatenate(a).astype(np.int64) for a in (nodes, nbrs, hops))
+    dist = _row_norms(points[nbrs] - points[nodes])
+    order = np.lexsort((nbrs, dist, hops, nodes))
+    nodes, nbrs = nodes[order], nbrs[order]
+    counts = np.bincount(nodes, minlength=n)
+    rank = np.arange(nodes.size) - (np.cumsum(counts) - counts)[nodes]
+    keep = rank < sizes[nodes]
+    return nodes[keep], nbrs[keep]
+
+
+def _edge_vector_stacks(graph: ProximityGraph, points: np.ndarray, sizes: np.ndarray
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Edge vectors from each node to its frame neighbourhood, stacked by
+    neighbourhood length: (nodes, (g, d, length) array) per length."""
+    nodes, nbrs = _frame_neighborhoods(graph, points, sizes)
+    counts = np.bincount(nodes, minlength=graph.n)
+    starts = np.cumsum(counts) - counts
+    stacks = []
+    for length in np.unique(counts):
+        group = np.flatnonzero(counts == length)
+        cols = nbrs[starts[group][:, None] + np.arange(length)]
+        stacks.append((group, np.swapaxes(points[cols] - points[group][:, None, :], 1, 2)))
+    return stacks
+
+
+def _frames_from_edge_vectors(edge_vecs: np.ndarray, m: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-fixed frames (g, d, m) from stacked (g, d, N) edge vectors, N >= m:
+    the left singular vectors of the m largest singular values. Also returns
+    which stacks have numerical rank below m."""
+    u, s, _ = np.linalg.svd(edge_vecs, full_matrices=False)
+    rank_tol = s[:, 0] * max(edge_vecs.shape[1:]) * np.finfo(float).eps
+    return _fix_column_signs(u[:, :, :m]), s[:, m - 1] <= rank_tol
 
 
 def estimate_tangent_frames(graph: ProximityGraph, cloud: PointCloud, m: int,
@@ -389,7 +469,9 @@ def estimate_tangent_frames(graph: ProximityGraph, cloud: PointCloud, m: int,
     Edge vectors to the node's nearest graph neighbours are stacked
     column-wise; the left singular vectors of the m largest singular values
     give the frame. ``n_neighbors="auto"`` uses ``auto_frame_neighbors`` on
-    the node degree.
+    the node degree. Neighbourhoods are breadth-first rings, ordered within
+    a ring by distance then index. An error names the lowest-index node
+    whose neighbourhood is too small or spans fewer than m dimensions.
     """
     d = cloud.dim
     n = cloud.n
@@ -397,32 +479,24 @@ def estimate_tangent_frames(graph: ProximityGraph, cloud: PointCloud, m: int,
         raise ValueError("graph and cloud size mismatch")
     if not 1 <= m <= d:
         raise ValueError(f"need 1 <= m <= d={d}, got m={m}")
-    if isinstance(n_neighbors, str):
-        if n_neighbors != "auto":
-            raise ValueError(f"n_neighbors must be an int or 'auto', got {n_neighbors!r}")
-    elif n_neighbors < m:
-        raise ValueError(f"n_neighbors must be >= m={m}")
-    points = cloud.points
-    nbr_lists = graph.neighbor_lists
+    sizes = _neighborhood_sizes(graph, m, n_neighbors)
     frames = np.empty((n, d, m))
-    for i in range(n):
-        if n_neighbors == "auto":
-            size = auto_frame_neighbors(graph.degrees[i], m, n)
-        else:
-            size = int(n_neighbors)
-        nbrs = _graph_neighborhood(i, size, nbr_lists, points)
-        if len(nbrs) < m:
+    reach = np.empty(n, dtype=np.int64)
+    deficient = np.zeros(n, dtype=bool)
+    for group, edge_vecs in _edge_vector_stacks(graph, cloud.points, sizes):
+        reach[group] = edge_vecs.shape[2]
+        if edge_vecs.shape[2] >= m:
+            frames[group], deficient[group] = _frames_from_edge_vectors(edge_vecs, m)
+    bad = np.flatnonzero((reach < m) | deficient)
+    if bad.size:
+        i = int(bad[0])
+        if reach[i] < m:
             raise DegenerateNeighborhoodError(
-                f"node {i}: only {len(nbrs)} reachable neighbours, need >= {m}"
+                f"node {i}: only {reach[i]} reachable neighbours, need >= {m}"
             )
-        edge_vecs = (points[nbrs] - points[i]).T  # d x N
-        u, s, _ = np.linalg.svd(edge_vecs, full_matrices=False)
-        rank_tol = s[0] * max(edge_vecs.shape) * np.finfo(float).eps
-        if s.shape[0] < m or s[m - 1] <= rank_tol:
-            raise DegenerateNeighborhoodError(
-                f"node {i}: neighbourhood rank < {m} (degenerate local geometry)"
-            )
-        frames[i] = _fix_column_signs(u[:, :m])
+        raise DegenerateNeighborhoodError(
+            f"node {i}: neighbourhood rank < {m} (degenerate local geometry)"
+        )
     return GaugeFrames(frames)
 
 
@@ -436,23 +510,38 @@ def estimate_intrinsic_dim(graph: ProximityGraph, cloud: PointCloud,
     returned. This is advisory only and is never applied implicitly:
     frame estimation always takes an explicit m.
     """
-    points = cloud.points
-    nbr_lists = graph.neighbor_lists
     dims = np.empty(cloud.n, dtype=np.int64)
-    for i in range(cloud.n):
-        if n_neighbors == "auto":
-            size = auto_frame_neighbors(graph.degrees[i], 1, cloud.n)
-        else:
-            size = int(n_neighbors)
-        nbrs = _graph_neighborhood(i, size, nbr_lists, points)
-        s = np.linalg.svd((points[nbrs] - points[i]).T, compute_uv=False)
-        m_i = len(s)
-        for l in range(1, len(s)):
-            if s[l] < gap_ratio * s[l - 1]:
-                m_i = l
-                break
-        dims[i] = m_i
+    sizes = _neighborhood_sizes(graph, 1, n_neighbors)
+    for group, edge_vecs in _edge_vector_stacks(graph, cloud.points, sizes):
+        s = np.linalg.svd(edge_vecs, compute_uv=False)
+        drops = s[:, 1:] < gap_ratio * s[:, :-1]
+        dims[group] = np.where(drops.any(axis=1), drops.argmax(axis=1) + 1, s.shape[1])
     return int(round(float(np.median(dims))))
+
+
+# smallest singular value of T_a^T T_b at which two tangent spaces still align
+MIN_TRANSPORT_SV = 1e-10
+
+
+def _procrustes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal O minimizing ||b - a O||_F for stacked (..., d, m) frames,
+    as U V^T from the SVD of a^T b, with that SVD's smallest singular value."""
+    u, s, vt = np.linalg.svd(np.swapaxes(a, -1, -2) @ b)
+    return u @ vt, s[..., -1]
+
+
+def _transport_stack(frames: GaugeFrames, into: np.ndarray,
+                     source: np.ndarray) -> np.ndarray:
+    """Maps taking coordinates at node source[e] into the frame at into[e]."""
+    maps, smallest = _procrustes(frames.frames[into], frames.frames[source])
+    bad = np.flatnonzero(smallest < MIN_TRANSPORT_SV)
+    if bad.size:
+        e = bad[0]
+        raise TransportRankError(
+            f"tangent spaces at nodes {into[e]} and {source[e]} are nearly orthogonal "
+            f"(min singular value {smallest[e]:.2e}); graph too coarse"
+        )
+    return maps
 
 
 def compute_transport(frames: GaugeFrames, j: int, i: int) -> np.ndarray:
@@ -464,48 +553,84 @@ def compute_transport(frames: GaugeFrames, j: int, i: int) -> np.ndarray:
     """
     if i == j:
         raise ValueError("transport requires two distinct nodes")
-    M = frames.frames[j].T @ frames.frames[i]
-    u, s, vt = np.linalg.svd(M)
-    if s[-1] < 1e-10:
-        raise TransportRankError(
-            f"tangent spaces at nodes {j} and {i} are nearly orthogonal "
-            f"(min singular value {s[-1]:.2e}); graph too coarse"
-        )
-    return u @ vt
+    return _transport_stack(frames, np.array([j]), np.array([i]))[0]
 
 
 @dataclass(frozen=True)
 class TransportMaps:
     """Per-edge parallel transport maps between tangent frames.
 
-    ``into(i, j)`` returns the m x m orthogonal matrix taking tangent
+    ``edges`` is an (E, 2) int array of undirected edges, i < j in each row,
+    rows unique and in lexicographic order (the layout of
+    ``ProximityGraph.edges``). ``maps`` is (E, m, m): ``maps[e]`` takes
+    tangent coordinates at node ``edges[e, 1]`` into the frame at node
+    ``edges[e, 0]``. ``into(i, j)`` returns the m x m orthogonal matrix taking
     coordinates at node j into the frame at node i; ``into(i, j)`` equals
-    ``into(j, i).T``. Stored once per undirected edge under the key (i, j)
-    with i < j.
+    ``into(j, i).T``.
     """
 
-    maps: dict[tuple[int, int], np.ndarray]
+    edges: np.ndarray
+    maps: np.ndarray
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        maps = np.asarray(self.maps, dtype=float)
+        if maps.ndim != 3 or maps.shape[0] != edges.shape[0] or maps.shape[1] != maps.shape[2]:
+            raise ValueError(
+                f"maps must have shape (E, m, m) with E={edges.shape[0]}, got {maps.shape}"
+            )
+        if np.any(edges[:, 0] >= edges[:, 1]):
+            raise ValueError("edges must satisfy i < j")
+        prev, nxt = edges[:-1], edges[1:]
+        if np.any((nxt[:, 0] < prev[:, 0])
+                  | ((nxt[:, 0] == prev[:, 0]) & (nxt[:, 1] <= prev[:, 1]))):
+            raise ValueError("edges must be unique and in lexicographic order")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "maps", maps)
+
+    def _rows(self, pairs: np.ndarray) -> np.ndarray:
+        """Row of each undirected node pair in ``edges``, -1 where it has none."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+        if self.edges.shape[0] == 0:
+            return np.full(pairs.shape[0], -1)
+        base = max(int(self.edges.max()), int(pairs.max(initial=0))) + 1
+        keys = self.edges[:, 0] * base + self.edges[:, 1]
+        wanted = pairs[:, 0] * base + pairs[:, 1]
+        rows = np.minimum(np.searchsorted(keys, wanted), keys.shape[0] - 1)
+        return np.where(keys[rows] == wanted, rows, -1)
+
+    def for_edges(self, edges: np.ndarray) -> np.ndarray:
+        """Maps for each row (i, j), i < j, of ``edges``, shape (E', m, m).
+
+        Raises ValueError naming the first edge that has no map.
+        """
+        rows = self._rows(edges)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            i, j = edges[missing[0]]
+            raise ValueError(f"missing transport for edge ({i}, {j})")
+        return self.maps[rows]
 
     def into(self, i: int, j: int) -> np.ndarray:
-        if i < j:
-            return self.maps[(i, j)]
-        return self.maps[(j, i)].T
+        row = int(self._rows([i, j])[0])
+        if row < 0:
+            raise KeyError((i, j))
+        return self.maps[row] if i < j else self.maps[row].T
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.maps
+        return bool(self._rows([i, j])[0] >= 0)
 
 
 def compute_transports(graph: ProximityGraph, frames: GaugeFrames) -> TransportMaps:
-    """Transport maps for every graph edge.
+    """Transport maps for every graph edge, aligned with ``graph.edges``.
 
     For edge (i, j) the stored matrix maps coordinates at j into the frame
-    at i: it is the Procrustes alignment of T_j onto T_i.
+    at i: it is the Procrustes alignment of T_j onto T_i. All edges go
+    through one batched SVD; an error names the first edge whose tangent
+    spaces are numerically orthogonal.
     """
-    maps = {}
-    for i, j in graph.edges:
-        # argmin_O ||T_j - T_i O|| maps j-coordinates into i's frame
-        maps[(int(i), int(j))] = compute_transport(frames, int(i), int(j))
-    return TransportMaps(maps)
+    return TransportMaps(graph.edges,
+                         _transport_stack(frames, graph.edges[:, 0], graph.edges[:, 1]))
 
 
 def mean_edge_length(graph: ProximityGraph, cloud: PointCloud) -> float:

@@ -34,7 +34,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial import cKDTree
 
-from .geometry import GaugeFrames, PointCloud, ProximityGraph, _fix_column_signs
+from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
+    _frames_from_edge_vectors, _procrustes
 from .spectral import Spectrum, positional_encodings
 
 __all__ = [
@@ -519,34 +520,32 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
         # mirror the frame-estimation neighbourhood rule
         n_neighbors = max(m + 1, 2 * int(round(float(np.mean(graph.degrees)))))
     n_neighbors = min(n_neighbors, cloud.n)
+    if n_neighbors < m:
+        raise ValueError(f"query point 0: neighbourhood rank < {m}")
     tree = cKDTree(cloud.points)
     dists, nbr_idx = tree.query(new_points, k=n_neighbors)
     nbr_idx = np.atleast_2d(nbr_idx)
     dists = np.atleast_2d(dists)
     scaled = (spectrum.eigenvectors * np.sqrt(spectrum.n * m)).reshape(spectrum.n, m, k)
 
-    out = np.empty((new_points.shape[0], cloud.dim, k))
-    new_frames = np.empty((new_points.shape[0], cloud.dim, m))
-    for a, x in enumerate(new_points):
-        nbrs = nbr_idx[a]
-        edge_vecs = (cloud.points[nbrs] - x).T
-        u, s, _ = np.linalg.svd(edge_vecs, full_matrices=False)
-        if s.shape[0] < m or s[m - 1] <= s[0] * max(edge_vecs.shape) * np.finfo(float).eps:
+    edge_vecs = np.swapaxes(cloud.points[nbr_idx] - new_points[:, None, :], 1, 2)
+    new_frames, deficient = _frames_from_edge_vectors(edge_vecs, m)
+    # align each neighbour frame onto the new frame: j-coords -> new coords
+    maps, smallest = _procrustes(new_frames[:, None], frames.frames[nbr_idx])
+    orthogonal = smallest < MIN_TRANSPORT_SV
+    bad = deficient | orthogonal.any(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        if deficient[a]:
             raise ValueError(f"query point {a}: neighbourhood rank < {m}")
-        t_new = _fix_column_signs(u[:, :m])
-        floor = (1e-8 * max(float(dists[a].mean()), np.finfo(float).tiny)) ** 2
-        weights = 1.0 / (dists[a] ** 2 + floor)
-        weights /= weights.sum()
-        acc = np.zeros((m, k))
-        for w, j in zip(weights, nbrs):
-            # align the neighbour frame onto the new frame: j-coords -> new coords
-            mat = t_new.T @ frames.frames[j]
-            uu, ss, vv = np.linalg.svd(mat)
-            if ss[-1] < 1e-10:
-                raise ValueError(
-                    f"query point {a}: tangent space nearly orthogonal to node {j}"
-                )
-            acc += w * ((uu @ vv) @ scaled[j])
-        out[a] = t_new @ acc
-        new_frames[a] = t_new
+        j = nbr_idx[a, np.argmax(orthogonal[a])]
+        raise ValueError(f"query point {a}: tangent space nearly orthogonal to node {j}")
+    floor = (1e-8 * np.maximum(dists.mean(axis=1), np.finfo(float).tiny)) ** 2
+    weights = 1.0 / (dists ** 2 + floor[:, None])
+    weights /= weights.sum(axis=1, keepdims=True)
+    moved = maps @ scaled[nbr_idx]
+    acc = np.zeros((new_points.shape[0], m, k))
+    for t in range(nbr_idx.shape[1]):  # neighbours in distance order, as summed per point
+        acc += weights[:, t, None, None] * moved[:, t]
+    out = new_frames @ acc
     return out, GaugeFrames(new_frames)

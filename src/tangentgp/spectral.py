@@ -87,35 +87,23 @@ def assemble_connection_laplacian(graph: ProximityGraph, frames: GaugeFrames,
                                   transports: TransportMaps) -> ConnectionLaplacian:
     """Block operator with D_ii * I on the diagonal and -w_ij * O_ij off it.
 
-    Symmetry holds by construction because O_ji = O_ij^T. Raises KeyError
-    via the transport set if an edge has no transport map.
+    Symmetry holds by construction because O_ji = O_ij^T. Raises ValueError
+    naming the first graph edge that has no transport map.
     """
     n, m = graph.n, frames.m
     if frames.n != n:
         raise ValueError("graph and frames size mismatch")
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    brow, bcol = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    brow, bcol = brow.ravel(), bcol.ravel()
-
-    def add_block(bi: int, bj: int, block: np.ndarray) -> None:
-        rows.append(bi * m + brow)
-        cols.append(bj * m + bcol)
-        vals.append(block.ravel())
-
-    eye = np.eye(m)
-    for i in range(n):
-        add_block(i, i, graph.degrees[i] * eye)
-    for (i, j), w in zip(graph.edges, graph.weights):
-        i, j = int(i), int(j)
-        if not transports.has_edge(i, j):
-            raise ValueError(f"missing transport for edge ({i}, {j})")
-        o_ij = transports.into(i, j)
-        add_block(i, j, -w * o_ij)
-        add_block(j, i, -w * o_ij.T)
+    maps = transports.for_edges(graph.edges)
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    w = graph.weights[:, None, None]
+    blocks = np.concatenate([graph.degrees[:, None, None] * np.eye(m), -w * maps,
+                             -w * np.swapaxes(maps, 1, 2)])
+    block_rows = np.concatenate([np.arange(n), i, j])
+    block_cols = np.concatenate([np.arange(n), j, i])
+    brow, bcol = np.divmod(np.arange(m * m), m)
     mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (blocks.reshape(-1), ((block_rows[:, None] * m + brow).reshape(-1),
+                              (block_cols[:, None] * m + bcol).reshape(-1))),
         shape=(n * m, n * m),
     )
     return ConnectionLaplacian(matrix=mat.tocsr(), n=n, m=m)
@@ -353,9 +341,9 @@ def dirichlet_energy(graph: ProximityGraph, transports: TransportMaps,
     coords = np.asarray(coords, dtype=float)
     if coords.shape[0] != graph.n:
         raise ValueError("field has wrong number of nodes")
-    total = 0.0
-    for (i, j), w in zip(graph.edges, graph.weights):
-        i, j = int(i), int(j)
-        diff = coords[i] - transports.into(i, j) @ coords[j]
-        total += w * float(diff @ diff)
-    return total
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    maps = transports.for_edges(graph.edges)
+    diff = coords[i] - (maps @ coords[j][:, :, None])[:, :, 0]
+    sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+    # cumsum adds in edge order; np.sum's pairwise order rounds differently
+    return float(np.cumsum(graph.weights * sq)[-1])

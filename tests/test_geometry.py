@@ -1,16 +1,22 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
+import geometry_oracle as oracle
 import tangentgp as tg
+from tangentgp import io as tio
 from tangentgp.geometry import (
     DegenerateNeighborhoodError,
     DisconnectedGraphError,
     DisconnectedGraphWarning,
     DuplicatePointsError,
     TransportRankError,
+    _max_pairwise_distance,
     auto_frame_neighbors,
 )
 
@@ -150,6 +156,34 @@ class TestFurthestPointSample:
         with pytest.raises(ValueError):
             tg.furthest_point_sample(np.zeros((3, 2)) + np.arange(3)[:, None], 4)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["sphere", "collinear", "pair", "cluster"]),
+           seed=st.integers(0, 2**16), size=st.integers(3, 300))
+    def test_spacing_uses_exact_diameter(self, kind, seed, size):
+        # the pruned diameter equals the brute force over every pair, bit for
+        # bit: on a sphere around the centroid nothing is pruned, a tight
+        # cluster with outliers prunes all but the outliers
+        rng = np.random.default_rng(seed)
+        centre = rng.uniform(-5, 5, 3)
+        if kind == "sphere":
+            dirs = rng.standard_normal((size, 3))
+            pts = centre + 2.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        elif kind == "collinear":
+            pts = centre + np.outer(rng.uniform(-3, 3, size), rng.standard_normal(3))
+        elif kind == "pair":
+            pts = centre + rng.standard_normal((2, 3))
+        else:
+            pts = centre + 1e-3 * rng.standard_normal((size, 3))
+            pts[:3] += rng.uniform(-10, 10, (3, 3))
+        diameter = oracle.max_pairwise_distance(pts)
+        assert _max_pairwise_distance(pts) == diameter
+        count = min(len(pts), 2 + seed % 7)
+        idx, spacing = tg.furthest_point_sample(pts, count)
+        sel = pts[idx]
+        d2 = np.sum((sel[:, None, :] - sel[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        assert spacing == float(np.sqrt(d2.min(axis=1)).mean() / diameter)
+
     def test_spacing_decreases_with_count(self, torus):
         # denser subsets space points more tightly
         _, sparse_alpha = tg.furthest_point_sample(torus.cloud, 20)
@@ -212,6 +246,33 @@ class TestTangentFrames:
         graph = tg.build_knn_graph(cloud, 2)
         with pytest.raises(DegenerateNeighborhoodError, match="node"):
             tg.estimate_tangent_frames(graph, cloud, 2)
+
+    def test_lowest_degenerate_node_named_across_size_groups(self):
+        # nodes 0-7: a straight chain (neighbourhoods of 6, rank 1); nodes
+        # 8-11: a shorter straight chain (neighbourhoods of 3, rank 1); nodes
+        # 12-13: a pair (1 reachable neighbour). The size-3 group is
+        # estimated first, but node 0 is the one to name, as the loop did.
+        pts = np.zeros((14, 3))
+        pts[:8, 0] = np.arange(8.0)
+        pts[8:12, 1] = np.arange(4.0)
+        pts[8:12, 2] = 5.0
+        pts[12:, :] = [[9.0, 9.0, 9.0], [9.0, 9.5, 9.0]]
+        chain = [[a, a + 1] for a in (*range(7), *range(8, 11), 12)]
+        graph = tg.ProximityGraph(14, chain, np.ones(len(chain)))
+        cloud = tg.PointCloud(pts)
+        message = "node 0: neighbourhood rank < 2"
+        with pytest.raises(DegenerateNeighborhoodError, match=message):
+            oracle.tangent_frames(graph, cloud, 2, 6)
+        with pytest.raises(DegenerateNeighborhoodError, match=message):
+            tg.estimate_tangent_frames(graph, cloud, 2, 6)
+        # with the pair first it is the node to name, though its group has
+        # no SVD to fail
+        order = np.r_[12, 13, 0:12]
+        relabel = np.argsort(order)
+        graph = tg.ProximityGraph(14, relabel[np.array(chain)], np.ones(len(chain)))
+        with pytest.raises(DegenerateNeighborhoodError,
+                           match="node 0: only 1 reachable neighbours, need >= 2"):
+            tg.estimate_tangent_frames(graph, tg.PointCloud(pts[order]), 2, 6)
 
     def test_m_larger_than_d_rejected(self, torus):
         with pytest.raises(ValueError):
@@ -292,6 +353,16 @@ class TestTransport:
         with pytest.raises(TransportRankError, match="coarse"):
             tg.compute_transport(frames, 0, 1)
 
+    def test_orthogonal_edge_named_in_batch(self):
+        # edges (0, 3) and (1, 2) join orthogonal planes of R^4; the first
+        # edge in graph order is the one named
+        plane_a = np.eye(4)[:, :2]
+        plane_b = np.eye(4)[:, 2:]
+        frames = tg.GaugeFrames(np.stack([plane_a, plane_a, plane_b, plane_b]))
+        graph = tg.ProximityGraph(4, [[0, 1], [1, 2], [2, 3], [0, 3]], np.ones(4))
+        with pytest.raises(TransportRankError, match="nodes 0 and 3 are nearly orthogonal"):
+            tg.compute_transports(graph, frames)
+
     def test_same_node_rejected(self, torus):
         with pytest.raises(ValueError):
             tg.compute_transport(torus.frames, 3, 3)
@@ -310,3 +381,67 @@ class TestIntrinsicDim:
 
 def test_mean_edge_length_positive(torus):
     assert tg.mean_edge_length(torus.graph, torus.cloud) > 0
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (error type, message)) of fn(*args)."""
+    try:
+        return fn(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def sampled_graphs(draw):
+    """Noisy torus or sphere samples with a k-NN or mesh graph."""
+    if draw(st.booleans()):
+        points, faces = tio.generate_torus(2.0, 0.8, draw(st.integers(6, 18)),
+                                           draw(st.integers(4, 10)))
+    else:
+        points, faces = tio.generate_icosphere(draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    points = points + draw(st.sampled_from([0.0, 1e-4, 0.03])) * rng.standard_normal(
+        points.shape)
+    cloud = tg.PointCloud(points)
+    weighting = draw(st.sampled_from(["unit", "gaussian"]))
+    bandwidth = None
+    if weighting == "gaussian":  # weighted degrees: "auto" sizes vary by node
+        bandwidth = draw(st.floats(0.5, 3.0)) * np.linalg.norm(points[1] - points[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DisconnectedGraphWarning)
+        if draw(st.booleans()):
+            graph = tg.build_mesh_graph(cloud, faces, weighting, bandwidth)
+        else:
+            graph = tg.build_knn_graph(cloud, draw(st.integers(2, 8)), weighting,
+                                       bandwidth, on_disconnected="warn")
+    n_neighbors = draw(st.one_of(st.just("auto"), st.integers(2, 14)))
+    return cloud, graph, n_neighbors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sampled_graphs())
+def test_array_geometry_matches_loop_oracle(case):
+    # frames, transports and L_c equal the per-node loops bit for bit,
+    # errors included
+    cloud, graph, n_neighbors = case
+    frames, error = _outcome(tg.estimate_tangent_frames, graph, cloud, 2, n_neighbors)
+    frames_ref, error_ref = _outcome(oracle.tangent_frames, graph, cloud, 2, n_neighbors)
+    assert error == error_ref
+    if error is not None:
+        return
+    assert np.array_equal(frames.frames, frames_ref.frames)
+
+    transports, error = _outcome(tg.compute_transports, graph, frames)
+    maps_ref, error_ref = _outcome(oracle.transports, graph, frames)
+    assert error == error_ref
+    if error is not None:
+        return
+    for (i, j), o_ij in maps_ref.items():
+        assert np.array_equal(transports.into(i, j), o_ij)
+        assert np.array_equal(transports.into(j, i), o_ij.T)
+
+    con = tg.assemble_connection_laplacian(graph, frames, transports)
+    ref = oracle.connection_laplacian(graph, maps_ref, 2)
+    assert np.array_equal(con.matrix.indptr, ref.indptr)
+    assert np.array_equal(con.matrix.indices, ref.indices)
+    assert np.array_equal(con.matrix.data, ref.data)

@@ -97,3 +97,18 @@ def test_gp_cost_stays_in_k_dimensions():
     feats = _features(model.encodings, model.filter_values, hp.sigma, model.c_norm)
     oracle = svd_lml(feats, targets.reshape(-1), hp.sigma_n**2)
     assert abs(lml - oracle) <= 1e-10 * abs(oracle)
+
+
+def test_furthest_point_sample_skips_interior_points():
+    # the diameter behind the spacing compares only the points that can
+    # belong to the farthest pair; a 512-row block against every point
+    # traced 33 MB here
+    points, _ = tio.generate_torus(2.0, 0.8, 40, 40)
+    tracemalloc.start()
+    try:
+        idx, spacing = tg.furthest_point_sample(points, 160)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert idx.shape == (160,) and 0 < spacing < 1

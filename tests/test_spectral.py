@@ -78,9 +78,10 @@ class TestConnectionLaplacian:
                            atol=1e-12)
 
     def test_missing_transport_rejected(self, torus):
-        partial = tg.TransportMaps({k: v for k, v in
-                                    list(torus.transports.maps.items())[:-1]})
-        with pytest.raises(ValueError, match="missing transport"):
+        partial = tg.TransportMaps(torus.transports.edges[:-1],
+                                   torus.transports.maps[:-1])
+        i, j = torus.graph.edges[-1]
+        with pytest.raises(ValueError, match=rf"missing transport for edge \({i}, {j}\)"):
             tg.assemble_connection_laplacian(torus.graph, torus.frames, partial)
 
     def test_symmetric_and_psd(self, torus):
