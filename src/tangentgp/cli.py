@@ -137,24 +137,27 @@ def _resolve_hyperparams(cfg: io.ExperimentConfig, train_nodes, targets, spectru
     if hp is not None:
         return hp
     fit_cfg = cfg.fit or {}
-    nu = fit_cfg.get("nu", 1.5)
-    if isinstance(nu, str):
-        nu = math.inf if nu == "inf" else float(nu)
+    nu = io._parse_nu(fit_cfg.get("nu", 1.5))
     search = gp.SearchConfig(
         n_starts=int(fit_cfg.get("n_starts", 3)),
         n_sweeps=int(fit_cfg.get("n_sweeps", 5)),
         grid_points=int(fit_cfg.get("grid_points", 7)),
     )
-    initial = gp.MaternHyperparams(
-        sigma=1.0, kappa=5.0 * geo.mean_edge_length(graph, cloud), nu=nu,
-        sigma_n=1e-3,
-    )
     with _stage(stages, "fit_hyperparameters"):
         hp = gp.fit_hyperparameters(train_nodes, targets, spectrum, frames, nu=nu,
-                                    search=search, seed=cfg.seed, initial=initial)
+                                    search=search, seed=cfg.seed,
+                                    initial=_search_start(graph, cloud, nu))
     log.info("fitted hyperparams: sigma=%.4g kappa=%.4g nu=%s sigma_n=%.4g",
              hp.sigma, hp.kappa, hp.nu, hp.sigma_n)
     return hp
+
+
+def _search_start(graph: geo.ProximityGraph, cloud: geo.PointCloud,
+                  nu: float) -> gp.MaternHyperparams:
+    """First start of a hyperparameter search: unit amplitude, a lengthscale
+    of five mean edge lengths and small noise."""
+    kappa = 5.0 * geo.mean_edge_length(graph, cloud)
+    return gp.MaternHyperparams(sigma=1.0, kappa=kappa, nu=nu, sigma_n=1e-3)
 
 
 def _write_predictions(out_dir: Path, stem: str, cloud: geo.PointCloud,
@@ -389,12 +392,10 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
 
     hp_base = io._hp_from_dict(cfg.baseline_hyperparams)
     if hp_base is None:
-        initial = gp.MaternHyperparams(sigma=1.0,
-                                       kappa=5.0 * geo.mean_edge_length(graph, cloud),
-                                       nu=math.inf, sigma_n=1e-3)
         with _stage(stages, "fit_baseline_hyperparameters"):
             hp_base = fields.fit_baseline_hyperparameters(
-                spec_s, train, truth[train], seed=cfg.seed, initial=initial)
+                spec_s, train, truth[train], seed=cfg.seed,
+                initial=_search_start(graph, cloud, math.inf))
     with _stage(stages, "fit_predict_baseline"):
         mean_base = fields.baseline_scalar_rbf_predict(spec_s, train, truth[train],
                                                        test, hp_base)

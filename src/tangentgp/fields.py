@@ -194,8 +194,7 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
 def _baseline_features(spectrum: Spectrum, encodings: np.ndarray,
                        hyperparams: gp.MaternHyperparams) -> np.ndarray:
     """Scalar features A (n, k) of every node under the nu = inf filter."""
-    filt = gp.spectral_filter(spectrum.eigenvalues, hyperparams)
-    c_norm = gp.normalization_constant(encodings, filt, 1)
+    filt, c_norm = gp._prior(encodings, spectrum, hyperparams)
     return gp._features(encodings, filt, hyperparams.sigma, c_norm)
 
 
@@ -242,32 +241,10 @@ def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
     maximizing the summed per-channel log marginal likelihood (nu = inf)."""
     train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
                                                         train_vectors)
-    if search is None:
-        search = gp.SearchConfig()
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-
-    def objective(theta):
-        try:
-            hp = gp.MaternHyperparams(sigma=math.exp(theta[0]),
-                                      kappa=math.exp(theta[1]), nu=np.inf,
-                                      sigma_n=math.exp(theta[2]))
-            feats = _baseline_features(spectrum, encodings, hp)[train_nodes]
-            chol, weights, jitter = gp._weight_posterior(feats, train_vectors,
-                                                         hp.sigma_n)
-            total = gp._weight_lml(feats, train_vectors, chol, weights,
-                                   hp.sigma_n**2 + jitter)
-        except (gp.GramConditioningError, np.linalg.LinAlgError, ValueError,
-                FloatingPointError, OverflowError):
-            return -np.inf
-        return total if np.isfinite(total) else -np.inf
-
-    start = None
-    if initial is not None:
-        start = np.array([math.log(initial.sigma), math.log(initial.kappa),
-                          math.log(max(initial.sigma_n, 1e-12))])
-    best = gp.coordinate_search(objective, search, seed, start)
-    return gp.MaternHyperparams(sigma=math.exp(best[0]), kappa=math.exp(best[1]),
-                                nu=np.inf, sigma_n=math.exp(best[2]))
+    return gp._search(
+        lambda hp: _baseline_features(spectrum, encodings, hp)[train_nodes],
+        train_vectors, np.inf, search, seed, initial)
 
 
 @dataclass(frozen=True)

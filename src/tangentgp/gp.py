@@ -8,13 +8,15 @@ over all nodes equals sigma^2 * m, making sigma the marginal standard
 deviation per tangent dimension.
 
 The kernel has rank k by construction: K = A A^T with features A of shape
-(N*d, k). Fitting, the log marginal likelihood and prediction therefore work
-on the k x k system M = s^2 I_k + A^T A, where s^2 = sigma_n^2 + jitter is the
-noise variance: one Cholesky factor of M, the weight mean w = M^-1 A^T y,
-mean A_q w and covariance s^2 A_q M^-1 A_q^T. That costs O(N*d*k^2) per fit
-or likelihood evaluation and O(q*d*k^2) per prediction of q nodes, and never
-builds an (N*d)^2 matrix. Jitter is added only when sigma_n = 0: then M
-would be singular whenever A has rank below k (fewer than k/m training
+(N*d, k). Fitting, the log marginal likelihood, hyperparameter search,
+prediction and DTC therefore work on the k x k system M = s^2 I_k + A^T A,
+where s^2 = sigma_n^2 + jitter is the noise variance: one Cholesky factor of
+M, the weight mean w = M^-1 A^T y, mean A_q w and covariance
+s^2 A_q M^-1 A_q^T. That costs O(N*d*k^2) per fit or likelihood evaluation
+and O(q*d*k^2) per prediction of q nodes, and never builds an (N*d)^2
+matrix. DTC is the same posterior with the features projected onto the row
+space of the inducing features. Jitter is added only when sigma_n = 0: then
+M would be singular whenever A has rank below k (fewer than k/m training
 nodes), so the factorization climbs the multiplicative ladder from 1e-10
 times the mean prior variance trace(A^T A)/(N*d). For sigma_n > 0 a failed
 factorization raises :class:`GramConditioningError` instead of adding noise
@@ -130,6 +132,13 @@ def _features(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
     return (sigma * np.sqrt(c_norm)) * flat * np.sqrt(filter_values)
 
 
+def _prior(encodings: np.ndarray, spectrum: Spectrum,
+           hyperparams: MaternHyperparams) -> tuple[np.ndarray, float]:
+    """Filter values and normalization constant of the prior over ``encodings``."""
+    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
+    return filter_values, normalization_constant(encodings, filter_values, spectrum.m)
+
+
 def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
                           levels: tuple[float, ...] = JITTER_LADDER
                           ) -> tuple[np.ndarray, float]:
@@ -188,6 +197,16 @@ def _weight_lml(feats: np.ndarray, targets: np.ndarray, chol: np.ndarray,
     quad = float(np.sum(resid * resid)) / noise + float(np.sum(weights * weights))
     logdet = (rows - k) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
+
+
+def _weight_predict(feats_query: np.ndarray, chol: np.ndarray, weights: np.ndarray,
+                    noise: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean rows F w, shape (q, d), and the d x d diagonal blocks of
+    s^2 F M^-1 F^T for query features F of shape (q*d, k)."""
+    q = feats_query.shape[0] // d
+    mean = (feats_query @ weights).reshape(q, d)
+    half = solve_triangular(chol, feats_query.T, lower=True).reshape(-1, q, d)
+    return mean, noise * np.einsum("kqd,kqe->qde", half, half)
 
 
 def assemble_gram(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
@@ -249,27 +268,6 @@ class VectorFieldGP:
                          self.c_norm)
 
 
-def _fit_prepared(encodings: np.ndarray, train_nodes: np.ndarray, targets: np.ndarray,
-                  spectrum: Spectrum, hyperparams: MaternHyperparams) -> VectorFieldGP:
-    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
-    c_norm = normalization_constant(encodings, filter_values, spectrum.m)
-    feats = _features(encodings[train_nodes], filter_values, hyperparams.sigma, c_norm)
-    chol, alpha, jitter = _weight_posterior(feats, targets.reshape(-1),
-                                            hyperparams.sigma_n)
-    return VectorFieldGP(
-        spectrum=spectrum,
-        encodings=encodings,
-        hyperparams=hyperparams,
-        train_nodes=train_nodes,
-        targets=targets,
-        filter_values=filter_values,
-        c_norm=c_norm,
-        chol=chol,
-        alpha=alpha,
-        jitter=jitter,
-    )
-
-
 def _validate_training(train_nodes: np.ndarray, targets: np.ndarray, n: int,
                        dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct in-range training nodes and finite (len(nodes), dim) targets."""
@@ -289,10 +287,11 @@ def _validate_training(train_nodes: np.ndarray, targets: np.ndarray, n: int,
     return train_nodes, targets
 
 
-def _validate_query(query_nodes: np.ndarray, n: int) -> np.ndarray:
+def _validate_query(query_nodes: np.ndarray, n: int, role: str = "query"
+                    ) -> np.ndarray:
     query_nodes = np.asarray(query_nodes, dtype=np.int64).reshape(-1)
     if query_nodes.size and (query_nodes.min() < 0 or query_nodes.max() >= n):
-        raise IndexError("query node out of range")
+        raise IndexError(f"{role} node out of range")
     return query_nodes
 
 
@@ -302,18 +301,22 @@ def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)
     encodings = positional_encodings(spectrum, frames)
-    return _fit_prepared(encodings, train_nodes, targets, spectrum, hyperparams)
+    filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
+    feats = _features(encodings[train_nodes], filter_values, hyperparams.sigma, c_norm)
+    chol, alpha, jitter = _weight_posterior(feats, targets.reshape(-1),
+                                            hyperparams.sigma_n)
+    return VectorFieldGP(spectrum=spectrum, encodings=encodings,
+                         hyperparams=hyperparams, train_nodes=train_nodes,
+                         targets=targets, filter_values=filter_values,
+                         c_norm=c_norm, chol=chol, alpha=alpha, jitter=jitter)
 
 
 def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean vectors A_q w and per-node d x d covariance blocks of
     s^2 A_q M^-1 A_q^T."""
-    q, d, _ = query_encodings.shape
-    feats_query = model.features(query_encodings)
-    mean = (feats_query @ model.alpha).reshape(q, d)
-    half = solve_triangular(model.chol, feats_query.T, lower=True).reshape(-1, q, d)
-    covs = model.noise * np.einsum("kqd,kqe->qde", half, half)
+    mean, covs = _weight_predict(model.features(query_encodings), model.chol,
+                                 model.alpha, model.noise, query_encodings.shape[1])
     return mean, (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
@@ -405,30 +408,27 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
     return best_theta
 
 
-def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
-                        spectrum: Spectrum, frames: GaugeFrames,
-                        nu: float = 1.5, search: SearchConfig | None = None,
-                        seed: int = 0,
-                        initial: MaternHyperparams | None = None,
-                        ) -> MaternHyperparams:
-    """Maximize the log marginal likelihood over (sigma, kappa, sigma_n).
+def _search(features_of, targets: np.ndarray, nu: float,
+            search: SearchConfig | None, seed: int,
+            initial: MaternHyperparams | None) -> MaternHyperparams:
+    """Maximize the log marginal likelihood of ``targets`` (one column per
+    independent output, or a vector) under the features ``features_of(hp)``
+    over (sigma, kappa, sigma_n) in log space, with nu held fixed.
 
-    Coordinate descent in log space with nu held fixed; deterministic for a
-    fixed seed. ``initial`` seeds the first start (defaults to the box
-    centre).
+    Each evaluation builds the features once and factors one k x k system.
+    Failed factorizations and invalid hyperparameters score -inf.
     """
-    if search is None:
-        search = SearchConfig()
-    train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
-    targets = np.asarray(targets, dtype=float)
-    encodings = positional_encodings(spectrum, frames)
+    def at(theta) -> MaternHyperparams:
+        return MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
+                                 nu=nu, sigma_n=math.exp(theta[2]))
 
     def objective(theta: np.ndarray) -> float:
         try:
-            hp = MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
-                                   nu=nu, sigma_n=math.exp(theta[2]))
-            model = _fit_prepared(encodings, train_nodes, targets, spectrum, hp)
-            value = log_marginal_likelihood(model)
+            hp = at(theta)
+            feats = features_of(hp)
+            chol, weights, jitter = _weight_posterior(feats, targets, hp.sigma_n)
+            value = _weight_lml(feats, targets, chol, weights,
+                                hp.sigma_n**2 + jitter)
         except (GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
             return -np.inf
@@ -439,11 +439,34 @@ def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
         start = np.array([math.log(initial.sigma), math.log(initial.kappa),
                           math.log(max(initial.sigma_n, 1e-12))])
     try:
-        best = coordinate_search(objective, search, seed, start)
+        best = coordinate_search(objective, search or SearchConfig(), seed, start)
     except ValueError as exc:
         raise ValueError(f"hyperparameter search failed: {exc}") from None
-    return MaternHyperparams(sigma=math.exp(best[0]), kappa=math.exp(best[1]),
-                             nu=nu, sigma_n=math.exp(best[2]))
+    return at(best)
+
+
+def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
+                        spectrum: Spectrum, frames: GaugeFrames,
+                        nu: float = 1.5, search: SearchConfig | None = None,
+                        seed: int = 0,
+                        initial: MaternHyperparams | None = None,
+                        ) -> MaternHyperparams:
+    """Maximize the log marginal likelihood over (sigma, kappa, sigma_n).
+
+    Coordinate descent in log space with nu held fixed; deterministic for a
+    fixed seed. ``initial`` seeds the first start (defaults to the box
+    centre). Training inputs are checked as in :func:`fit`.
+    """
+    train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
+                                              frames.dim)
+    encodings = positional_encodings(spectrum, frames)
+    train_encodings = encodings[train_nodes]
+
+    def features_of(hp: MaternHyperparams) -> np.ndarray:
+        filter_values, c_norm = _prior(encodings, spectrum, hp)
+        return _features(train_encodings, filter_values, hp.sigma, c_norm)
+
+    return _search(features_of, targets.reshape(-1), nu, search, seed, initial)
 
 
 def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
@@ -453,49 +476,39 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic-training-conditional (DTC) posterior through an inducing set.
 
-    mean = K_*u (K_uu + sigma_n^-2 K_uf K_fu)^-1 sigma_n^-2 K_uf y with the
-    Nystrom covariance. Exact (up to jitter) when the inducing set equals
-    the training set. Inducing covariances live in tangent coordinates via
-    the shared encodings.
+    DTC replaces the training prior K_ff by Q_ff = K_fu K_uu^+ K_uf, which is
+    A B B^T A^T for K = A A^T, B an orthonormal basis (thin SVD, the rank rule
+    of frame estimation) of the row space of the inducing features A_u. So
+    DTC is the k x k posterior on features A B: mean A_q B w, covariance
+    s^2 (A_q B) M^-1 (A_q B)^T plus the prior outside that row space,
+    A_q (I - B B^T) A_q^T. The projection is exact for any inducing set, and
+    equals the exact posterior when A_u has rank k.
     """
     if hyperparams.sigma_n <= 0:
         raise ValueError("DTC requires sigma_n > 0")
-    train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
-    inducing_nodes = np.asarray(inducing_nodes, dtype=np.int64).reshape(-1)
-    query_nodes = np.asarray(query_nodes, dtype=np.int64).reshape(-1)
-    targets = np.asarray(targets, dtype=float)
+    n, d = spectrum.n, frames.dim
+    train_nodes, targets = _validate_training(train_nodes, targets, n, d)
+    inducing_nodes = _validate_query(inducing_nodes, n, "inducing")
+    query_nodes = _validate_query(query_nodes, n)
+    if inducing_nodes.size == 0:
+        raise ValueError("need at least one inducing node")
     encodings = positional_encodings(spectrum, frames)
-    filt = spectral_filter(spectrum.eigenvalues, hyperparams)
-    c_norm = normalization_constant(encodings, filt, spectrum.m)
+    filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
 
-    a_u = _features(encodings[inducing_nodes], filt, hyperparams.sigma, c_norm)
-    a_f = _features(encodings[train_nodes], filt, hyperparams.sigma, c_norm)
-    a_q = _features(encodings[query_nodes], filt, hyperparams.sigma, c_norm)
+    def features(nodes: np.ndarray) -> np.ndarray:
+        return _features(encodings[nodes], filter_values, hyperparams.sigma, c_norm)
 
-    k_uu = a_u @ a_u.T
-    k_uu = (k_uu + k_uu.T) / 2.0
-    try:
-        chol_u, _ = _cholesky_with_jitter(k_uu)
-    except GramConditioningError as exc:
-        raise GramConditioningError(
-            f"inducing covariance is singular even after jitter: {exc}"
-        ) from exc
-
-    c_f = solve_triangular(chol_u, a_u @ a_f.T, lower=True)  # (Du, Df)
-    c_q = solve_triangular(chol_u, a_u @ a_q.T, lower=True)  # (Du, Dq)
-    mid = hyperparams.sigma_n**2 * np.eye(c_f.shape[0]) + c_f @ c_f.T
-    chol_mid = np.linalg.cholesky((mid + mid.T) / 2.0)
-    mean_flat = c_q.T @ cho_solve((chol_mid, True), c_f @ targets.reshape(-1))
-
-    d = frames.dim
-    q = query_nodes.shape[0]
-    solved_q = cho_solve((chol_mid, True), c_q).reshape(-1, q, d)
-    c_q = c_q.reshape(-1, q, d)
-    a_q = a_q.reshape(q, d, -1)
-    covs = (np.einsum("qdk,qek->qde", a_q, a_q)
-            - np.einsum("uqd,uqe->qde", c_q, c_q)
-            + hyperparams.sigma_n**2 * np.einsum("uqd,uqe->qde", c_q, solved_q))
-    return mean_flat.reshape(q, d), (covs + covs.transpose(0, 2, 1)) / 2.0
+    a_u = features(inducing_nodes)
+    _, sv, vt = np.linalg.svd(a_u, full_matrices=False)
+    basis = vt[sv > sv[0] * max(a_u.shape) * np.finfo(float).eps].T  # (k, rank)
+    chol, weights, jitter = _weight_posterior(features(train_nodes) @ basis,
+                                              targets.reshape(-1), hyperparams.sigma_n)
+    a_q = features(query_nodes)
+    a_qb = a_q @ basis
+    mean, covs = _weight_predict(a_qb, chol, weights, hyperparams.sigma_n**2 + jitter, d)
+    outside = (a_q - a_qb @ basis.T).reshape(-1, d, a_q.shape[1])
+    covs += np.einsum("qdk,qek->qde", outside, outside)
+    return mean, (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
 def extend_encodings(new_points: np.ndarray, cloud: PointCloud,

@@ -526,9 +526,9 @@ def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames]:
                          .reshape(n, d, m))
     targets = _read_matrix_csv(directory / manifest["targets_csv"]).reshape(-1, d)
     hp_raw = manifest["hyperparams"]
-    nu = math.inf if hp_raw["nu"] == "inf" else float(hp_raw["nu"])
     hp = gp_mod.MaternHyperparams(sigma=float(hp_raw["sigma"]),
-                                  kappa=float(hp_raw["kappa"]), nu=nu,
+                                  kappa=float(hp_raw["kappa"]),
+                                  nu=_parse_nu(hp_raw["nu"]),
                                   sigma_n=float(hp_raw["sigma_n"]))
     train_nodes = np.array(manifest["train_nodes"], dtype=np.int64)
     model = gp_mod.fit(train_nodes, targets, spectrum, frames, hp)
@@ -605,16 +605,20 @@ class ExperimentConfig:
         return _hp_from_dict(self.hyperparams)
 
 
+def _parse_nu(nu):
+    """Smoothness as stored in JSON: a number, "inf" or a numeric string."""
+    if isinstance(nu, str):
+        return math.inf if nu == "inf" else float(nu)
+    return nu
+
+
 def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
     if raw is None:
         return None
-    nu = raw.get("nu", 1.5)
-    if isinstance(nu, str):
-        nu = math.inf if nu == "inf" else float(nu)
     return gp_mod.MaternHyperparams(
         sigma=float(raw.get("sigma", 1.0)),
         kappa=float(raw.get("kappa", 1.0)),
-        nu=nu,
+        nu=_parse_nu(raw.get("nu", 1.5)),
         sigma_n=float(raw.get("sigma_n", 1e-3)),
     )
 

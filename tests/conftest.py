@@ -42,6 +42,18 @@ def svd_lml(feats, y, noise):
     return -0.5 * quad - 0.5 * logdet - 0.5 * y.shape[0] * math.log(2 * math.pi)
 
 
+def dtc_oracle(a_u, a_f, a_q, y, noise):
+    """Dense DTC posterior (Quinonero-Candela & Rasmussen 2005) for K = A A^T:
+    Q = A P_u A^T with P_u = pinv(A_u) A_u, mean Q_qf (Q_ff + noise I)^-1 y and
+    covariance K_qq - Q_qf (Q_ff + noise I)^-1 Q_fq over all query rows."""
+    p_u = np.linalg.pinv(a_u, rcond=max(a_u.shape) * np.finfo(float).eps) @ a_u
+    q_ff = a_f @ p_u @ a_f.T
+    q_qf = a_q @ p_u @ a_f.T
+    noisy = q_ff + noise * np.eye(q_ff.shape[0])
+    mean = q_qf @ np.linalg.solve(noisy, y)
+    return mean, a_q @ a_q.T - q_qf @ np.linalg.solve(noisy, q_qf.T)
+
+
 @pytest.fixture(scope="session")
 def torus():
     points, faces = tio.generate_torus(2.0, 0.8, 25, 16)

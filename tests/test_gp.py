@@ -19,7 +19,7 @@ from tangentgp.gp import (
 )
 from tangentgp.spectral import scalar_frames, truncate
 
-from conftest import build_setup, svd_lml
+from conftest import build_setup, dtc_oracle, svd_lml
 
 
 class TestSpectralFilter:
@@ -451,6 +451,25 @@ class TestFitHyperparameters:
         for theta0 in starts:
             assert best >= lml_at(theta0) - 1e-9
 
+    def test_invalid_training_inputs_rejected(self, small_torus):
+        # the errors fit raises; a negative node must not wrap to node n - 1
+        spec = tg.eigendecompose(small_torus.con, 10)
+
+        def search(nodes, y):
+            return tg.fit_hyperparameters(nodes, y, spec, small_torus.frames,
+                                          search=SearchConfig(n_starts=1, n_sweeps=1))
+
+        with pytest.raises(IndexError, match="training node out of range"):
+            search(np.array([0, -1]), np.zeros((2, 3)))
+        with pytest.raises(IndexError, match="training node out of range"):
+            search(np.array([0, 60]), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="distinct"):
+            search(np.array([1, 1, 2]), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="targets must have shape"):
+            search(np.arange(10), np.zeros((10, 2)))
+        with pytest.raises(ValueError, match="NaN"):
+            search(np.arange(2), np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
     def test_all_invalid_objective_raises(self):
         search = SearchConfig(n_starts=2, n_sweeps=1, grid_points=3)
         with pytest.raises(ValueError, match="NaN/inf everywhere"):
@@ -465,11 +484,13 @@ class TestInducingPoints:
         y = rng.standard_normal((30, 3))
         hp = tg.MaternHyperparams(sigma=1.0, kappa=1.5, nu=1.5, sigma_n=0.05)
         model = tg.fit(train, y, spec, small_torus.frames, hp)
-        exact_mean, _ = tg.predict(model, np.arange(60))
-        dtc_mean, _ = tg.inducing_point_predict(train, y, train, spec,
-                                                small_torus.frames, hp,
-                                                np.arange(60))
+        exact_mean, exact_covs = tg.predict(model, np.arange(60))
+        dtc_mean, dtc_covs = tg.inducing_point_predict(train, y, train, spec,
+                                                       small_torus.frames, hp,
+                                                       np.arange(60))
         assert np.abs(dtc_mean - exact_mean).max() <= 1e-6
+        scale = np.abs(exact_covs).max()
+        assert np.abs(dtc_covs - exact_covs).max() <= 1e-10 * scale
 
     def test_half_inducing_alignment_close(self, torus, torus_spectrum, torus_truth):
         spec = truncate(torus_spectrum, 50)
@@ -510,6 +531,33 @@ class TestInducingPoints:
         # linear scaling predicts 2x; allow a factor-of-2 tolerance
         assert t_large / t_small <= 4.0
 
+    def test_rank_deficient_inducing_sets_match_dense_oracle(self, torus,
+                                                             torus_spectrum):
+        # 1-10 inducing nodes span at most 2-20 of the k = 50 feature
+        # directions, so K_uu is singular: DTC must equal its pseudo-inverse form
+        spec = truncate(torus_spectrum, 50)
+        rng = np.random.default_rng(13)
+        perm = rng.permutation(400)
+        train, query = perm[:60], perm[60:100]
+        y = rng.standard_normal((60, 3))
+        hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=0.05)
+        model = tg.fit(train, y, spec, torus.frames, hp)
+        for count in (1, 2, 5, 10):
+            inducing = perm[100:100 + count]
+            mean, covs = tg.inducing_point_predict(train, y, inducing, spec,
+                                                   torus.frames, hp, query)
+            a_u, a_f, a_q = (model.features(model.encodings[nodes])
+                             for nodes in (inducing, train, query))
+            oracle_mean, oracle_cov = dtc_oracle(a_u, a_f, a_q, y.reshape(-1),
+                                                 hp.sigma_n**2)
+            blocks = np.stack([oracle_cov[3 * i:3 * i + 3, 3 * i:3 * i + 3]
+                               for i in range(len(query))])
+            # the oracle's mean solves a system of condition ~1e4 and is good
+            # to ~2e-12, its covariances to ~2e-15; a jittered K_uu misses by 6e-11
+            assert np.abs(mean.reshape(-1) - oracle_mean).max() <= \
+                1e-10 * np.abs(oracle_mean).max()
+            assert np.abs(covs - blocks).max() <= 1e-12 * np.abs(blocks).max()
+
     def test_zero_noise_rejected(self, small_torus):
         spec = tg.eigendecompose(small_torus.con, 10)
         hp = tg.MaternHyperparams(sigma_n=0.0)
@@ -517,6 +565,29 @@ class TestInducingPoints:
             tg.inducing_point_predict(np.arange(10), np.zeros((10, 3)),
                                       np.arange(5), spec, small_torus.frames,
                                       hp, np.arange(10))
+
+    def test_invalid_nodes_rejected(self, small_torus):
+        # the errors fit and predict raise; negative nodes must not wrap around
+        spec = tg.eigendecompose(small_torus.con, 10)
+        hp = tg.MaternHyperparams(sigma_n=0.05)
+        train, y = np.arange(10), np.zeros((10, 3))
+
+        def dtc(train=train, y=y, inducing=np.arange(5), query=np.arange(10)):
+            return tg.inducing_point_predict(train, y, inducing, spec,
+                                             small_torus.frames, hp, query)
+
+        with pytest.raises(IndexError, match="query node out of range"):
+            dtc(query=np.array([0, -1]))
+        with pytest.raises(IndexError, match="inducing node out of range"):
+            dtc(inducing=np.array([-1, 3]))
+        with pytest.raises(IndexError, match="inducing node out of range"):
+            dtc(inducing=np.array([60]))
+        with pytest.raises(IndexError, match="training node out of range"):
+            dtc(train=np.array([-1, 2]), y=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="distinct"):
+            dtc(train=np.array([1, 1, 2]), y=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="targets must have shape"):
+            dtc(y=np.zeros((10, 2)))
 
 
 class TestOutOfGraphExtension:

@@ -99,6 +99,29 @@ def test_gp_cost_stays_in_k_dimensions():
     assert abs(lml - oracle) <= 1e-10 * abs(oracle)
 
 
+def test_dtc_cost_stays_in_k_dimensions():
+    # DTC with 800 inducing of 1600 training nodes at k = 50: the inducing
+    # Gram (u*d = 2400)^2 and the (u*d) x (f*d) cross-covariance alone would
+    # take 46 MB and 92 MB
+    cloud, graph, frames, con, lap = big_setup()
+    spec = tg.eigendecompose(con, 50, seed=0)
+    rng = np.random.default_rng(2)
+    targets = frames.to_ambient(rng.standard_normal((cloud.n, 2)))
+    nodes = np.arange(cloud.n)
+    inducing, _ = tg.furthest_point_sample(cloud.points, 800)
+    hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
+    tracemalloc.start()
+    try:
+        mean, covs = tg.inducing_point_predict(nodes, targets, inducing, spec,
+                                               frames, hp, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert mean.shape == (cloud.n, 3) and covs.shape == (cloud.n, 3, 3)
+    assert np.isfinite(mean).all() and np.isfinite(covs).all()
+
+
 def test_furthest_point_sample_skips_interior_points():
     # the diameter behind the spacing compares only the points that can
     # belong to the farthest pair; a 512-row block against every point
