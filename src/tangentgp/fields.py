@@ -2,8 +2,10 @@
 
 Ground-truth fields are produced with the vector heat method: diffuse the
 tangent field under exp(-L_c tau) to get directions and the per-node norms
-under exp(-L tau) to get magnitudes, then recombine. Genus-0 surfaces force
-singularities, points where the diffused direction collapses.
+under exp(-L tau) to get magnitudes, then recombine. Both flows are one
+sparse matrix-exponential action (``expm_multiply``), exact to rounding and
+the same at every size. Genus-0 surfaces force singularities, points where
+the diffused direction collapses.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import expm_multiply
 
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
@@ -42,7 +44,6 @@ __all__ = [
 
 SINGULARITY_NORM_TOL = 1e-12
 ZERO_NORM_TOL = 1e-12
-HEAT_DENSE_SIZE = 2000
 
 
 @dataclass(frozen=True)
@@ -69,52 +70,44 @@ class TangentField:
         return cls(frames.project(np.asarray(vectors, dtype=float)), frames)
 
 
-def _heat_apply(matrix: sparse.csr_matrix, state: np.ndarray, tau: float,
-                method: str, substeps: int) -> np.ndarray:
-    """exp(-M tau) applied to columns of state."""
+def _heat_apply(matrix: sparse.csr_matrix, state: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-M tau) applied to columns of state (Al-Mohy & Higham 2011).
+
+    For large tau ||M||_1 scipy picks the step count with ``onenormest``, which
+    draws from numpy's global RNG; that draw is seeded here and the caller's
+    RNG state restored, so the result and the global state never depend on
+    each other.
+    """
     if tau < 0:
         raise ValueError("diffusion time must be nonnegative")
     if tau == 0:
         return state.copy()
-    size = matrix.shape[0]
-    if method == "auto":
-        method = "exact" if size <= HEAT_DENSE_SIZE else "implicit"
-    if method == "exact":
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-        return vecs @ (np.exp(-vals * tau)[:, None] * (vecs.T @ state))
-    if method == "implicit":
-        # unconditionally stable implicit Euler substeps
-        step = tau / substeps
-        solver = splu((sparse.identity(size, format="csc") + step * matrix.tocsc()))
-        out = state.copy()
-        for _ in range(substeps):
-            out = solver.solve(out)
-        return out
-    raise ValueError(f"unknown heat method {method!r}")
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(-tau * matrix, state)
+    finally:
+        np.random.set_state(rng_state)
 
 
-def scalar_heat(laplacian: GraphLaplacian, u0: np.ndarray, tau: float,
-                method: str = "auto", substeps: int = 100) -> np.ndarray:
-    """Scalar heat flow u(tau) = exp(-L tau) u0.
-
-    The exact path expands in the dense eigenbasis and preserves total mass;
-    the implicit path uses `substeps` backward-Euler steps.
-    """
+def scalar_heat(laplacian: GraphLaplacian, u0: np.ndarray, tau: float) -> np.ndarray:
+    """Scalar heat flow u(tau) = exp(-L tau) u0, exact to rounding at any size;
+    it preserves total mass and contracts the Dirichlet seminorm."""
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     if u0.shape[0] != laplacian.n:
         raise ValueError("initial condition has wrong length")
-    return _heat_apply(laplacian.matrix, u0[:, None], tau, method, substeps)[:, 0]
+    return _heat_apply(laplacian.matrix, u0[:, None], tau)[:, 0]
 
 
-def vector_diffusion(connection: ConnectionLaplacian, coords: np.ndarray, tau: float,
-                     method: str = "auto", substeps: int = 100) -> np.ndarray:
+def vector_diffusion(connection: ConnectionLaplacian, coords: np.ndarray,
+                     tau: float) -> np.ndarray:
     """Raw vector heat flow exp(-L_c tau) applied to stacked tangent coordinates."""
     coords = np.asarray(coords, dtype=float)
     n, m = connection.n, connection.m
     if coords.shape != (n, m):
         raise ValueError(f"coords must have shape {(n, m)}")
     flat = coords.reshape(n * m, 1)
-    return _heat_apply(connection.matrix, flat, tau, method, substeps).reshape(n, m)
+    return _heat_apply(connection.matrix, flat, tau).reshape(n, m)
 
 
 @dataclass(frozen=True)
@@ -126,8 +119,7 @@ class VectorHeatResult:
 
 
 def vector_heat(connection: ConnectionLaplacian, laplacian: GraphLaplacian,
-                field0: TangentField, tau: float, method: str = "auto",
-                substeps: int = 100) -> VectorHeatResult:
+                field0: TangentField, tau: float) -> VectorHeatResult:
     """Vector heat method: diffused directions with scalar-diffused magnitudes.
 
     result_i = v(tau)_i / |v(tau)_i| * u(tau)_i where v solves the vector
@@ -137,9 +129,9 @@ def vector_heat(connection: ConnectionLaplacian, laplacian: GraphLaplacian,
     undefined) and callers should exclude them from alignment metrics. The
     scalar-diffused magnitude for those nodes remains in ``magnitudes``.
     """
-    coords = vector_diffusion(connection, field0.coords, tau, method, substeps)
+    coords = vector_diffusion(connection, field0.coords, tau)
     mags0 = np.linalg.norm(field0.coords, axis=1)
-    mags = scalar_heat(laplacian, mags0, tau, method, substeps)
+    mags = scalar_heat(laplacian, mags0, tau)
     dnorms = np.linalg.norm(coords, axis=1)
     singular = dnorms < SINGULARITY_NORM_TOL
     safe = np.where(singular, 1.0, dnorms)
@@ -165,9 +157,7 @@ class GeneratedField:
 def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
                               connection: ConnectionLaplacian,
                               laplacian: GraphLaplacian, anchor_count: int,
-                              seed: int, tau: float = 100.0,
-                              method: str = "auto", substeps: int = 100
-                              ) -> GeneratedField:
+                              seed: int, tau: float = 100.0) -> GeneratedField:
     """Smooth random ground-truth field: furthest-point anchors seeded with
     uniform unit vectors, projected to tangent spaces and diffused to tau.
 
@@ -180,8 +170,7 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
     coords0 = np.zeros((cloud.n, frames.m))
     for a, i in enumerate(anchors):
         coords0[i] = frames.frames[i].T @ raw[a]
-    result = vector_heat(connection, laplacian, TangentField(coords0, frames), tau,
-                         method, substeps)
+    result = vector_heat(connection, laplacian, TangentField(coords0, frames), tau)
     return GeneratedField(
         field=result.field,
         anchors=anchors,

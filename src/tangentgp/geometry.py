@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -215,6 +214,8 @@ def build_knn_graph(cloud: PointCloud, k_neighbors: int, weighting: str = "unit"
     n = cloud.n
     if not 1 <= k_neighbors < n:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
+    from scipy.spatial import cKDTree  # deferred: mesh-edge graphs never build a tree
+
     tree = cKDTree(points)
     _, idx = tree.query(points, k=k_neighbors + 1)
     idx = np.atleast_2d(idx)

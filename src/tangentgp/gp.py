@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial import cKDTree
 
 from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
     _frames_from_edge_vectors, _procrustes
@@ -535,6 +534,8 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
     n_neighbors = min(n_neighbors, cloud.n)
     if n_neighbors < m:
         raise ValueError(f"query point 0: neighbourhood rank < {m}")
+    from scipy.spatial import cKDTree  # deferred, as in geometry.build_knn_graph
+
     tree = cKDTree(cloud.points)
     dists, nbr_idx = tree.query(new_points, k=n_neighbors)
     nbr_idx = np.atleast_2d(nbr_idx)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +414,17 @@ class TestConfigVariants:
             (workdir / "super_inducing" / "metrics.json").read_text())["metrics"]
         by = {m["metric"]: m["value"] for m in metrics}
         assert by["alignment"] > 0.9
+
+
+def test_import_defers_kdtree():
+    # mesh-edge commands never build a k-d tree, so start-up skips scipy.spatial
+    src = str(Path(tg.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, tangentgp.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSpectrumCommand:

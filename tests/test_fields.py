@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import tangentgp as tg
 from tangentgp import fields as tf
@@ -9,6 +12,16 @@ from tangentgp.fields import TangentField, fit_baseline_hyperparameters
 from tangentgp.spectral import scalar_frames
 
 from conftest import build_setup
+
+
+def dense_heat(eig, tau, x0):
+    """Oracle exp(-tau M) x0 from the dense eigendecomposition eig = eigh(M)."""
+    vals, vecs = eig
+    return vecs @ (np.exp(-tau * vals) * (vecs.T @ x0))
+
+
+def dense_eigh(operator):
+    return np.linalg.eigh(operator.matrix.toarray())
 
 
 def path_graph(n):
@@ -41,7 +54,7 @@ class TestScalarHeat:
     def test_mass_preserved_exact_path(self, torus):
         rng = np.random.default_rng(2)
         u0 = rng.standard_normal(400)
-        u = tf.scalar_heat(torus.lap, u0, 7.3, method="exact")
+        u = tf.scalar_heat(torus.lap, u0, 7.3)
         assert abs(u.sum() - u0.sum()) <= 1e-6 * max(1.0, abs(u0.sum()))
 
     def test_seminorm_contraction(self, torus):
@@ -53,16 +66,12 @@ class TestScalarHeat:
             u = tf.scalar_heat(torus.lap, u0, tau)
             assert u @ (dense @ u) <= before + 1e-12
 
-    def test_implicit_path_converges_to_exact(self, icosphere):
+    def test_matches_dense_oracle_on_icosphere(self, icosphere):
         rng = np.random.default_rng(4)
         u0 = rng.standard_normal(162)
-        exact = tf.scalar_heat(icosphere.lap, u0, 0.5, method="exact")
-        errs = []
-        for substeps in (50, 200):
-            approx = tf.scalar_heat(icosphere.lap, u0, 0.5, method="implicit",
-                                    substeps=substeps)
-            errs.append(np.linalg.norm(approx - exact) / np.linalg.norm(exact))
-        assert errs[1] < errs[0] < 0.05
+        u = tf.scalar_heat(icosphere.lap, u0, 0.5)
+        assert np.linalg.norm(u - dense_heat(dense_eigh(icosphere.lap), 0.5, u0)) \
+            <= 1e-12 * np.linalg.norm(u0)
 
     def test_negative_time_rejected(self, torus):
         with pytest.raises(ValueError):
@@ -128,6 +137,79 @@ class TestVectorHeat:
             energies.append(tg.dirichlet_energy(icosphere.graph,
                                                 icosphere.transports, dirs))
         assert energies[0] >= energies[1] >= energies[2] - 1e-12
+
+
+def heat(operator, x, tau):
+    """The library flow for either operator, on flat per-row data."""
+    if isinstance(operator, tg.ConnectionLaplacian):
+        return tf.vector_diffusion(operator, x.reshape(operator.n, operator.m),
+                                   tau).reshape(-1)
+    return tf.scalar_heat(operator, x, tau)
+
+
+@pytest.fixture(scope="module")
+def torus_eigh(torus):
+    return {"lap": dense_eigh(torus.lap), "con": dense_eigh(torus.con)}
+
+
+OPERATORS = st.sampled_from(["lap", "con"])
+SEEDS = st.integers(0, 2**32 - 1)
+HEAT = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestHeatFlowProperties:
+    """Invariants of exp(-tau M) on the 400-node torus, tau in [0, 50]."""
+
+    @HEAT
+    @given(name=OPERATORS, tau=st.floats(0.0, 50.0), seed=SEEDS)
+    def test_matches_dense_oracle(self, torus, torus_eigh, name, tau, seed):
+        operator = getattr(torus, name)
+        x0 = np.random.default_rng(seed).standard_normal(operator.size)
+        out = heat(operator, x0, tau)
+        assert np.linalg.norm(out - dense_heat(torus_eigh[name], tau, x0)) \
+            <= 1e-12 * np.linalg.norm(x0)
+
+    @HEAT
+    @given(name=OPERATORS, s=st.floats(0.0, 25.0), t=st.floats(0.0, 25.0),
+           seed=SEEDS)
+    def test_semigroup(self, torus, name, s, t, seed):
+        operator = getattr(torus, name)
+        x0 = np.random.default_rng(seed).standard_normal(operator.size)
+        twice = heat(operator, heat(operator, x0, s), t)
+        assert np.linalg.norm(twice - heat(operator, x0, s + t)) \
+            <= 1e-12 * np.linalg.norm(x0)
+
+    @HEAT
+    @given(tau=st.floats(0.0, 50.0), seed=SEEDS)
+    def test_scalar_mass_conserved(self, torus, tau, seed):
+        u0 = np.random.default_rng(seed).standard_normal(torus.lap.n)
+        u = tf.scalar_heat(torus.lap, u0, tau)
+        # the oracle bound 1e-12 |u0| on u bounds the mass by sqrt(n) times it
+        assert abs(u.sum() - u0.sum()) <= 1e-12 * math.sqrt(u0.size) * np.linalg.norm(u0)
+
+    @HEAT
+    @given(name=OPERATORS, tau=st.floats(0.0, 50.0), seed=SEEDS)
+    def test_seminorm_contracts(self, torus, name, tau, seed):
+        operator = getattr(torus, name)
+        x0 = np.random.default_rng(seed).standard_normal(operator.size)
+        x = heat(operator, x0, tau)
+        before = x0 @ (operator.matrix @ x0)
+        assert x @ (operator.matrix @ x) <= before * (1 + 1e-12)
+
+    @HEAT
+    @given(tau=st.floats(0.0, 50.0), seed=SEEDS)
+    def test_gauge_covariance(self, torus, tau, seed):
+        # per-node O(2) frame changes R: exp(-tau R^T L_c R) R^T x = R^T exp(-tau L_c) x
+        rng = np.random.default_rng(seed)
+        con = torus.con
+        rots = np.linalg.qr(rng.standard_normal((con.n, 2, 2)))[0]
+        rots[rng.random(con.n) < 0.5, :, 1] *= -1.0  # reflections too
+        r = sparse.block_diag(list(rots), format="csr")
+        gauged = tg.ConnectionLaplacian((r.T @ con.matrix @ r).tocsr(), con.n, con.m)
+        x0 = rng.standard_normal(con.size)
+        out = heat(gauged, r.T @ x0, tau)
+        assert np.linalg.norm(out - r.T @ heat(con, x0, tau)) \
+            <= 1e-12 * np.linalg.norm(x0)
 
 
 class TestGenerateExperimentField:

@@ -1,9 +1,10 @@
-"""Auto-dispatch of the iterative solver paths for operators above the dense
-cutoff (eigensolver -> Lanczos, heat flow -> implicit Euler), and the memory
-of the GP on a training set too large for a dense Gram matrix."""
+"""Operators above the dense eigensolver cutoff (auto-dispatch to Lanczos, and
+a heat flow that stays exact and deterministic there), and the memory of the
+GP on a training set too large for a dense Gram matrix."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import tangentgp as tg
 from tangentgp import fields as tf
@@ -25,7 +26,7 @@ def big_setup():
     return cloud, graph, frames, con, lap
 
 
-def test_large_operator_uses_lanczos_and_implicit_heat():
+def test_large_operator_uses_lanczos_and_exact_heat():
     cloud, graph, frames, con, lap = big_setup()
     assert con.size > DENSE_FALLBACK_SIZE
 
@@ -46,16 +47,37 @@ def test_large_operator_uses_lanczos_and_implicit_heat():
 
     rng = np.random.default_rng(0)
     u0 = rng.standard_normal(cloud.n)
-    u = tf.scalar_heat(lap, u0, 2.0)  # auto -> implicit Euler
-    # implicit steps conserve mass exactly and contract the seminorm
+    u = tf.scalar_heat(lap, u0, 2.0)
+    # the flow conserves mass, contracts the seminorm and is exp(-2 L) u0
     assert abs(u.sum() - u0.sum()) <= 1e-6 * max(1.0, abs(u0.sum()))
     dense = lap.matrix
     assert u @ (dense @ u) <= u0 @ (dense @ u0)
+    vals, vecs = np.linalg.eigh(dense.toarray())
+    oracle = vecs @ (np.exp(-2.0 * vals) * (vecs.T @ u0))
+    assert np.linalg.norm(u - oracle) <= 1e-12 * np.linalg.norm(u0)
 
     gen = tf.generate_experiment_field(cloud, frames, con, lap,
                                        anchor_count=120, seed=7)
     assert np.isfinite(gen.field.coords).all()
     assert gen.direction_norms.max() > 0
+
+
+@pytest.mark.parametrize("tau", [10.0, 100.0])
+def test_heat_ignores_and_keeps_global_rng(tau):
+    # here tau |L_c|_1 exceeds the point where the matrix-exponential action
+    # estimates norms with numpy's global RNG
+    cloud, graph, frames, con, lap = big_setup()
+    coords0 = np.random.default_rng(3).standard_normal((cloud.n, 2))
+    field0 = tf.TangentField(coords0, frames)
+    outputs = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        outputs.append(tf.vector_heat(con, lap, field0, tau).field.coords.tobytes())
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+    assert outputs[0] == outputs[1]
 
 
 def test_anisotropic_knn_rejected_with_named_nodes():
