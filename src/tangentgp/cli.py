@@ -521,13 +521,18 @@ def _write_variances(out: Path, ids: np.ndarray, covs: np.ndarray) -> None:
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True),
               help="Predictions CSV (id,x...,v...).")
 @click.option("--truth", "truth_path", required=True, type=click.Path(exists=True),
-              help="Ground-truth CSV with matching ids.")
+              help="Ground-truth CSV; scored on the ids both files share.")
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               help="Optional config (kind=eval) for graph parameters.")
 @click.option("--out", "out_override", default=None, help="Output directory.")
 @log_level_option
 def eval_cmd(pred_path, truth_path, config_path, out_override):
-    """Alignment, angular error and Dirichlet energies of two fields."""
+    """Alignment and angular error on the node ids both files share, and
+    Dirichlet energies of the truth field with and without the predictions.
+
+    Ids found in only one file are counted in n_excluded. The energies use
+    the graph rebuilt from the truth file; the predicted one replaces the
+    truth at the shared ids."""
     _run(_cmd_eval, pred_path, truth_path, config_path, out_override)
 
 
@@ -546,18 +551,30 @@ def _cmd_eval(pred_path, truth_path, config_path, out_override):
     truth_ids, truth_pts, truth_vecs = io.read_vector_csv(truth_path)
     if pred_vecs is None or truth_vecs is None:
         raise CommandError("both files need vector columns")
-    if not np.array_equal(pred_ids, truth_ids):
-        offenders = [int(i) for i in
-                     np.setxor1d(pred_ids, truth_ids)[:10]]
-        if not offenders:  # same sets, different order
-            mismatch = pred_ids != truth_ids
-            offenders = [int(i) for i in pred_ids[mismatch][:10]]
-        raise CommandError(f"node id mismatch; first offenders: {offenders}")
-    if not np.array_equal(pred_pts, truth_pts):
-        raise CommandError("positions disagree between prediction and truth files")
+    for role, ids in (("prediction", pred_ids), ("truth", truth_ids)):
+        values, counts = np.unique(ids, return_counts=True)
+        if (counts > 1).any():
+            raise CommandError(f"duplicate node ids in the {role} file; first "
+                               f"offenders: {[int(i) for i in values[counts > 1][:10]]}")
+    shared, pred_at, truth_at = np.intersect1d(pred_ids, truth_ids, assume_unique=True,
+                                               return_indices=True)
+    if shared.size == 0:
+        offenders = [int(i) for i in pred_ids[:10]]
+        raise CommandError(f"no node ids shared by the prediction and truth files; "
+                           f"first offenders: {offenders}")
+    moved = (pred_pts[pred_at] != truth_pts[truth_at]).any(axis=1)
+    if moved.any():
+        raise CommandError("positions disagree between prediction and truth files "
+                           f"at ids {[int(i) for i in shared[moved][:10]]}")
+    unmatched = pred_ids.shape[0] + truth_ids.shape[0] - 2 * shared.size
 
-    metrics = [fields.alignment_score(pred_vecs, truth_vecs),
-               fields.angular_error(pred_vecs, truth_vecs)]
+    records = []
+    for metric in (fields.alignment_score(pred_vecs[pred_at], truth_vecs[truth_at]),
+                   fields.angular_error(pred_vecs[pred_at], truth_vecs[truth_at])):
+        rec = metric.to_dict()
+        rec["n_nodes"] += unmatched
+        rec["n_excluded"] += unmatched
+        records.append(rec)
 
     with _stage(stages, "rebuild_geometry"):
         cloud = geo.PointCloud(truth_pts)
@@ -565,8 +582,9 @@ def _cmd_eval(pred_path, truth_path, config_path, out_override):
         frames = geo.estimate_tangent_frames(graph, cloud, cfg.manifold_dim,
                                              cfg.frame_neighbors)
         transports = geo.compute_transports(graph, frames)
-    records = [m.to_dict() for m in metrics]
-    for name, vecs in (("dirichlet_energy_pred", pred_vecs),
+    combined = truth_vecs.copy()
+    combined[truth_at] = pred_vecs[pred_at]
+    for name, vecs in (("dirichlet_energy_pred", combined),
                        ("dirichlet_energy_truth", truth_vecs)):
         energy = spectral.dirichlet_energy(graph, transports, frames.project(vecs))
         records.append({"metric": name, "value": energy,

@@ -180,13 +180,6 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
     )
 
 
-def _baseline_features(spectrum: Spectrum, encodings: np.ndarray,
-                       hyperparams: gp.MaternHyperparams) -> np.ndarray:
-    """Scalar features A (n, k) of every node under the nu = inf filter."""
-    filt, c_norm = gp._prior(encodings, spectrum, hyperparams)
-    return gp._features(encodings, filt, hyperparams.sigma, c_norm)
-
-
 def _check_baseline_inputs(spectrum: Spectrum, train_nodes: np.ndarray,
                            train_vectors: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +199,8 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
 
     Each ambient channel is regressed independently with the nu = inf
     (squared-exponential) spectral filter. The channels share one kernel, so
-    they share one k x k factorization with one right-hand side per channel.
+    they share the QR of the training encodings and one k x k factorization
+    with one right-hand side per channel.
     Predictions are NOT projected to tangent spaces, so they can protrude
     from the surface; that failure mode is the point of the baseline.
     """
@@ -215,9 +209,11 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     query_nodes = gp._validate_query(query_nodes, spectrum.n)
     hp = replace(hyperparams, nu=np.inf)
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    feats = _baseline_features(spectrum, encodings, hp)
-    _, weights, _ = gp._weight_posterior(feats[train_nodes], train_vectors, hp.sigma_n)
-    return feats[query_nodes] @ weights
+    filt, c_norm = gp._prior(encodings, spectrum, hp)
+    reduced = gp._reduce(encodings[train_nodes], train_vectors)
+    _, weights, _ = gp._weight_posterior(
+        gp._features(reduced.r, filt, hp.sigma, c_norm), reduced, hp.sigma_n)
+    return gp._features(encodings[query_nodes], filt, hp.sigma, c_norm) @ weights
 
 
 def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -231,9 +227,8 @@ def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
     train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
                                                         train_vectors)
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    return gp._search(
-        lambda hp: _baseline_features(spectrum, encodings, hp)[train_nodes],
-        train_vectors, np.inf, search, seed, initial)
+    return gp._search(encodings, train_nodes, train_vectors, spectrum, np.inf,
+                      search, seed, initial)
 
 
 @dataclass(frozen=True)

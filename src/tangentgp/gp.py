@@ -5,24 +5,32 @@ where P are positional encodings built from connection-Laplacian
 eigenvectors and f are Matern filter values Phi(lambda)^-2. The filter
 normalization c_norm is chosen so the mean diagonal trace of the prior Gram
 over all nodes equals sigma^2 * m, making sigma the marginal standard
-deviation per tangent dimension.
+deviation per tangent dimension: c_norm = m / (t . f), where t holds the
+per-eigenpair mean trace of the encodings.
 
-The kernel has rank k by construction: K = A A^T with features A of shape
-(N*d, k). Fitting, the log marginal likelihood, hyperparameter search,
-prediction and DTC therefore work on the k x k system M = s^2 I_k + A^T A,
-where s^2 = sigma_n^2 + jitter is the noise variance: one Cholesky factor of
-M, the weight mean w = M^-1 A^T y, mean A_q w and covariance
-s^2 A_q M^-1 A_q^T. That costs O(N*d*k^2) per fit or likelihood evaluation
-and O(q*d*k^2) per prediction of q nodes, and never builds an (N*d)^2
-matrix. DTC is the same posterior with the features projected onto the row
-space of the inducing features. Jitter is added only when sigma_n = 0: then
-M would be singular whenever A has rank below k (fewer than k/m training
-nodes), so the factorization climbs the multiplicative ladder from 1e-10
-times the mean prior variance trace(A^T A)/(N*d). For sigma_n > 0 a failed
-factorization raises :class:`GramConditioningError` instead of adding noise
-silently. With rank(A) = k the k x k system is accurate over the whole
-hyperparameter search box; below that, M has k - rank(A) eigenvalues equal
-to s^2 which A^T A resolves only to about eps * |A|^2, so at tiny s^2 the
+The kernel has rank k by construction: K = A A^T with features
+A = E diag(s) of shape (N*d, k), where E are the flat training encodings and
+s = sigma * sqrt(c_norm) * sqrt(f). Only s depends on the hyperparameters.
+So every fit and every hyperparameter search first reduces the training data
+to k rows with one thin QR, E = Q R, keeping R, z = Q^T y and the part of y
+outside the range of Q, o = |y - Q z|^2. For each hyperparameter setting
+B = R diag(s) then gives the k x k system M = s_n^2 I_k + B^T B (equal to
+s_n^2 I + A^T A), where s_n^2 = sigma_n^2 + jitter is the noise variance:
+one Cholesky factor of M, the weight mean w = M^-1 B^T z, the residual
+|y - A w|^2 = |z - B w|^2 + o, mean A_q w and covariance
+s_n^2 A_q M^-1 A_q^T. That costs one O(N*d*k^2) QR per fit or search, then
+O(k^3) per log marginal likelihood evaluation whatever N*d is, and
+O(q*d*k^2) per prediction of q nodes; no (N*d)^2 matrix is built. Target
+columns that share the kernel (the channel-wise baseline) share Q. DTC is
+the same posterior with B projected onto the row space of the inducing
+features. Jitter is added only when sigma_n = 0: then M would be singular
+whenever A has rank below k (fewer than k/m training nodes), so the
+factorization climbs the multiplicative ladder from 1e-10 times the mean
+prior variance trace(A^T A)/(N*d). For sigma_n > 0 a failed factorization
+raises :class:`GramConditioningError` instead of adding noise silently.
+With rank(A) = k the k x k system is accurate over the whole hyperparameter
+search box; below that, M has k - rank(A) eigenvalues equal to s_n^2 which
+B^T B resolves only to about eps * |A|^2, so at tiny s_n^2 the
 log-determinant loses digits (as the dense Gram path does too).
 :func:`assemble_gram` builds the dense (N*d)^2 Gram matrix and serves only as
 a reference.
@@ -100,14 +108,23 @@ def spectral_filter(eigenvalues: np.ndarray, hyperparams: MaternHyperparams) -> 
     return (2.0 * hyperparams.nu / hyperparams.kappa**2 + lam) ** (-hyperparams.nu)
 
 
-def normalization_constant(encodings: np.ndarray, filter_values: np.ndarray,
-                           m: int) -> float:
-    """c_norm such that the mean prior variance trace per node is sigma^2 * m."""
-    traces = np.einsum("idk,idk,k->i", encodings, encodings, filter_values)
-    mean_trace = float(traces.mean())
+def _encoding_traces(encodings: np.ndarray) -> np.ndarray:
+    """Per-eigenpair mean over nodes of sum_d E_idk^2, shape (k,): the mean
+    prior variance trace per node is sigma^2 * c_norm * (traces . f)."""
+    return np.einsum("idk,idk->k", encodings, encodings) / encodings.shape[0]
+
+
+def _c_norm(traces: np.ndarray, filter_values: np.ndarray, m: int) -> float:
+    mean_trace = float(traces @ filter_values)
     if not mean_trace > 0:
         raise ValueError("encodings give nonpositive mean prior trace")
     return m / mean_trace
+
+
+def normalization_constant(encodings: np.ndarray, filter_values: np.ndarray,
+                           m: int) -> float:
+    """c_norm such that the mean prior variance trace per node is sigma^2 * m."""
+    return _c_norm(_encoding_traces(encodings), filter_values, m)
 
 
 def kernel_block(p: np.ndarray, q: np.ndarray, filter_values: np.ndarray,
@@ -125,9 +142,9 @@ def kernel_block(p: np.ndarray, q: np.ndarray, filter_values: np.ndarray,
 
 def _features(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
               c_norm: float) -> np.ndarray:
-    """Feature matrix A with K = A A^T, shape (n*d, k)."""
-    n, d, k = encodings.shape
-    flat = encodings.reshape(n * d, k)
+    """Feature matrix A with K = A A^T, shape (n*d, k), from encodings of
+    shape (n, d, k); given the reduced rows R of a :class:`_Reduced`, B."""
+    flat = encodings.reshape(-1, encodings.shape[-1])
     return (sigma * np.sqrt(c_norm)) * flat * np.sqrt(filter_values)
 
 
@@ -148,8 +165,8 @@ def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
     scale = max(scale, np.finfo(float).tiny)
     for level in levels:
         try:
-            chol = np.linalg.cholesky(mat + (level * scale) * np.eye(mat.shape[0]))
-            return chol, level * scale
+            shifted = mat + (level * scale) * np.eye(mat.shape[0]) if level else mat
+            return np.linalg.cholesky(shifted), level * scale
         except np.linalg.LinAlgError:
             continue
     evals = np.linalg.eigvalsh(mat)
@@ -159,41 +176,65 @@ def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
     )
 
 
-def _weight_posterior(feats: np.ndarray, targets: np.ndarray, sigma_n: float
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Factor M = s^2 I + A^T A and solve for the weight mean M^-1 A^T Y.
+@dataclass(frozen=True)
+class _Reduced:
+    """Training encodings E ((N*d) x k) and targets Y reduced by one thin QR,
+    E = Q R. For features A = E diag(s), B = R diag(s) gives A^T A = B^T B,
+    A^T Y = B^T z and |Y - A W|^2 = |z - B W|^2 + ``outside``."""
 
-    ``targets`` holds one right-hand side per column (or a single vector).
-    Returns (lower Cholesky factor of M, weights, jitter) with
-    s^2 = sigma_n^2 + jitter; see the module docstring for the jitter rule.
-    """
-    rows, k = feats.shape
-    if rows < 1:
+    r: np.ndarray  # (min(N*d, k), k)
+    z: np.ndarray  # Q^T Y: one column per target column (or a vector)
+    outside: float  # |Y - Q z|^2, summed over the target columns
+    rows: int  # N*d
+
+
+def _reduce(encodings: np.ndarray, targets: np.ndarray) -> _Reduced:
+    """Reduce training encodings (n, d, k) and targets (n*d rows) to k rows."""
+    n, d, k = encodings.shape
+    if n < 1:
         raise ValueError("need at least one training node")
-    gram = feats.T @ feats
+    q, r = np.linalg.qr(encodings.reshape(n * d, k))
+    z = q.T @ targets
+    outside = targets - q @ z
+    return _Reduced(r, z, float(np.sum(outside * outside)), n * d)
+
+
+def _weight_posterior(b: np.ndarray, reduced: _Reduced, sigma_n: float
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factor M = s^2 I + B^T B and solve for the weight mean M^-1 B^T z.
+
+    ``b`` is the reduced feature matrix of ``reduced`` (R diag(s), possibly
+    times a basis). Returns (lower Cholesky factor of M, weights, jitter)
+    with s^2 = sigma_n^2 + jitter; see the module docstring for the jitter
+    rule.
+    """
+    k = b.shape[1]
+    gram = b.T @ b
     gram = (gram + gram.T) / 2.0
     if sigma_n > 0:
+        # one try at level 0; the scale only labels a failure
         chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(k),
-                                             levels=(0.0,))
+                                             sigma_n**2, levels=(0.0,))
     else:
         # level 0 would leave zero noise and a singular M whenever rank(A) < k
-        chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / rows,
+        chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / reduced.rows,
                                              JITTER_LADDER[1:])
-    return chol, cho_solve((chol, True), feats.T @ targets), jitter
+    return chol, cho_solve((chol, True), b.T @ reduced.z), jitter
 
 
-def _weight_lml(feats: np.ndarray, targets: np.ndarray, chol: np.ndarray,
+def _weight_lml(b: np.ndarray, reduced: _Reduced, chol: np.ndarray,
                 weights: np.ndarray, noise: float) -> float:
     """Log marginal likelihood summed over the target columns.
 
     Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2
-    + log det M) - (N/2) log 2 pi, with N rows, s^2 = ``noise`` and M the
-    matrix factored by ``chol``.
+    + log det M) - (N/2) log 2 pi, with N = N*d rows, s^2 = ``noise``, M the
+    matrix factored by ``chol`` and |y - A w|^2 = |z - B w|^2 + o.
     """
-    rows, k = feats.shape
-    columns = 1 if targets.ndim == 1 else targets.shape[1]
-    resid = targets - feats @ weights
-    quad = float(np.sum(resid * resid)) / noise + float(np.sum(weights * weights))
+    rows, k = reduced.rows, b.shape[1]
+    columns = 1 if reduced.z.ndim == 1 else reduced.z.shape[1]
+    resid = reduced.z - b @ weights
+    quad = ((float(np.sum(resid * resid)) + reduced.outside) / noise
+            + float(np.sum(weights * weights)))
     logdet = (rows - k) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
 
@@ -262,7 +303,8 @@ class VectorFieldGP:
         return self.hyperparams.sigma_n**2 + self.jitter
 
     def features(self, encodings: np.ndarray) -> np.ndarray:
-        """Feature rows A of the given encodings under this model's kernel."""
+        """Feature rows A of the given encodings (or B of reduced rows R)
+        under this model's kernel."""
         return _features(encodings, self.filter_values, self.hyperparams.sigma,
                          self.c_norm)
 
@@ -301,9 +343,9 @@ def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
                                               frames.dim)
     encodings = positional_encodings(spectrum, frames)
     filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
-    feats = _features(encodings[train_nodes], filter_values, hyperparams.sigma, c_norm)
-    chol, alpha, jitter = _weight_posterior(feats, targets.reshape(-1),
-                                            hyperparams.sigma_n)
+    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
+    b = _features(reduced.r, filter_values, hyperparams.sigma, c_norm)
+    chol, alpha, jitter = _weight_posterior(b, reduced, hyperparams.sigma_n)
     return VectorFieldGP(spectrum=spectrum, encodings=encodings,
                          hyperparams=hyperparams, train_nodes=train_nodes,
                          targets=targets, filter_values=filter_values,
@@ -329,13 +371,13 @@ def predict(model: VectorFieldGP, query_nodes: np.ndarray
 def log_marginal_likelihood(model: VectorFieldGP) -> float:
     """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram.
 
-    Evaluated on the k x k system in residual form,
+    Evaluated on the reduced k x k system in residual form,
     -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2 + log det M)
     - (N/2) log 2 pi, which needs no subtraction of nearly equal terms and
     holds for N = N*d rows above or below k.
     """
-    return _weight_lml(model.features(model.encodings[model.train_nodes]),
-                       model.targets.reshape(-1), model.chol, model.alpha,
+    reduced = _reduce(model.encodings[model.train_nodes], model.targets.reshape(-1))
+    return _weight_lml(model.features(reduced.r), reduced, model.chol, model.alpha,
                        model.noise)
 
 
@@ -361,7 +403,10 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
 
     Maximizes ``objective(theta)`` (theta in log space, -inf allowed) on a
     shrinking per-axis grid. Returns the best theta over every evaluation,
-    so the result dominates all grid initializations by construction.
+    so the result dominates all grid initializations by construction. The
+    objective must be deterministic: no point is evaluated twice, so a grid
+    candidate equal to the current point, or to a point of an earlier sweep
+    or start, costs nothing.
     """
     lows = np.array([b[0] for b in search.bounds])
     highs = np.array([b[1] for b in search.bounds])
@@ -371,12 +416,20 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
     for _ in range(search.n_starts - 1):
         starts.append(lows + (highs - lows) * rng.uniform(size=lows.shape[0]))
 
+    values: dict[tuple, float] = {}
+
+    def value_at(theta: np.ndarray) -> float:
+        key = tuple(theta.tolist())
+        if key not in values:
+            values[key] = objective(theta)
+        return values[key]
+
     best_theta = None
     best_value = -np.inf
     any_finite = False
     for theta0 in starts:
         theta = theta0.copy()
-        value = objective(theta)
+        value = value_at(theta)
         if np.isfinite(value):
             any_finite = True
         if value > best_value:
@@ -391,7 +444,7 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
                 for cand in np.unique(grid):
                     trial = theta.copy()
                     trial[axis] = cand
-                    v = objective(trial)
+                    v = value_at(trial)
                     if np.isfinite(v):
                         any_finite = True
                     if v > value:
@@ -407,41 +460,55 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
     return best_theta
 
 
-def _search(features_of, targets: np.ndarray, nu: float,
-            search: SearchConfig | None, seed: int,
-            initial: MaternHyperparams | None) -> MaternHyperparams:
-    """Maximize the log marginal likelihood of ``targets`` (one column per
-    independent output, or a vector) under the features ``features_of(hp)``
-    over (sigma, kappa, sigma_n) in log space, with nu held fixed.
+def _hyperparams_at(theta: np.ndarray, nu: float) -> MaternHyperparams:
+    return MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
+                             nu=nu, sigma_n=math.exp(theta[2]))
 
-    Each evaluation builds the features once and factors one k x k system.
-    Failed factorizations and invalid hyperparameters score -inf.
+
+def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
+                   targets: np.ndarray, spectrum: Spectrum, nu: float):
+    """The search objective: theta -> log marginal likelihood of ``targets``
+    (one column per independent output, or a vector) at the training nodes,
+    with (sigma, kappa, sigma_n) = exp(theta) and nu fixed.
+
+    The encoding traces and the QR of the training encodings are computed
+    here once, so each evaluation works on k x k arrays only. Failed
+    factorizations and invalid hyperparameters score -inf.
     """
-    def at(theta) -> MaternHyperparams:
-        return MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
-                                 nu=nu, sigma_n=math.exp(theta[2]))
+    traces = _encoding_traces(encodings)
+    reduced = _reduce(encodings[train_nodes], targets)
 
     def objective(theta: np.ndarray) -> float:
         try:
-            hp = at(theta)
-            feats = features_of(hp)
-            chol, weights, jitter = _weight_posterior(feats, targets, hp.sigma_n)
-            value = _weight_lml(feats, targets, chol, weights,
-                                hp.sigma_n**2 + jitter)
+            hp = _hyperparams_at(theta, nu)
+            filter_values = spectral_filter(spectrum.eigenvalues, hp)
+            b = _features(reduced.r, filter_values, hp.sigma,
+                          _c_norm(traces, filter_values, spectrum.m))
+            chol, weights, jitter = _weight_posterior(b, reduced, hp.sigma_n)
+            value = _weight_lml(b, reduced, chol, weights, hp.sigma_n**2 + jitter)
         except (GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
             return -np.inf
         return value if np.isfinite(value) else -np.inf
 
+    return objective
+
+
+def _search(encodings: np.ndarray, train_nodes: np.ndarray, targets: np.ndarray,
+            spectrum: Spectrum, nu: float, search: SearchConfig | None, seed: int,
+            initial: MaternHyperparams | None) -> MaternHyperparams:
+    """Maximize :func:`_lml_objective` over (sigma, kappa, sigma_n) in log
+    space with :func:`coordinate_search`, nu held fixed."""
     start = None
     if initial is not None:
         start = np.array([math.log(initial.sigma), math.log(initial.kappa),
                           math.log(max(initial.sigma_n, 1e-12))])
+    objective = _lml_objective(encodings, train_nodes, targets, spectrum, nu)
     try:
         best = coordinate_search(objective, search or SearchConfig(), seed, start)
     except ValueError as exc:
         raise ValueError(f"hyperparameter search failed: {exc}") from None
-    return at(best)
+    return _hyperparams_at(best, nu)
 
 
 def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
@@ -458,14 +525,8 @@ def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
     """
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)
-    encodings = positional_encodings(spectrum, frames)
-    train_encodings = encodings[train_nodes]
-
-    def features_of(hp: MaternHyperparams) -> np.ndarray:
-        filter_values, c_norm = _prior(encodings, spectrum, hp)
-        return _features(train_encodings, filter_values, hp.sigma, c_norm)
-
-    return _search(features_of, targets.reshape(-1), nu, search, seed, initial)
+    return _search(positional_encodings(spectrum, frames), train_nodes,
+                   targets.reshape(-1), spectrum, nu, search, seed, initial)
 
 
 def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
@@ -478,7 +539,8 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
     DTC replaces the training prior K_ff by Q_ff = K_fu K_uu^+ K_uf, which is
     A B B^T A^T for K = A A^T, B an orthonormal basis (thin SVD, the rank rule
     of frame estimation) of the row space of the inducing features A_u. So
-    DTC is the k x k posterior on features A B: mean A_q B w, covariance
+    DTC is the k x k posterior on features A B, reduced to R diag(s) B as in
+    :func:`fit`: mean A_q B w, covariance
     s^2 (A_q B) M^-1 (A_q B)^T plus the prior outside that row space,
     A_q (I - B B^T) A_q^T. The projection is exact for any inducing set, and
     equals the exact posterior when A_u has rank k.
@@ -494,15 +556,16 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
     encodings = positional_encodings(spectrum, frames)
     filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
 
-    def features(nodes: np.ndarray) -> np.ndarray:
-        return _features(encodings[nodes], filter_values, hyperparams.sigma, c_norm)
+    def features(rows: np.ndarray) -> np.ndarray:
+        return _features(rows, filter_values, hyperparams.sigma, c_norm)
 
-    a_u = features(inducing_nodes)
+    a_u = features(encodings[inducing_nodes])
     _, sv, vt = np.linalg.svd(a_u, full_matrices=False)
     basis = vt[sv > sv[0] * max(a_u.shape) * np.finfo(float).eps].T  # (k, rank)
-    chol, weights, jitter = _weight_posterior(features(train_nodes) @ basis,
-                                              targets.reshape(-1), hyperparams.sigma_n)
-    a_q = features(query_nodes)
+    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
+    chol, weights, jitter = _weight_posterior(features(reduced.r) @ basis, reduced,
+                                              hyperparams.sigma_n)
+    a_q = features(encodings[query_nodes])
     a_qb = a_q @ basis
     mean, covs = _weight_predict(a_qb, chol, weights, hyperparams.sigma_n**2 + jitter, d)
     outside = (a_q - a_qb @ basis.T).reshape(-1, d, a_q.shape[1])

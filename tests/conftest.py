@@ -66,6 +66,11 @@ def torus_spectrum(torus):
 
 
 @pytest.fixture(scope="session")
+def torus_scalar_spectrum(torus):
+    return tg.eigendecompose(torus.lap, 60)
+
+
+@pytest.fixture(scope="session")
 def torus_truth(torus):
     gen = tfields.generate_experiment_field(
         torus.cloud, torus.frames, torus.con, torus.lap, anchor_count=40, seed=7)

@@ -299,47 +299,80 @@ class TestFitPredict:
 
 class TestEval:
     def test_identical_fields_score_perfectly(self, workdir, generated):
-        gen_out, _ = generated
-        result = run_cli(["eval", "--pred", str(gen_out / "field.csv"),
-                          "--truth", str(gen_out / "field.csv"),
-                          "--out", str(workdir / "eval_self")])
-        assert result.exit_code == 0, result.output
-        metrics = json.loads(
-            (workdir / "eval_self" / "metrics.json").read_text())["metrics"]
-        by = {m["metric"]: m["value"] for m in metrics}
-        assert by["alignment"] == 1.0
-        assert by["angular_error"] == 0.0
-        assert by["dirichlet_energy_pred"] == by["dirichlet_energy_truth"]
-
-    def test_id_mismatch_lists_offenders(self, workdir, generated):
+        # rows are matched by id, so a shuffled copy scores perfectly too
         gen_out, _ = generated
         ids, pts, vecs = tio.read_vector_csv(gen_out / "field.csv")
         shuffled = workdir / "shuffled.csv"
         order = np.random.default_rng(0).permutation(len(ids))
         tio.write_vector_csv(shuffled, pts[order], vecs[order], ids=ids[order])
-        result = run_cli(["eval", "--pred", str(shuffled),
-                          "--truth", str(gen_out / "field.csv"),
-                          "--out", str(workdir / "eval_bad")])
+        for pred in (gen_out / "field.csv", shuffled):
+            result = run_cli(["eval", "--pred", str(pred),
+                              "--truth", str(gen_out / "field.csv"),
+                              "--out", str(workdir / "eval_self")])
+            assert result.exit_code == 0, result.output
+            metrics = json.loads(
+                (workdir / "eval_self" / "metrics.json").read_text())["metrics"]
+            by = {m["metric"]: m["value"] for m in metrics}
+            assert by["alignment"] == 1.0
+            assert by["angular_error"] == 0.0
+            assert by["dirichlet_energy_pred"] == by["dirichlet_energy_truth"]
+
+    def test_id_mismatch_lists_offenders(self, workdir, generated):
+        gen_out, _ = generated
+        ids, pts, vecs = tio.read_vector_csv(gen_out / "field.csv")
+
+        def run_eval(name, pred_ids, pred_pts, rows):
+            pred = workdir / name
+            tio.write_vector_csv(pred, pred_pts, vecs[rows], ids=pred_ids)
+            return run_cli(["eval", "--pred", str(pred),
+                            "--truth", str(gen_out / "field.csv"),
+                            "--out", str(workdir / "eval_bad")])
+
+        result = run_eval("disjoint.csv", ids + 1000, pts, ids)
         assert result.exit_code != 0
-        assert "id mismatch" in result.output
+        assert "no node ids shared" in result.output
+        assert "[1000, 1001, 1002," in result.output
+
+        rows = np.array([0, 1, 1])
+        result = run_eval("duplicated.csv", ids[rows], pts[rows], rows)
+        assert result.exit_code != 0
+        assert f"duplicate node ids in the prediction file; first offenders: " \
+               f"[{int(ids[1])}]" in result.output
+
+        moved = pts.copy()
+        moved[5] += 0.5
+        result = run_eval("moved.csv", ids, moved, ids)
+        assert result.exit_code != 0
+        assert f"positions disagree between prediction and truth files at ids " \
+               f"[{int(ids[5])}]" in result.output
 
     def test_metrics_match_library(self, workdir, generated, superresolved):
+        # a held-out prediction file against the matching slice of the truth,
+        # and against the full field, whose training nodes count as unmatched
         gen_out, _ = generated
         sup_out, _ = superresolved
-        # compare a prediction file against the matching slice of the truth
         ids, pts, pred = tio.read_vector_csv(sup_out / "predictions_k50.csv")
-        _, _, truth_all = tio.read_vector_csv(gen_out / "field.csv")
+        truth_ids, _, truth_all = tio.read_vector_csv(gen_out / "field.csv")
+        assert np.array_equal(truth_ids, np.arange(400))
         truth_slice = workdir / "truth_slice.csv"
         tio.write_vector_csv(truth_slice, pts, truth_all[ids], ids=ids)
-        result = run_cli(["eval", "--pred", str(sup_out / "predictions_k50.csv"),
-                          "--truth", str(truth_slice),
-                          "--out", str(workdir / "eval_slice")])
-        assert result.exit_code == 0, result.output
-        metrics = json.loads(
-            (workdir / "eval_slice" / "metrics.json").read_text())["metrics"]
-        by = {m["metric"]: m["value"] for m in metrics}
-        direct = tfields.alignment_score(pred, truth_all[ids])
-        assert by["alignment"] == pytest.approx(direct.value, rel=1e-12)
+        alignment = tfields.alignment_score(pred, truth_all[ids])
+        angle = tfields.angular_error(pred, truth_all[ids])
+        for truth, unmatched in ((truth_slice, 0), (gen_out / "field.csv", 400 - len(ids))):
+            result = run_cli(["eval", "--pred", str(sup_out / "predictions_k50.csv"),
+                              "--truth", str(truth),
+                              "--out", str(workdir / "eval_slice")])
+            assert result.exit_code == 0, result.output
+            metrics = json.loads(
+                (workdir / "eval_slice" / "metrics.json").read_text())["metrics"]
+            by = {m["metric"]: m for m in metrics}
+            for direct in (alignment, angle):
+                assert by[direct.metric]["value"] == pytest.approx(direct.value,
+                                                                   rel=1e-12)
+                assert by[direct.metric]["n_nodes"] == len(ids) + unmatched
+                assert by[direct.metric]["n_excluded"] == direct.n_excluded + unmatched
+        assert by["dirichlet_energy_pred"]["value"] != \
+            by["dirichlet_energy_truth"]["value"]
 
 
 class TestConfigVariants:

@@ -9,6 +9,7 @@ from scipy.stats import norm
 
 import tangentgp as tg
 from tangentgp import fields as tfields
+from tangentgp import gp
 from tangentgp import io as tio
 from tangentgp.gp import (
     GramConditioningError,
@@ -369,8 +370,8 @@ class TestWeightSpaceCore:
            extra_nodes=st.integers(0, 150),
            subset_seed=st.integers(0, 2**32 - 1))
     def test_matches_independent_references_over_search_box(
-            self, torus, torus_spectrum, torus_truth, k, theta, extra_nodes,
-            subset_seed):
+            self, torus, torus_spectrum, torus_scalar_spectrum, torus_truth, k,
+            theta, extra_nodes, subset_seed):
         # at least k/m training nodes, so the features A have full column rank
         # (the rank caveat in the gp module docstring covers smaller sets)
         spec = truncate(torus_spectrum, k)
@@ -389,6 +390,29 @@ class TestWeightSpaceCore:
         reference = svd_lml(feats, truth[train].reshape(-1),
                             hp.sigma_n**2 + model.jitter)
         assert tg.log_marginal_likelihood(model) == pytest.approx(reference, rel=1e-10)
+        # the search objective is the same computation as fit + LML
+        objective = gp._lml_objective(model.encodings, train,
+                                      truth[train].reshape(-1), spec, 1.5)
+        assert objective(np.array(theta)) == tg.log_marginal_likelihood(model)
+
+        # the channel-wise baseline: m = 1, three target columns sharing Q
+        scalar = truncate(torus_scalar_spectrum, k)
+        scalar_train = rng.choice(400, k + extra_nodes, replace=False)
+        enc = tg.positional_encodings(scalar, scalar_frames(400))
+        hp_inf = tg.MaternHyperparams(sigma=hp.sigma, kappa=hp.kappa, nu=math.inf,
+                                      sigma_n=hp.sigma_n)
+        filt = tg.spectral_filter(scalar.eigenvalues, hp_inf)
+        feats = _features(enc[scalar_train], filt, hp.sigma,
+                          tg.normalization_constant(enc, filt, 1))
+        columns = truth[scalar_train]
+        reference = sum(svd_lml(feats, columns[:, c], hp.sigma_n**2) for c in range(3))
+        value = gp._lml_objective(enc, scalar_train, columns, scalar, math.inf)(
+            np.array(theta))
+        assert value == pytest.approx(reference, rel=1e-10)
+        per_column = sum(tg.log_marginal_likelihood(
+            tg.fit(scalar_train, columns[:, [c]], scalar, scalar_frames(400), hp_inf))
+            for c in range(3))
+        assert value == pytest.approx(per_column, rel=1e-12)
 
         if hp.sigma_n < 1e-2:
             return
@@ -450,6 +474,30 @@ class TestFitHyperparameters:
         best = lml_at(np.log([hp.sigma, hp.kappa, hp.sigma_n]))
         for theta0 in starts:
             assert best >= lml_at(theta0) - 1e-9
+
+    def test_search_never_repeats_a_point(self, torus, torus_spectrum, torus_truth,
+                                          monkeypatch):
+        # the paper fixture's search: every theta is evaluated once, and the
+        # result is the best of those evaluations
+        spec = truncate(torus_spectrum, 25)
+        truth = torus_truth.field.ambient()
+        train = np.random.default_rng(11).permutation(400)[:200]
+        seen, values = [], []
+        search = gp.coordinate_search
+
+        def recording_search(objective, *args, **kwargs):
+            def recorded(theta):
+                seen.append(tuple(theta.tolist()))
+                values.append(objective(theta))
+                return values[-1]
+            return search(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "coordinate_search", recording_search)
+        hp = tg.fit_hyperparameters(train, truth[train], spec, torus.frames, seed=11)
+        assert len(seen) > 100
+        assert len(set(seen)) == len(seen)
+        best = seen[int(np.argmax(values))]
+        assert (hp.sigma, hp.kappa, hp.sigma_n) == tuple(math.exp(v) for v in best)
 
     def test_invalid_training_inputs_rejected(self, small_torus):
         # the errors fit raises; a negative node must not wrap to node n - 1
