@@ -118,10 +118,11 @@ def _geometry_pipeline(cfg: io.ExperimentConfig, stages: list):
     return cloud, faces, graph, frames, transports
 
 
-def _load_field(cfg: io.ExperimentConfig, cloud: geo.PointCloud) -> np.ndarray:
+def _load_field(cfg: io.ExperimentConfig, cloud: geo.PointCloud, stages: list) -> np.ndarray:
     if not cfg.field:
         raise CommandError("config needs a 'field' CSV with ground-truth vectors")
-    ids, pts, vecs = io.read_vector_csv(cfg.field)
+    with _stage(stages, "load_input"):
+        ids, pts, vecs = io.read_vector_csv(cfg.field)
     if vecs is None:
         raise CommandError(f"{cfg.field}: no vector columns")
     if not np.array_equal(ids, np.arange(cloud.n)):
@@ -136,20 +137,19 @@ def _resolve_hyperparams(cfg: io.ExperimentConfig, train_nodes, targets, spectru
     hp = cfg.hyperparams_obj()
     if hp is not None:
         return hp
-    fit_cfg = cfg.fit or {}
-    nu = io._parse_nu(fit_cfg.get("nu", 1.5))
-    search = gp.SearchConfig(
-        n_starts=int(fit_cfg.get("n_starts", 3)),
-        n_sweeps=int(fit_cfg.get("n_sweeps", 5)),
-        grid_points=int(fit_cfg.get("grid_points", 7)),
-    )
+    nu = io._parse_nu((cfg.fit or {}).get("nu", 1.5))
     with _stage(stages, "fit_hyperparameters"):
         hp = gp.fit_hyperparameters(train_nodes, targets, spectrum, frames, nu=nu,
-                                    search=search, seed=cfg.seed,
+                                    search=_search_config(cfg), seed=cfg.seed,
                                     initial=_search_start(graph, cloud, nu))
     log.info("fitted hyperparams: sigma=%.4g kappa=%.4g nu=%s sigma_n=%.4g",
              hp.sigma, hp.kappa, hp.nu, hp.sigma_n)
     return hp
+
+
+def _search_config(cfg: io.ExperimentConfig) -> gp.SearchConfig:
+    """The search budget of ``cfg.fit``, shared by every search of a command."""
+    return gp.SearchConfig(**{k: int(v) for k, v in (cfg.fit or {}).items() if k != "nu"})
 
 
 def _search_start(graph: geo.ProximityGraph, cloud: geo.PointCloud,
@@ -162,14 +162,15 @@ def _search_start(graph: geo.ProximityGraph, cloud: geo.PointCloud,
 
 def _write_predictions(out_dir: Path, stem: str, cloud: geo.PointCloud,
                        nodes: np.ndarray, vectors: np.ndarray,
-                       faces: np.ndarray | None) -> None:
-    io.write_vector_csv(out_dir / f"{stem}.csv", cloud.points[nodes], vectors,
-                        ids=nodes)
-    if cloud.dim in (2, 3):
-        full = np.zeros((cloud.n, cloud.dim))
-        full[nodes] = vectors
-        io.write_vtk(out_dir / f"{stem}.vtk", cloud.points, full, name=stem,
-                     faces=faces)
+                       faces: np.ndarray | None, stages: list) -> None:
+    with _stage(stages, "write_outputs"):
+        io.write_vector_csv(out_dir / f"{stem}.csv", cloud.points[nodes], vectors,
+                            ids=nodes)
+        if cloud.dim in (2, 3):
+            full = np.zeros((cloud.n, cloud.dim))
+            full[nodes] = vectors
+            io.write_vtk(out_dir / f"{stem}.vtk", cloud.points, full, name=stem,
+                         faces=faces)
 
 
 def _out_dir(cfg: io.ExperimentConfig) -> Path:
@@ -278,7 +279,7 @@ def _cmd_superresolve(cfg: io.ExperimentConfig):
     stages: list = []
     out = _out_dir(cfg)
     cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud)
+    truth = _load_field(cfg, cloud, stages)
 
     n_train = int(round(cfg.split_fraction * cloud.n))
     if n_train < 1:
@@ -309,7 +310,7 @@ def _cmd_superresolve(cfg: io.ExperimentConfig):
             else:
                 model = gp.fit(train, truth[train], spec, frames, hp)
                 mean, _ = gp.predict(model, test)
-        _write_predictions(out, f"predictions_k{k}", cloud, test, mean, faces)
+        _write_predictions(out, f"predictions_k{k}", cloud, test, mean, faces, stages)
         for metric in (fields.alignment_score(mean, truth[test]),
                        fields.angular_error(mean, truth[test])):
             rec = metric.to_dict()
@@ -367,7 +368,7 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
     stages: list = []
     out = _out_dir(cfg)
     cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud)
+    truth = _load_field(cfg, cloud, stages)
     mask = _resolve_mask(cfg, cloud, graph, transports, frames, truth)
     if not mask.any():
         raise CommandError("mask is empty: nothing to inpaint")
@@ -394,7 +395,7 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
     if hp_base is None:
         with _stage(stages, "fit_baseline_hyperparameters"):
             hp_base = fields.fit_baseline_hyperparameters(
-                spec_s, train, truth[train], seed=cfg.seed,
+                spec_s, train, truth[train], _search_config(cfg), seed=cfg.seed,
                 initial=_search_start(graph, cloud, math.inf))
     with _stage(stages, "fit_predict_baseline"):
         mean_base = fields.baseline_scalar_rbf_predict(spec_s, train, truth[train],
@@ -414,7 +415,7 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
             rec = metric.to_dict()
             rec["method"] = method
             metrics.append(rec)
-        _write_predictions(out, f"predictions_{method}", cloud, test, mean, faces)
+        _write_predictions(out, f"predictions_{method}", cloud, test, mean, faces, stages)
     with _stage(stages, "write_outputs"):
         io.write_metrics_json(out / "metrics.json", metrics)
         io.write_json_atomic(out / "mask.json",
@@ -434,7 +435,7 @@ def _cmd_fit(cfg: io.ExperimentConfig):
     stages: list = []
     out = _out_dir(cfg)
     cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud)
+    truth = _load_field(cfg, cloud, stages)
     k = max(cfg.k_list)
     with _stage(stages, "laplacians"):
         con = spectral.assemble_connection_laplacian(graph, frames, transports)
@@ -547,8 +548,9 @@ def _cmd_eval(pred_path, truth_path, config_path, out_override):
                                   raw={"kind": "eval"})
     out = _out_dir(cfg)
 
-    pred_ids, pred_pts, pred_vecs = io.read_vector_csv(pred_path)
-    truth_ids, truth_pts, truth_vecs = io.read_vector_csv(truth_path)
+    with _stage(stages, "load_input"):
+        pred_ids, pred_pts, pred_vecs = io.read_vector_csv(pred_path)
+        truth_ids, truth_pts, truth_vecs = io.read_vector_csv(truth_path)
     if pred_vecs is None or truth_vecs is None:
         raise CommandError("both files need vector columns")
     for role, ids in (("prediction", pred_ids), ("truth", truth_ids)):

@@ -209,10 +209,11 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     query_nodes = gp._validate_query(query_nodes, spectrum.n)
     hp = replace(hyperparams, nu=np.inf)
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    filt, c_norm = gp._prior(encodings, spectrum, hp)
+    filt = gp.spectral_filter(spectrum.eigenvalues, hp)
+    c_norm = gp.normalization_constant(encodings, filt, spectrum.m)
     reduced = gp._reduce(encodings[train_nodes], train_vectors)
-    _, weights, _ = gp._weight_posterior(
-        gp._features(reduced.r, filt, hp.sigma, c_norm), reduced, hp.sigma_n)
+    b = gp._features(reduced.r, filt, hp.sigma, c_norm)
+    _, weights, _ = gp._weight_posterior(b, reduced, hp.sigma_n, gp._basis(reduced.r, b))
     return gp._features(encodings[query_nodes], filt, hp.sigma, c_norm) @ weights
 
 
@@ -253,6 +254,8 @@ def _cosines(predicted: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]
     pn = np.linalg.norm(predicted, axis=1)
     tn = np.linalg.norm(truth, axis=1)
     keep = (pn > ZERO_NORM_TOL) & (tn > ZERO_NORM_TOL)
+    if not keep.any():
+        raise ValueError("no nodes left after zero-norm exclusion")
     excluded = int((~keep).sum())
     # 1 - |p/|p| - t/|t||^2 / 2 equals the cosine and is exact for p == t
     diff = predicted[keep] / pn[keep, None] - truth[keep] / tn[keep, None]
@@ -267,16 +270,12 @@ def alignment_score(predicted: np.ndarray, truth: np.ndarray) -> MetricResult:
     zero-norm truth rows arise at flagged singularities of generated fields.
     """
     cos, excluded = _cosines(predicted, truth)
-    if cos.size == 0:
-        raise ValueError("no nodes left after zero-norm exclusion")
     return MetricResult("alignment", float(cos.mean()), predicted.shape[0], excluded)
 
 
 def angular_error(predicted: np.ndarray, truth: np.ndarray) -> MetricResult:
     """Mean absolute angle (radians) between prediction and truth."""
     cos, excluded = _cosines(predicted, truth)
-    if cos.size == 0:
-        raise ValueError("no nodes left after zero-norm exclusion")
     return MetricResult("angular_error", float(np.arccos(cos).mean()),
                         predicted.shape[0], excluded)
 

@@ -13,27 +13,25 @@ A = E diag(s) of shape (N*d, k), where E are the flat training encodings and
 s = sigma * sqrt(c_norm) * sqrt(f). Only s depends on the hyperparameters.
 So every fit and every hyperparameter search first reduces the training data
 to k rows with one thin QR, E = Q R, keeping R, z = Q^T y and the part of y
-outside the range of Q, o = |y - Q z|^2. For each hyperparameter setting
-B = R diag(s) then gives the k x k system M = s_n^2 I_k + B^T B (equal to
-s_n^2 I + A^T A), where s_n^2 = sigma_n^2 + jitter is the noise variance:
-one Cholesky factor of M, the weight mean w = M^-1 B^T z, the residual
-|y - A w|^2 = |z - B w|^2 + o, mean A_q w and covariance
-s_n^2 A_q M^-1 A_q^T. That costs one O(N*d*k^2) QR per fit or search, then
-O(k^3) per log marginal likelihood evaluation whatever N*d is, and
-O(q*d*k^2) per prediction of q nodes; no (N*d)^2 matrix is built. Target
-columns that share the kernel (the channel-wise baseline) share Q. DTC is
-the same posterior with B projected onto the row space of the inducing
-features. Jitter is added only when sigma_n = 0: then M would be singular
-whenever A has rank below k (fewer than k/m training nodes), so the
-factorization climbs the multiplicative ladder from 1e-10 times the mean
-prior variance trace(A^T A)/(N*d). For sigma_n > 0 a failed factorization
-raises :class:`GramConditioningError` instead of adding noise silently.
-With rank(A) = k the k x k system is accurate over the whole hyperparameter
-search box; below that, M has k - rank(A) eigenvalues equal to s_n^2 which
-B^T B resolves only to about eps * |A|^2, so at tiny s_n^2 the
-log-determinant loses digits (as the dense Gram path does too).
-:func:`assemble_gram` builds the dense (N*d)^2 Gram matrix and serves only as
-a reference.
+outside the range of Q, o = |y - Q z|^2. B = R diag(s) has the row space of
+A. The data inform the weights only on the row space of the conditioning
+features, with orthonormal basis W (k x p, by the rank rule of frame
+estimation; W = I at full column rank); outside it the prior holds. So the
+posterior is the p x p system M = s_n^2 I_p + (B W)^T B W, with noise
+variance s_n^2 = sigma_n^2 + jitter: one Cholesky factor of M, the weight
+mean w = W M^-1 (B W)^T z, the residual |y - A w|^2 = |z - B w|^2 + o, mean
+A_q w and covariance s_n^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T.
+Exact fits take W from the training features, DTC from the inducing ones.
+Since rank(R diag(s)) = rank(R), R decides once per fit or search whether
+W = I; only rank-deficient training sets (fewer than k/m nodes) pay an SVD
+of B per setting. That costs one O(N*d*k^2) QR per fit or search, then
+O(k^3) per LML evaluation whatever N*d is, and O(q*d*k^2) per prediction of
+q nodes; no (N*d)^2 matrix is built. Target columns that share the kernel
+(the channel-wise baseline) share Q. Jitter is added only when sigma_n = 0,
+climbing the multiplicative ladder from 1e-10 times the mean prior variance
+trace(A^T A)/(N*d) as the dense Gram path does; for sigma_n > 0 a failed
+factorization raises :class:`GramConditioningError`. :func:`assemble_gram`
+builds the dense (N*d)^2 Gram matrix and serves only as a reference.
 """
 from __future__ import annotations
 
@@ -148,13 +146,6 @@ def _features(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
     return (sigma * np.sqrt(c_norm)) * flat * np.sqrt(filter_values)
 
 
-def _prior(encodings: np.ndarray, spectrum: Spectrum,
-           hyperparams: MaternHyperparams) -> tuple[np.ndarray, float]:
-    """Filter values and normalization constant of the prior over ``encodings``."""
-    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
-    return filter_values, normalization_constant(encodings, filter_values, spectrum.m)
-
-
 def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
                           levels: tuple[float, ...] = JITTER_LADDER
                           ) -> tuple[np.ndarray, float]:
@@ -199,54 +190,58 @@ def _reduce(encodings: np.ndarray, targets: np.ndarray) -> _Reduced:
     return _Reduced(r, z, float(np.sum(outside * outside)), n * d)
 
 
-def _weight_posterior(b: np.ndarray, reduced: _Reduced, sigma_n: float
-                      ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Factor M = s^2 I + B^T B and solve for the weight mean M^-1 B^T z.
+def _row_space(feats: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis W (k x p) of the row space of ``feats`` by the rank
+    rule of frame estimation (singular values above s_1 * max(shape) * eps),
+    or None for W = I: full column rank, which needs no singular vectors."""
+    sv = np.linalg.svd(feats, compute_uv=False)
+    keep = sv > sv[0] * max(feats.shape) * np.finfo(float).eps
+    if keep.size == feats.shape[1] and keep.all():
+        return None
+    return np.linalg.svd(feats, full_matrices=False)[2][keep].T
 
-    ``b`` is the reduced feature matrix of ``reduced`` (R diag(s), possibly
-    times a basis). Returns (lower Cholesky factor of M, weights, jitter)
-    with s^2 = sigma_n^2 + jitter; see the module docstring for the jitter
-    rule.
-    """
-    k = b.shape[1]
-    gram = b.T @ b
+
+def _basis(r: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """W for B = R diag(s); R decides whether W = I, as rank(R diag(s)) = rank(R)."""
+    return None if _row_space(r) is None else _row_space(b)
+
+
+def _weight_posterior(b: np.ndarray, reduced: _Reduced, sigma_n: float,
+                      basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lower Cholesky factor of M = s^2 I_p + (B W)^T B W, the weight mean
+    w = W M^-1 (B W)^T z (length k) and the jitter, for B = ``b`` = R diag(s)
+    of ``reduced`` and W = ``basis`` (None for I); s^2 = sigma_n^2 + jitter,
+    see the module docstring for the jitter rule."""
+    bw = b if basis is None else b @ basis
+    gram = bw.T @ bw
     gram = (gram + gram.T) / 2.0
     if sigma_n > 0:
         # one try at level 0; the scale only labels a failure
-        chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(k),
+        chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(gram.shape[0]),
                                              sigma_n**2, levels=(0.0,))
     else:
-        # level 0 would leave zero noise and a singular M whenever rank(A) < k
+        # level 0 would leave zero noise and a possibly singular M
         chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / reduced.rows,
                                              JITTER_LADDER[1:])
-    return chol, cho_solve((chol, True), b.T @ reduced.z), jitter
+    weights = cho_solve((chol, True), bw.T @ reduced.z)
+    return chol, weights if basis is None else basis @ weights, jitter
 
 
 def _weight_lml(b: np.ndarray, reduced: _Reduced, chol: np.ndarray,
                 weights: np.ndarray, noise: float) -> float:
     """Log marginal likelihood summed over the target columns.
 
-    Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2
+    Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - p) log s^2
     + log det M) - (N/2) log 2 pi, with N = N*d rows, s^2 = ``noise``, M the
-    matrix factored by ``chol`` and |y - A w|^2 = |z - B w|^2 + o.
+    p x p matrix factored by ``chol`` and |y - A w|^2 = |z - B w|^2 + o.
     """
-    rows, k = reduced.rows, b.shape[1]
+    rows, p = reduced.rows, chol.shape[0]
     columns = 1 if reduced.z.ndim == 1 else reduced.z.shape[1]
     resid = reduced.z - b @ weights
     quad = ((float(np.sum(resid * resid)) + reduced.outside) / noise
             + float(np.sum(weights * weights)))
-    logdet = (rows - k) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = (rows - p) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
-
-
-def _weight_predict(feats_query: np.ndarray, chol: np.ndarray, weights: np.ndarray,
-                    noise: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean rows F w, shape (q, d), and the d x d diagonal blocks of
-    s^2 F M^-1 F^T for query features F of shape (q*d, k)."""
-    q = feats_query.shape[0] // d
-    mean = (feats_query @ weights).reshape(q, d)
-    half = solve_triangular(chol, feats_query.T, lower=True).reshape(-1, q, d)
-    return mean, noise * np.einsum("kqd,kqe->qde", half, half)
 
 
 def assemble_gram(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
@@ -276,10 +271,11 @@ class VectorFieldGP:
     """Fitted vector-field GP: spectrum slice, encodings, hyperparameters,
     training targets and the weight-space posterior.
 
-    ``chol`` is the lower Cholesky factor of the k x k matrix
-    M = s^2 I + A^T A, ``alpha`` the weight mean w = M^-1 A^T y, and
-    ``jitter`` the noise variance added to sigma_n^2 to give s^2 (nonzero
-    only when sigma_n = 0).
+    ``basis`` is the orthonormal basis W (k x p) of the row space of the
+    conditioning features A (None for W = I), ``chol`` the lower Cholesky
+    factor of the p x p matrix M = s^2 I + (A W)^T A W, ``alpha`` the weight
+    mean w = W M^-1 (A W)^T y (length k), and ``jitter`` the noise variance
+    added to sigma_n^2 to give s^2 (nonzero only when sigma_n = 0).
     """
 
     spectrum: Spectrum
@@ -289,7 +285,8 @@ class VectorFieldGP:
     targets: np.ndarray  # (n_train, d) ambient vectors
     filter_values: np.ndarray
     c_norm: float
-    chol: np.ndarray  # (k, k)
+    basis: np.ndarray | None  # (k, p)
+    chol: np.ndarray  # (p, p)
     alpha: np.ndarray  # (k,) weight mean
     jitter: float
 
@@ -336,29 +333,48 @@ def _validate_query(query_nodes: np.ndarray, n: int, role: str = "query"
     return query_nodes
 
 
+def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyperparams,
+               train_nodes: np.ndarray, targets: np.ndarray,
+               inducing_nodes: np.ndarray | None = None) -> VectorFieldGP:
+    """The posterior given ``targets`` at ``train_nodes`` on the row space of
+    the features at ``inducing_nodes`` (default: the training nodes)."""
+    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
+    c_norm = normalization_constant(encodings, filter_values, spectrum.m)
+    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
+    r_u = reduced.r if inducing_nodes is None else np.linalg.qr(
+        encodings[inducing_nodes].reshape(-1, encodings.shape[-1]), mode="r")
+    basis = _basis(r_u, _features(r_u, filter_values, hyperparams.sigma, c_norm))
+    chol, alpha, jitter = _weight_posterior(
+        _features(reduced.r, filter_values, hyperparams.sigma, c_norm), reduced,
+        hyperparams.sigma_n, basis)
+    return VectorFieldGP(spectrum=spectrum, encodings=encodings, hyperparams=hyperparams,
+                         train_nodes=train_nodes, targets=targets,
+                         filter_values=filter_values, c_norm=c_norm, basis=basis,
+                         chol=chol, alpha=alpha, jitter=jitter)
+
+
 def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
         frames: GaugeFrames, hyperparams: MaternHyperparams) -> VectorFieldGP:
     """Condition the GP on ambient training vectors at the given nodes."""
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)
-    encodings = positional_encodings(spectrum, frames)
-    filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
-    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
-    b = _features(reduced.r, filter_values, hyperparams.sigma, c_norm)
-    chol, alpha, jitter = _weight_posterior(b, reduced, hyperparams.sigma_n)
-    return VectorFieldGP(spectrum=spectrum, encodings=encodings,
-                         hyperparams=hyperparams, train_nodes=train_nodes,
-                         targets=targets, filter_values=filter_values,
-                         c_norm=c_norm, chol=chol, alpha=alpha, jitter=jitter)
+    return _condition(positional_encodings(spectrum, frames), spectrum, hyperparams,
+                      train_nodes, targets)
 
 
 def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean vectors A_q w and per-node d x d covariance blocks of
-    s^2 A_q M^-1 A_q^T."""
-    mean, covs = _weight_predict(model.features(query_encodings), model.chol,
-                                 model.alpha, model.noise, query_encodings.shape[1])
-    return mean, (covs + covs.transpose(0, 2, 1)) / 2.0
+    s^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T."""
+    q, d, k = query_encodings.shape
+    feats = model.features(query_encodings)
+    inside = feats if model.basis is None else feats @ model.basis
+    half = solve_triangular(model.chol, inside.T, lower=True).reshape(-1, q, d)
+    covs = model.noise * np.einsum("kqd,kqe->qde", half, half)
+    if model.basis is not None:
+        outside = (feats - inside @ model.basis.T).reshape(q, d, k)
+        covs += np.einsum("qdk,qek->qde", outside, outside)
+    return (feats @ model.alpha).reshape(q, d), (covs + covs.transpose(0, 2, 1)) / 2.0
 
 
 def predict(model: VectorFieldGP, query_nodes: np.ndarray
@@ -371,8 +387,8 @@ def predict(model: VectorFieldGP, query_nodes: np.ndarray
 def log_marginal_likelihood(model: VectorFieldGP) -> float:
     """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram.
 
-    Evaluated on the reduced k x k system in residual form,
-    -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - k) log s^2 + log det M)
+    Evaluated on the reduced p x p system in residual form,
+    -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - p) log s^2 + log det M)
     - (N/2) log 2 pi, which needs no subtraction of nearly equal terms and
     holds for N = N*d rows above or below k.
     """
@@ -391,6 +407,11 @@ class SearchConfig:
     n_starts: int = 3
     n_sweeps: int = 5
     grid_points: int = 7
+
+    def __post_init__(self):
+        for name, least in (("n_starts", 1), ("n_sweeps", 1), ("grid_points", 2)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     @property
     def bounds(self) -> tuple[tuple[float, float], ...]:
@@ -426,12 +447,9 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
 
     best_theta = None
     best_value = -np.inf
-    any_finite = False
     for theta0 in starts:
         theta = theta0.copy()
         value = value_at(theta)
-        if np.isfinite(value):
-            any_finite = True
         if value > best_value:
             best_value, best_theta = value, theta.copy()
         span = (highs - lows) / 4.0
@@ -445,8 +463,6 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
                     trial = theta.copy()
                     trial[axis] = cand
                     v = value_at(trial)
-                    if np.isfinite(v):
-                        any_finite = True
                     if v > value:
                         value, theta = v, trial
                         improved = True
@@ -455,7 +471,7 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
             span *= 0.5
             if not improved and span.max() < 1e-3:
                 break
-    if not any_finite or best_theta is None:
+    if best_theta is None:  # no value above -inf
         raise ValueError("objective was NaN/inf everywhere searched")
     return best_theta
 
@@ -471,12 +487,13 @@ def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
     (one column per independent output, or a vector) at the training nodes,
     with (sigma, kappa, sigma_n) = exp(theta) and nu fixed.
 
-    The encoding traces and the QR of the training encodings are computed
-    here once, so each evaluation works on k x k arrays only. Failed
-    factorizations and invalid hyperparameters score -inf.
+    The encoding traces, the QR of the training encodings and the rank test
+    of :func:`_basis` are done here once, so each evaluation works on k x k
+    arrays only. Failed factorizations and invalid hyperparameters score -inf.
     """
     traces = _encoding_traces(encodings)
     reduced = _reduce(encodings[train_nodes], targets)
+    full_rank = _row_space(reduced.r) is None
 
     def objective(theta: np.ndarray) -> float:
         try:
@@ -484,7 +501,8 @@ def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
             filter_values = spectral_filter(spectrum.eigenvalues, hp)
             b = _features(reduced.r, filter_values, hp.sigma,
                           _c_norm(traces, filter_values, spectrum.m))
-            chol, weights, jitter = _weight_posterior(b, reduced, hp.sigma_n)
+            chol, weights, jitter = _weight_posterior(
+                b, reduced, hp.sigma_n, None if full_rank else _row_space(b))
             value = _weight_lml(b, reduced, chol, weights, hp.sigma_n**2 + jitter)
         except (GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
@@ -537,40 +555,21 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
     """Deterministic-training-conditional (DTC) posterior through an inducing set.
 
     DTC replaces the training prior K_ff by Q_ff = K_fu K_uu^+ K_uf, which is
-    A B B^T A^T for K = A A^T, B an orthonormal basis (thin SVD, the rank rule
-    of frame estimation) of the row space of the inducing features A_u. So
-    DTC is the k x k posterior on features A B, reduced to R diag(s) B as in
-    :func:`fit`: mean A_q B w, covariance
-    s^2 (A_q B) M^-1 (A_q B)^T plus the prior outside that row space,
-    A_q (I - B B^T) A_q^T. The projection is exact for any inducing set, and
-    equals the exact posterior when A_u has rank k.
+    A W W^T A^T for K = A A^T and W an orthonormal basis of the row space of
+    the inducing features A_u. So DTC is the posterior of :func:`fit` with W
+    taken from A_u instead of the training features: exact for any inducing
+    set, and equal to :func:`fit` when the inducing set is the training set.
     """
     if hyperparams.sigma_n <= 0:
         raise ValueError("DTC requires sigma_n > 0")
-    n, d = spectrum.n, frames.dim
-    train_nodes, targets = _validate_training(train_nodes, targets, n, d)
-    inducing_nodes = _validate_query(inducing_nodes, n, "inducing")
-    query_nodes = _validate_query(query_nodes, n)
+    train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
+                                              frames.dim)
+    inducing_nodes = _validate_query(inducing_nodes, spectrum.n, "inducing")
     if inducing_nodes.size == 0:
         raise ValueError("need at least one inducing node")
-    encodings = positional_encodings(spectrum, frames)
-    filter_values, c_norm = _prior(encodings, spectrum, hyperparams)
-
-    def features(rows: np.ndarray) -> np.ndarray:
-        return _features(rows, filter_values, hyperparams.sigma, c_norm)
-
-    a_u = features(encodings[inducing_nodes])
-    _, sv, vt = np.linalg.svd(a_u, full_matrices=False)
-    basis = vt[sv > sv[0] * max(a_u.shape) * np.finfo(float).eps].T  # (k, rank)
-    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
-    chol, weights, jitter = _weight_posterior(features(reduced.r) @ basis, reduced,
-                                              hyperparams.sigma_n)
-    a_q = features(encodings[query_nodes])
-    a_qb = a_q @ basis
-    mean, covs = _weight_predict(a_qb, chol, weights, hyperparams.sigma_n**2 + jitter, d)
-    outside = (a_q - a_qb @ basis.T).reshape(-1, d, a_q.shape[1])
-    covs += np.einsum("qdk,qek->qde", outside, outside)
-    return mean, (covs + covs.transpose(0, 2, 1)) / 2.0
+    model = _condition(positional_encodings(spectrum, frames), spectrum, hyperparams,
+                       train_nodes, targets, inducing_nodes)
+    return predict(model, query_nodes)
 
 
 def extend_encodings(new_points: np.ndarray, cloud: PointCloud,

@@ -525,13 +525,9 @@ def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames]:
     frames = GaugeFrames(_read_matrix_csv(directory / manifest["frames_csv"])
                          .reshape(n, d, m))
     targets = _read_matrix_csv(directory / manifest["targets_csv"]).reshape(-1, d)
-    hp_raw = manifest["hyperparams"]
-    hp = gp_mod.MaternHyperparams(sigma=float(hp_raw["sigma"]),
-                                  kappa=float(hp_raw["kappa"]),
-                                  nu=_parse_nu(hp_raw["nu"]),
-                                  sigma_n=float(hp_raw["sigma_n"]))
     train_nodes = np.array(manifest["train_nodes"], dtype=np.int64)
-    model = gp_mod.fit(train_nodes, targets, spectrum, frames, hp)
+    model = gp_mod.fit(train_nodes, targets, spectrum, frames,
+                       _hp_from_dict(manifest["hyperparams"]))
     return model, frames
 
 
@@ -585,9 +581,7 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        ks = self.num_eigenvectors if isinstance(self.num_eigenvectors, list) \
-            else [self.num_eigenvectors]
-        if not ks or any(int(k) < 1 for k in ks):
+        if not self.k_list or min(self.k_list) < 1:
             raise ValueError("num_eigenvectors must be >= 1")
         if self.graph.weighting not in ("unit", "gaussian"):
             raise ValueError(f"unknown weighting {self.graph.weighting!r}")
@@ -623,6 +617,13 @@ def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
     )
 
 
+_HP_KEYS = set(gp_mod.MaternHyperparams.__dataclass_fields__)
+NESTED_KEYS = {"graph": set(GraphConfig.__dataclass_fields__), "hyperparams": _HP_KEYS,
+               "baseline_hyperparams": _HP_KEYS,
+               "fit": {"nu", "n_starts", "n_sweeps", "grid_points"},
+               "mask": {"nodes", "center_node", "fraction", "radius"}}
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -635,14 +636,13 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ParseError(path, None, f"unknown config keys: {sorted(unknown)}")
+    for name, nested in NESTED_KEYS.items():
+        if isinstance(raw.get(name), dict) and set(raw[name]) - nested:
+            raise ParseError(path, None,
+                             f"unknown {name} keys: {sorted(set(raw[name]) - nested)}")
     kwargs = dict(raw)
     if "graph" in kwargs:
-        graw = kwargs["graph"]
-        gknown = set(GraphConfig.__dataclass_fields__)
-        gunknown = set(graw) - gknown
-        if gunknown:
-            raise ParseError(path, None, f"unknown graph keys: {sorted(gunknown)}")
-        kwargs["graph"] = GraphConfig(**graw)
+        kwargs["graph"] = GraphConfig(**kwargs["graph"])
     base = path.parent
     for attr in ("input_mesh", "input_cloud", "field", "query_points", "model_dir"):
         if kwargs.get(attr):

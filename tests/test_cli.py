@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import tangentgp as tg
 from tangentgp import fields as tfields
+from tangentgp import gp
 from tangentgp import io as tio
 from tangentgp.cli import main
 
@@ -140,6 +141,11 @@ class TestSuperresolve:
             assert (out / f"predictions_k{k}.csv").exists()
         by_key = {(m["k"], m["metric"]): m["value"] for m in metrics}
         assert by_key[(50, "alignment")] > 0.9
+        # file reads and writes run inside stages
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        names = [stage["name"] for stage in stages]
+        assert names.count("load_input") == 2  # the mesh, then the field
+        assert names.count("write_outputs") == 4  # one per k, then metrics
 
     def test_split_is_seeded_and_half(self, superresolved):
         out, _ = superresolved
@@ -215,6 +221,38 @@ class TestInpaint:
         mask_nodes = json.loads(
             (workdir / "inpaint" / "mask.json").read_text())["nodes"]
         assert len(mask_nodes) == 60  # 15% of 400
+
+    def test_both_searches_get_the_fit_budget(self, workdir, generated, monkeypatch):
+        # the vector and the baseline search run on the budget in "fit";
+        # the field read and every prediction write run inside a stage
+        gen_out, _ = generated
+        budget = {"n_starts": 1, "n_sweeps": 1, "grid_points": 3}
+        cfg = write_config(workdir, "inpaint_budget.json", {
+            "kind": "inpaint",
+            "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"),
+            "graph": {"k_neighbors": 6},
+            "num_eigenvectors": 10,
+            "fit": {"nu": 1.5, **budget},
+            "seed": 3,
+            "mask": {"center_node": "auto", "fraction": 0.15},
+            "output_dir": str(workdir / "inpaint_budget"),
+        })
+        received = []
+        search = gp.coordinate_search
+
+        def recording_search(objective, config, *args, **kwargs):
+            received.append(config)
+            return search(objective, config, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "coordinate_search", recording_search)
+        result = run_cli(["inpaint", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert received == [gp.SearchConfig(**budget)] * 2
+        manifest = json.loads((workdir / "inpaint_budget" / "manifest.json").read_text())
+        names = [stage["name"] for stage in manifest["stages"]]
+        assert names.count("load_input") == 2  # the mesh, then the field
+        assert names.count("write_outputs") == 3  # two predictions, then metrics
 
     def test_empty_mask_rejected(self, workdir, generated):
         cfg = self._config(workdir, generated, "inpaint_empty.json",

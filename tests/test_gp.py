@@ -1,11 +1,13 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.linalg import block_diag
+from scipy.stats import norm, ortho_group
 
 import tangentgp as tg
 from tangentgp import fields as tfields
@@ -367,15 +369,13 @@ class TestWeightSpaceCore:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(k=st.sampled_from([10, 20, 50]),
            theta=st.tuples(*(st.floats(lo, hi) for lo, hi in SearchConfig().bounds)),
-           extra_nodes=st.integers(0, 150),
+           n_train=st.integers(1, 25) | st.integers(26, 175),
            subset_seed=st.integers(0, 2**32 - 1))
     def test_matches_independent_references_over_search_box(
             self, torus, torus_spectrum, torus_scalar_spectrum, torus_truth, k,
-            theta, extra_nodes, subset_seed):
-        # at least k/m training nodes, so the features A have full column rank
-        # (the rank caveat in the gp module docstring covers smaller sets)
+            theta, n_train, subset_seed):
+        # from one node up: below k/m nodes the features A have rank below k
         spec = truncate(torus_spectrum, k)
-        n_train = math.ceil(k / spec.m) + extra_nodes
         rng = np.random.default_rng(subset_seed)
         train = rng.choice(400, n_train, replace=False)
         query = rng.choice(400, 30, replace=False)
@@ -397,7 +397,7 @@ class TestWeightSpaceCore:
 
         # the channel-wise baseline: m = 1, three target columns sharing Q
         scalar = truncate(torus_scalar_spectrum, k)
-        scalar_train = rng.choice(400, k + extra_nodes, replace=False)
+        scalar_train = rng.choice(400, n_train, replace=False)
         enc = tg.positional_encodings(scalar, scalar_frames(400))
         hp_inf = tg.MaternHyperparams(sigma=hp.sigma, kappa=hp.kappa, nu=math.inf,
                                       sigma_n=hp.sigma_n)
@@ -526,19 +526,22 @@ class TestFitHyperparameters:
 
 class TestInducingPoints:
     def test_full_inducing_set_matches_exact(self, small_torus, torus_truth):
+        # the exact posterior is DTC with the training set as the inducing
+        # set, bit for bit; 30 nodes span all k = 30 feature directions, 5 do not
         spec = tg.eigendecompose(small_torus.con, 30)
         rng = np.random.default_rng(10)
-        train = np.arange(0, 60, 2)
-        y = rng.standard_normal((30, 3))
         hp = tg.MaternHyperparams(sigma=1.0, kappa=1.5, nu=1.5, sigma_n=0.05)
-        model = tg.fit(train, y, spec, small_torus.frames, hp)
-        exact_mean, exact_covs = tg.predict(model, np.arange(60))
-        dtc_mean, dtc_covs = tg.inducing_point_predict(train, y, train, spec,
-                                                       small_torus.frames, hp,
-                                                       np.arange(60))
-        assert np.abs(dtc_mean - exact_mean).max() <= 1e-6
-        scale = np.abs(exact_covs).max()
-        assert np.abs(dtc_covs - exact_covs).max() <= 1e-10 * scale
+        for train, rank_deficient in ((np.arange(0, 60, 2), False),
+                                      (np.arange(0, 60, 12), True)):
+            y = rng.standard_normal((len(train), 3))
+            model = tg.fit(train, y, spec, small_torus.frames, hp)
+            assert (model.basis is not None) == rank_deficient
+            exact_mean, exact_covs = tg.predict(model, np.arange(60))
+            dtc_mean, dtc_covs = tg.inducing_point_predict(train, y, train, spec,
+                                                           small_torus.frames, hp,
+                                                           np.arange(60))
+            assert np.array_equal(dtc_mean, exact_mean)
+            assert np.array_equal(dtc_covs, exact_covs)
 
     def test_half_inducing_alignment_close(self, torus, torus_spectrum, torus_truth):
         spec = truncate(torus_spectrum, 50)
@@ -582,7 +585,9 @@ class TestInducingPoints:
     def test_rank_deficient_inducing_sets_match_dense_oracle(self, torus,
                                                              torus_spectrum):
         # 1-10 inducing nodes span at most 2-20 of the k = 50 feature
-        # directions, so K_uu is singular: DTC must equal its pseudo-inverse form
+        # directions, so K_uu is singular: DTC must equal its pseudo-inverse
+        # form, and so must the exact fit on the inducing nodes alone (the
+        # oracle with the training set as the inducing set)
         spec = truncate(torus_spectrum, 50)
         rng = np.random.default_rng(13)
         perm = rng.permutation(400)
@@ -592,19 +597,23 @@ class TestInducingPoints:
         model = tg.fit(train, y, spec, torus.frames, hp)
         for count in (1, 2, 5, 10):
             inducing = perm[100:100 + count]
-            mean, covs = tg.inducing_point_predict(train, y, inducing, spec,
-                                                   torus.frames, hp, query)
-            a_u, a_f, a_q = (model.features(model.encodings[nodes])
-                             for nodes in (inducing, train, query))
-            oracle_mean, oracle_cov = dtc_oracle(a_u, a_f, a_q, y.reshape(-1),
-                                                 hp.sigma_n**2)
-            blocks = np.stack([oracle_cov[3 * i:3 * i + 3, 3 * i:3 * i + 3]
-                               for i in range(len(query))])
-            # the oracle's mean solves a system of condition ~1e4 and is good
-            # to ~2e-12, its covariances to ~2e-15; a jittered K_uu misses by 6e-11
-            assert np.abs(mean.reshape(-1) - oracle_mean).max() <= \
-                1e-10 * np.abs(oracle_mean).max()
-            assert np.abs(covs - blocks).max() <= 1e-12 * np.abs(blocks).max()
+            exact = tg.fit(inducing, y[:count], spec, torus.frames, hp)
+            for nodes, targets, (mean, covs) in (
+                    (train, y, tg.inducing_point_predict(train, y, inducing, spec,
+                                                         torus.frames, hp, query)),
+                    (inducing, y[:count], tg.predict(exact, query))):
+                a_u, a_f, a_q = (model.features(model.encodings[n])
+                                 for n in (inducing, nodes, query))
+                oracle_mean, oracle_cov = dtc_oracle(a_u, a_f, a_q,
+                                                     targets.reshape(-1), hp.sigma_n**2)
+                blocks = np.stack([oracle_cov[3 * i:3 * i + 3, 3 * i:3 * i + 3]
+                                   for i in range(len(query))])
+                # the oracle's mean solves a system of condition ~1e4 and is good
+                # to ~2e-12, its covariances to ~2e-15; a jittered K_uu misses
+                # by 6e-11
+                assert np.abs(mean.reshape(-1) - oracle_mean).max() <= \
+                    1e-10 * np.abs(oracle_mean).max()
+                assert np.abs(covs - blocks).max() <= 1e-12 * np.abs(blocks).max()
 
     def test_zero_noise_rejected(self, small_torus):
         spec = tg.eigendecompose(small_torus.con, 10)
@@ -636,6 +645,64 @@ class TestInducingPoints:
             dtc(train=np.array([1, 1, 2]), y=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="targets must have shape"):
             dtc(y=np.zeros((10, 2)))
+
+
+class TestInvariance:
+    """The posterior depends on the eigenspaces kept, not on the basis the
+    eigensolver picks inside an eigenvalue cluster, nor on the frame gauge.
+    Both properties need k at a cluster end; the fixture's clusters end at
+    2, 6, 10, 12, 14, 18, 22, 26, 30, ..., 58, so k = 25 would split one."""
+
+    HP = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
+
+    @staticmethod
+    def _assert_same_posterior(a, b, train, truth, frames_a, frames_b):
+        query = np.arange(400)
+        model_a = tg.fit(train, truth[train], a, frames_a, TestInvariance.HP)
+        model_b = tg.fit(train, truth[train], b, frames_b, TestInvariance.HP)
+        mean_a, covs_a = tg.predict(model_a, query)
+        mean_b, covs_b = tg.predict(model_b, query)
+        assert np.abs(mean_a - mean_b).max() <= 1e-12 * np.abs(truth).max()
+        assert np.abs(covs_a - covs_b).max() <= 1e-12 * np.abs(covs_a).max()
+        assert tg.log_marginal_likelihood(model_a) == pytest.approx(
+            tg.log_marginal_likelihood(model_b), rel=1e-12)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([14, 22, 30, 50]),
+           n_train=st.integers(1, 25) | st.integers(26, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cluster_rotation_invariance(self, torus, torus_spectrum, torus_truth,
+                                         k, n_train, seed):
+        spec = truncate(torus_spectrum, k)
+        assert not spec.splits_degenerate_cluster()
+        rng = np.random.default_rng(seed)
+        clusters = np.split(np.arange(k), np.flatnonzero(np.diff(spec.eigenvalues) > 1e-8) + 1)
+        rotation = block_diag(*(ortho_group.rvs(len(c), random_state=rng)
+                                for c in clusters))
+        rotated = replace(spec, eigenvectors=spec.eigenvectors @ rotation)
+        train = rng.choice(400, n_train, replace=False)
+        self._assert_same_posterior(spec, rotated, train, torus_truth.field.ambient(),
+                                    torus.frames, torus.frames)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([22, 30, 50]),
+           n_train=st.integers(1, 25) | st.integers(26, 200),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gauge_covariance(self, torus, torus_spectrum, torus_truth, k, n_train,
+                              seed):
+        # per-node O(2) frame changes, reflections included, pass through the
+        # transports, L_c, its spectrum and the fit
+        rng = np.random.default_rng(seed)
+        gauge = ortho_group.rvs(2, size=400, random_state=rng)
+        assert (np.linalg.det(gauge) < 0).any() and (np.linalg.det(gauge) > 0).any()
+        frames = tg.GaugeFrames(np.einsum("ndm,nmk->ndk", torus.frames.frames, gauge))
+        con = tg.assemble_connection_laplacian(torus.graph, frames,
+                                               tg.compute_transports(torus.graph, frames))
+        spec = truncate(tg.eigendecompose(con, 60), k)
+        assert not spec.splits_degenerate_cluster()
+        train = rng.choice(400, n_train, replace=False)
+        self._assert_same_posterior(truncate(torus_spectrum, k), spec, train,
+                                    torus_truth.field.ambient(), torus.frames, frames)
 
 
 class TestOutOfGraphExtension:

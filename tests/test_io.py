@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,25 @@ class TestConfig:
             tio.load_config(self.write(tmp_path, {
                 "kind": "generate", "output_dir": "out", "bogus": 1}))
 
+    @pytest.mark.parametrize("name, payload", [
+        ("fit", {"n_start": 1}),
+        ("mask", {"fractoin": 0.3}),
+        ("baseline_hyperparams", {"sigmaa": 2}),
+        ("hyperparams", {"kapa": 1.0}),
+        ("graph", {"k_neighbours": 4}),
+    ])
+    def test_unknown_nested_key_rejected(self, tmp_path, name, payload):
+        message = re.escape(f"unknown {name} keys: {sorted(payload)}")
+        with pytest.raises(ParseError, match=message):
+            tio.load_config(self.write(tmp_path, {
+                "kind": "generate", "output_dir": "out", name: payload}))
+
+    def test_search_budget_validated(self):
+        for budget in ({"n_starts": 0}, {"n_sweeps": 0}, {"grid_points": 1}):
+            with pytest.raises(ValueError, match=f"{next(iter(budget))} must be >="):
+                tg.SearchConfig(**budget)
+        tg.SearchConfig(n_starts=1, n_sweeps=1, grid_points=2)
+
     def test_bad_kind(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
             tio.load_config(self.write(tmp_path, {
@@ -321,3 +341,6 @@ class TestConfig:
         config_fields = {f for f in tio.ExperimentConfig.__dataclass_fields__
                          if f != "raw"}
         assert set(schema["properties"]) == config_fields
+        for name, keys in tio.NESTED_KEYS.items():
+            assert set(schema["properties"][name]["properties"]) == keys, name
+            assert schema["properties"][name]["additionalProperties"] is False
