@@ -489,26 +489,22 @@ def _cmd_predict(cfg: io.ExperimentConfig):
             nodes = np.asarray(cfg.query, dtype=np.int64)
             if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
                 raise CommandError("query node out of range")
+        # node positions are not stored in the model; pull them from the
+        # configured geometry when available, else write zeros
+        if cfg.input_mesh or cfg.input_cloud:
+            with _stage(stages, "load_input"):
+                cloud, _ = _load_cloud(cfg)
+            if cloud.n <= int(nodes.max(initial=0)):
+                raise CommandError("query node out of range for the given geometry")
+            positions = cloud.points[nodes]
+        else:
+            positions = np.zeros((len(nodes), frames.dim))
         with _stage(stages, "predict"):
             mean, covs = gp.predict(model, nodes)
         with _stage(stages, "write_outputs"):
-            # node positions are not stored in the model; pull them from the
-            # configured geometry when available, else write zeros
-            io.write_vector_csv(out / "predictions.csv",
-                                _positions_for(cfg, nodes, frames),
-                                mean, ids=nodes)
+            io.write_vector_csv(out / "predictions.csv", positions, mean, ids=nodes)
             _write_variances(out, nodes, covs)
     _write_manifest(out, "predict", cfg.raw, cfg.seed, stages)
-
-
-def _positions_for(cfg: io.ExperimentConfig, nodes: np.ndarray,
-                   frames: geo.GaugeFrames) -> np.ndarray:
-    if cfg.input_mesh or cfg.input_cloud:
-        cloud, _ = _load_cloud(cfg)
-        if cloud.n <= int(nodes.max(initial=0)):
-            raise CommandError("query node out of range for the given geometry")
-        return cloud.points[nodes]
-    return np.zeros((len(nodes), frames.dim))
 
 
 def _write_variances(out: Path, ids: np.ndarray, covs: np.ndarray) -> None:

@@ -202,6 +202,20 @@ def _check_connectivity(graph: ProximityGraph, on_disconnected: str) -> None:
         raise ValueError(f"unknown on_disconnected policy {on_disconnected!r}")
 
 
+def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct undirected edges among (P, 2) node pairs on n nodes, as rows
+    i < j in lexicographic order, and how often each occurs.
+
+    Equal to ``np.unique(np.sort(pairs, 1), axis=0, return_counts=True)``,
+    but sorts one integer key i*n + j per pair instead of structured rows.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keys, counts = np.unique(lo * n + hi, return_counts=True)
+    return np.stack(np.divmod(keys, n), axis=1), counts
+
+
 def build_knn_graph(cloud: PointCloud, k_neighbors: int, weighting: str = "unit",
                     bandwidth: float | None = None,
                     on_disconnected: str = "error") -> ProximityGraph:
@@ -221,8 +235,7 @@ def build_knn_graph(cloud: PointCloud, k_neighbors: int, weighting: str = "unit"
     idx = np.atleast_2d(idx)
     src = np.repeat(np.arange(n), k_neighbors)
     dst = idx[:, 1:].reshape(-1)  # column 0 is the point itself (duplicates rejected)
-    pairs = np.sort(np.stack([src, dst], axis=1), axis=1)
-    edges = np.unique(pairs, axis=0)
+    edges, _ = _unique_edges(np.stack([src, dst], axis=1), n)
     weights = _edge_weights(points, edges, weighting, bandwidth)
     graph = ProximityGraph(n=n, edges=edges, weights=weights)
     _check_connectivity(graph, on_disconnected)
@@ -238,9 +251,7 @@ def build_mesh_graph(cloud: PointCloud, faces: np.ndarray, weighting: str = "uni
         raise ValueError("mesh has no faces")
     if faces.min() < 0 or faces.max() >= cloud.n:
         raise ValueError("face vertex index out of range")
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    pairs = np.sort(pairs, axis=1)
-    edges = np.unique(pairs, axis=0)
+    edges, _ = _unique_edges(faces[:, [[0, 1], [1, 2], [0, 2]]].reshape(-1, 2), cloud.n)
     weights = _edge_weights(cloud.points, edges, weighting, bandwidth)
     graph = ProximityGraph(n=cloud.n, edges=edges, weights=weights)
     _check_connectivity(graph, on_disconnected)
@@ -278,6 +289,29 @@ def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
     return float(np.sqrt(best))
 
 
+def _furthest_point_order(points: np.ndarray, count: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy max-min selection from index 0, and every point's distance to
+    the selection.
+
+    Distances accumulate (x_a - p_a)^2 one coordinate column at a time: the
+    additions ``np.linalg.norm(points - p, axis=1)`` makes, in its order, so
+    they are bit-identical to it, without its (n, d) temporaries.
+    """
+    columns = np.ascontiguousarray(points.T)
+    dist = np.full(len(points), np.inf)
+    selected = np.zeros(count, dtype=np.int64)
+    for t in range(count):
+        if t:
+            selected[t] = np.argmax(dist)
+        p = points[selected[t]]
+        sq = (columns[0] - p[0]) ** 2
+        for col, coord in zip(columns[1:], p[1:]):
+            sq += (col - coord) ** 2
+        np.minimum(dist, np.sqrt(sq), out=dist)
+    return selected, dist
+
+
 def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
                           ) -> tuple[np.ndarray, float]:
     """Greedy max-min subsample starting from index 0.
@@ -294,13 +328,7 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
     n = len(points)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    selected = np.empty(count, dtype=np.int64)
-    selected[0] = 0
-    dist = np.linalg.norm(points - points[0], axis=1)
-    for t in range(1, count):
-        nxt = int(np.argmax(dist))
-        selected[t] = nxt
-        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    selected, _ = _furthest_point_order(points, count)
     if count == 1:
         return selected, 0.0
     sel_pts = points[selected]

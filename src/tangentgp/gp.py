@@ -560,8 +560,6 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
     taken from A_u instead of the training features: exact for any inducing
     set, and equal to :func:`fit` when the inducing set is the training set.
     """
-    if hyperparams.sigma_n <= 0:
-        raise ValueError("DTC requires sigma_n > 0")
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)
     inducing_nodes = _validate_query(inducing_nodes, spectrum.n, "inducing")

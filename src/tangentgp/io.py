@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gp as gp_mod
-from .geometry import GaugeFrames, PointCloud
+from .geometry import GaugeFrames, PointCloud, _unique_edges
 from .spectral import Spectrum
 
 __all__ = [
@@ -279,9 +279,8 @@ def _load_ply(path) -> tuple[np.ndarray, np.ndarray, list[int]]:
 def _warn_non_manifold(faces: np.ndarray, path) -> None:
     if faces.size == 0:
         return
-    pairs = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [0, 2]]])
-    pairs = np.sort(pairs, axis=1)
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
+    _, counts = _unique_edges(faces[:, [[0, 1], [1, 2], [0, 2]]].reshape(-1, 2),
+                              int(faces.max()) + 1)
     if counts.max(initial=0) > 2:
         warnings.warn(f"{path}: non-manifold mesh (an edge is shared by "
                       f"{counts.max()} faces)", NonManifoldWarning)

@@ -38,10 +38,6 @@ RESIDUAL_TOL = 1e-8
 DEGENERATE_GAP = 1e-8
 # shift-invert pole at -SHIFT_FRACTION * mean diagonal, just below the spectrum
 SHIFT_FRACTION = 1e-3
-# completeness-check rounds before an incomplete Lanczos basis is an error
-COMPLETENESS_ROUNDS = 8
-# eigenpairs the completeness check asks of the complement each round
-CHECK_PAIRS = 4
 
 
 class EigensolverError(RuntimeError):
@@ -165,19 +161,42 @@ def _shift_invert(mat: sparse.csr_matrix) -> tuple[float, LinearOperator]:
     return delta, LinearOperator((size, size), matvec=lu.solve, dtype=float)
 
 
-def _rayleigh_ritz(mat: sparse.csr_matrix, basis: np.ndarray,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` lowest Ritz pairs of L on span(basis), ascending."""
+def _rayleigh_ritz(mat: sparse.csr_matrix,
+                   basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz pairs of L on span(basis), ascending."""
     q, _ = np.linalg.qr(basis)
     proj = q.T @ (mat @ q)
     vals, coeffs = np.linalg.eigh((proj + proj.T) / 2)
-    return vals[:count], q @ coeffs[:, :count]
+    return vals, q @ coeffs
+
+
+def _count_below(mat: sparse.csr_matrix, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric L below sigma, exactly.
+
+    By Sylvester's law of inertia it is the number of negative pivots of an
+    unpivoted LU (an LDL^T) of L - sigma*I. SuperLU keeps the diagonal pivots
+    at ``diag_pivot_thresh=0`` unless one is exactly zero; a row permutation
+    other than the symmetric column ordering voids the count.
+    """
+    try:
+        # L - sigma*I is symmetric, so the transpose of its CSR form is its CSC
+        # form; the copy is freed before U's diagonal is read
+        lu = splu((mat - sigma * sparse.identity(mat.shape[0], format="csr")).T,
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU: sigma is an eigenvalue
+        raise EigensolverError(f"cannot factorise L - {sigma:.6e} I: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError(
+            f"LU of L - {sigma:.6e} I pivoted off the diagonal; no inertia count")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
-                  cut: float, rng: np.random.Generator, tol: float,
+                  wanted: int, sigma: float, rng: np.random.Generator, tol: float,
                   maxiter: int) -> np.ndarray:
-    """Eigenvectors of L orthogonal to ``vecs`` whose eigenvalue lies below the cut.
+    """Up to ``wanted`` eigenvectors of L orthogonal to ``vecs`` whose
+    eigenvalue lies below sigma.
 
     The largest eigenvalues mu of P (L + delta*I)^-1 P, P the projector onto
     the complement of span(vecs), are 1 / (lambda + delta) for the smallest
@@ -191,31 +210,42 @@ def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
     complement = LinearOperator((size, size), dtype=float,
                                 matvec=lambda x: project(inverse @ project(x)))
     # the complement has rank size - count, so every mu asked for is positive
-    mu, found = _arpack(complement, k=min(CHECK_PAIRS, size - count - 1),
+    mu, found = _arpack(complement, k=min(wanted, size - count - 1),
                         which="LA", v0=_unit(project(rng.standard_normal(size))),
                         tol=tol, maxiter=maxiter)
-    # a pair within the gap of the cut extends the cluster at the cut; counting
-    # it as missed would only swap equal eigenvalues from round to round
-    return found[:, 1.0 / mu - delta < cut - DEGENERATE_GAP * max(1.0, cut)]
+    return found[:, 1.0 / mu - delta < sigma]
 
 
-def _complete_pairs(mat: sparse.csr_matrix, inverse: LinearOperator, delta: float,
-                    basis: np.ndarray, rng: np.random.Generator, tol: float,
-                    maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest basis.shape[1] eigenpairs of L, grown from ``basis`` until no
-    eigenvalue outside it lies below the cut."""
-    count = basis.shape[1]
-    for _ in range(COMPLETENESS_ROUNDS):
-        vals, vecs = _rayleigh_ritz(mat, basis, count)
-        missed = _missed_pairs(inverse, delta, vecs, float(vals[-1]), rng, tol,
-                               maxiter)
-        if missed.shape[1] == 0:
-            return vals, vecs
-        basis = np.hstack([vecs, missed])
-    raise EigensolverError(
-        f"Lanczos basis still misses eigenpairs below the cut after "
-        f"{COMPLETENESS_ROUNDS} completeness rounds"
-    )
+def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
+                     rng: np.random.Generator, tol: float,
+                     maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz pairs of L on ``basis``, grown until they hold every eigenvalue
+    below sigma = cut - DEGENERATE_GAP * max(1, cut), as counted by inertia.
+
+    A pair within the gap of the cut extends the cluster at the cut, so
+    sigma leaves it out of the count.
+    """
+    sigma = cut - DEGENERATE_GAP * max(1.0, cut)
+    count = _count_below(mat, sigma)
+    vals, vecs = _rayleigh_ritz(mat, basis)
+    found = int(np.count_nonzero(vals < sigma))
+    if found < count:
+        delta, inverse = _shift_invert(mat)
+        while found < count:
+            missed = _missed_pairs(inverse, delta, vecs, count - found, sigma, rng,
+                                   tol, maxiter)
+            vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
+            grown = int(np.count_nonzero(vals < sigma))
+            if grown <= found:
+                raise EigensolverError(
+                    f"Lanczos basis holds {grown} of the {count} eigenvalues below "
+                    f"{sigma:.6e}, and the deflated search adds none")
+            found = grown
+    if found > count:
+        raise EigensolverError(
+            f"Lanczos basis holds {found} Ritz values below {sigma:.6e}, but the "
+            f"inertia count is {count}")
+    return vals, vecs
 
 
 def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
@@ -227,12 +257,16 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     size is at most ``DENSE_FALLBACK_SIZE``). The Lanczos path factorises
     L + delta*I once with sparse LU and runs shift-invert ARPACK on it. A
     single-vector Krylov method can miss copies of a repeated eigenvalue, so
-    a completeness check then reuses the factor on the complement of the
-    returned basis and adds every pair below the cut it finds, rerunning
-    Rayleigh-Ritz; if that does not settle in ``COMPLETENESS_ROUNDS`` rounds
-    the call raises ``EigensolverError`` rather than return an incomplete
-    spectrum. The start vectors are seeded: for a fixed seed and a fixed
-    BLAS thread count, results are byte-identical across runs.
+    the result is certified: one unpivoted LU of L - sigma*I, sigma just
+    below the largest Ritz value, counts the eigenvalues below sigma by
+    Sylvester's law of inertia (Ericsson & Ruhe 1980). When the Ritz values
+    below sigma fall short of that count, a deflated shift-invert search on
+    the complement of the basis asks for exactly the missing pairs and
+    Rayleigh-Ritz is rerun; a search that adds none, a count below the Ritz
+    values found, or a factorisation that pivots raises ``EigensolverError``
+    rather than return an incomplete spectrum. The start vectors are seeded:
+    for a fixed seed and a fixed BLAS thread count, results are
+    byte-identical across runs.
     """
     mat = operator.matrix
     size = mat.shape[0]
@@ -253,10 +287,13 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
             maxiter = 10 * size
         delta, inverse = _shift_invert(mat)
         rng = np.random.default_rng(seed)
-        _, basis = _arpack(mat, k=k_req, sigma=-delta, which="LM",
-                           OPinv=inverse, v0=_unit(rng.standard_normal(size)),
-                           tol=tol, maxiter=maxiter)
-        vals, vecs = _complete_pairs(mat, inverse, delta, basis, rng, tol, maxiter)
+        ritz, basis = _arpack(mat, k=k_req, sigma=-delta, which="LM",
+                              OPinv=inverse, v0=_unit(rng.standard_normal(size)),
+                              tol=tol, maxiter=maxiter)
+        del inverse  # free the factor before the inertia count builds its own
+        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng, tol,
+                                      maxiter)
+        vals, vecs = vals[:k_req], vecs[:, :k_req]
     else:
         raise ValueError(f"unknown method {method!r}")
 

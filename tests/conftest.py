@@ -84,6 +84,19 @@ def icosphere():
 
 
 @pytest.fixture(scope="session")
+def mesh_torus_con():
+    """Connection Laplacian of the 40 x 40 mesh torus (3200 rows, above the
+    dense cutoff) and its dense eigenvalues."""
+    points, faces = tio.generate_torus(2.0, 0.8, 40, 40)
+    cloud = tg.PointCloud(points)
+    graph = tg.build_mesh_graph(cloud, faces)
+    frames = tg.estimate_tangent_frames(graph, cloud, 2)
+    con = tg.assemble_connection_laplacian(graph, frames,
+                                           tg.compute_transports(graph, frames))
+    return con, np.linalg.eigvalsh(con.matrix.toarray())
+
+
+@pytest.fixture(scope="session")
 def small_torus():
     points, faces = tio.generate_torus(2.0, 0.8, 10, 6)  # 60 vertices
     return build_setup(points, faces, k_neighbors=5)

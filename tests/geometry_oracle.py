@@ -118,3 +118,16 @@ def connection_laplacian(graph, maps, m):
 def max_pairwise_distance(points):
     d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
     return float(np.sqrt(d2.max()))
+
+
+def furthest_point_order(points, count):
+    """Greedy max-min selection from index 0 with one norm per step, and
+    every point's distance to the selection."""
+    selected = np.empty(count, dtype=np.int64)
+    selected[0] = 0
+    dist = np.linalg.norm(points - points[0], axis=1)
+    for t in range(1, count):
+        nxt = int(np.argmax(dist))
+        selected[t] = nxt
+        dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
+    return selected, dist

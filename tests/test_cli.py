@@ -301,6 +301,10 @@ class TestFitPredict:
         align = tfields.alignment_score(pred, truth)
         assert align.value > 0.99
         assert (workdir / "pred" / "variances.csv").exists()
+        # the mesh is read for the node positions before predicting
+        stages = json.loads((workdir / "pred" / "manifest.json").read_text())["stages"]
+        assert [stage["name"] for stage in stages] == ["load_model", "load_input",
+                                                       "predict", "write_outputs"]
 
     def test_off_graph_queries_need_flag(self, workdir, generated):
         gen_out, _ = generated

@@ -16,7 +16,9 @@ from tangentgp.geometry import (
     DisconnectedGraphWarning,
     DuplicatePointsError,
     TransportRankError,
+    _furthest_point_order,
     _max_pairwise_distance,
+    _unique_edges,
     auto_frame_neighbors,
 )
 
@@ -189,6 +191,42 @@ class TestFurthestPointSample:
         _, sparse_alpha = tg.furthest_point_sample(torus.cloud, 20)
         _, dense_alpha = tg.furthest_point_sample(torus.cloud, 200)
         assert dense_alpha < sparse_alpha
+
+
+class TestPrivateHelpers:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 40),
+           count=st.integers(0, 200))
+    def test_unique_edges_match_row_unique(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(count, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        edges, counts = _unique_edges(pairs, n)
+        ref_edges, ref_counts = np.unique(np.sort(pairs, 1), axis=0,
+                                          return_counts=True)
+        assert edges.dtype == np.int64 and edges.shape == (len(ref_edges), 2)
+        assert np.array_equal(edges, ref_edges)
+        assert np.array_equal(counts, ref_counts)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["cloud", "grid"]), seed=st.integers(0, 2**16),
+           size=st.integers(2, 200), dim=st.integers(1, 4), data=st.data())
+    def test_furthest_point_order_matches_loop_oracle(self, kind, seed, size, dim,
+                                                       data):
+        # the same selection and the same distances, bit for bit; integer
+        # grids and a torus grid are full of distance ties
+        rng = np.random.default_rng(seed)
+        if kind == "cloud":
+            pts = rng.uniform(-3, 3, (size, dim))
+        elif dim == 3:
+            pts, _ = tio.generate_torus(2.0, 0.8, size % 20 + 3, 5)
+        else:
+            pts = rng.integers(0, 4, (size, dim)).astype(float)
+        count = data.draw(st.integers(1, len(pts)))
+        selected, dist = _furthest_point_order(pts, count)
+        ref_selected, ref_dist = oracle.furthest_point_order(pts, count)
+        assert np.array_equal(selected, ref_selected)
+        assert np.array_equal(dist, ref_dist)
 
 
 class TestTangentFrames:

@@ -615,13 +615,30 @@ class TestInducingPoints:
                     1e-10 * np.abs(oracle_mean).max()
                 assert np.abs(covs - blocks).max() <= 1e-12 * np.abs(blocks).max()
 
-    def test_zero_noise_rejected(self, small_torus):
+    def test_zero_noise_matches_exact_fit(self, small_torus, monkeypatch):
+        # sigma_n = 0 takes the jitter rule of fit: DTC through the training
+        # set conditions with the same jitter and equals predict(fit(...))
         spec = tg.eigendecompose(small_torus.con, 10)
         hp = tg.MaternHyperparams(sigma_n=0.0)
-        with pytest.raises(ValueError, match="sigma_n"):
-            tg.inducing_point_predict(np.arange(10), np.zeros((10, 3)),
-                                      np.arange(5), spec, small_torus.frames,
-                                      hp, np.arange(10))
+        train = np.arange(0, 60, 3)
+        y = np.random.default_rng(12).standard_normal((len(train), 3))
+        model = tg.fit(train, y, spec, small_torus.frames, hp)
+        assert model.jitter > 0.0
+        exact_mean, exact_covs = tg.predict(model, np.arange(60))
+        conditioned = []
+        predict = gp.predict
+
+        def recording_predict(dtc_model, nodes):
+            conditioned.append(dtc_model)
+            return predict(dtc_model, nodes)
+
+        monkeypatch.setattr(gp, "predict", recording_predict)
+        dtc_mean, dtc_covs = tg.inducing_point_predict(train, y, train, spec,
+                                                       small_torus.frames, hp,
+                                                       np.arange(60))
+        assert [m.jitter for m in conditioned] == [model.jitter]
+        assert np.array_equal(dtc_mean, exact_mean)
+        assert np.array_equal(dtc_covs, exact_covs)
 
     def test_invalid_nodes_rejected(self, small_torus):
         # the errors fit and predict raise; negative nodes must not wrap around

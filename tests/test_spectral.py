@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 from scipy.stats import ortho_group
 
 import tangentgp as tg
@@ -131,27 +134,55 @@ class TestEigendecompose:
         kept = np.delete(np.arange(count + 1), 8)
         return vals, vecs, kept
 
-    def test_completeness_check_restores_missing_cluster_member(self, torus):
+    def test_count_and_deflation_restore_missing_cluster_member(self, torus,
+                                                                 monkeypatch):
+        # ARPACK hands back a basis missing one copy of the fourfold 0.357: the
+        # inertia count sees the shortfall and the deflated search adds the copy
         from scipy.linalg import subspace_angles
-        mat = torus.con.matrix
-        count = 13
-        vals, vecs, kept = self._drop_cluster_member(mat, count)
-        delta, inverse = spectral._shift_invert(mat)
-        got_vals, got_vecs = spectral._complete_pairs(
-            mat, inverse, delta, vecs[:, kept], np.random.default_rng(0), 1e-10,
-            10 * mat.shape[0])
-        assert np.abs(got_vals - vals[:count]).max() <= 1e-8
-        angles = subspace_angles(vecs[:, 6:10], got_vecs[:, 6:10])
+        vals, vecs, kept = self._drop_cluster_member(torus.con.matrix, 13)
+        arpack = spectral._arpack
+        asked = []
+
+        def deficient_first_run(operator, **kwargs):
+            asked.append(kwargs["k"])
+            if len(asked) == 1:
+                return vals[kept], vecs[:, kept]
+            return arpack(operator, **kwargs)
+
+        monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
+        spec = tg.eigendecompose(torus.con, 12, method="lanczos", seed=0)
+        assert asked == [13, 1]  # the deflated search asks for the one missing pair
+        assert np.abs(spec.eigenvalues - vals[:12]).max() <= 1e-8
+        assert abs(spec.next_eigenvalue - vals[12]) <= 1e-8
+        angles = subspace_angles(vecs[:, 6:10], spec.eigenvectors[:, 6:10])
         assert angles.max() < 1e-6
 
-    def test_unsettled_completeness_check_raises(self, torus, monkeypatch):
-        # a solver that keeps handing back the same deficient basis must end
-        # in an error, never in an incomplete Spectrum
+    def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):
+        # a deflated search that finds none of the counted pairs must end in
+        # an error, never in an incomplete Spectrum
         vals, vecs, kept = self._drop_cluster_member(torus.con.matrix, 13)
-        monkeypatch.setattr(spectral, "_rayleigh_ritz",
-                            lambda _mat, _basis, _count: (vals[kept], vecs[:, kept]))
-        with pytest.raises(EigensolverError, match="completeness rounds"):
+        monkeypatch.setattr(spectral, "_arpack",
+                            lambda _operator, **_kwargs: (vals[kept], vecs[:, kept]))
+        monkeypatch.setattr(spectral, "_missed_pairs",
+                            lambda _inverse, _delta, found, *_args:
+                            np.empty((found.shape[0], 0)))
+        with pytest.raises(EigensolverError,
+                           match="holds 11 of the 12 eigenvalues below .* adds none"):
             tg.eigendecompose(torus.con, 12, method="lanczos", seed=0)
+
+    def test_count_below_ritz_values_raises(self, torus, monkeypatch):
+        count_below = spectral._count_below
+        monkeypatch.setattr(spectral, "_count_below",
+                            lambda mat, sigma: count_below(mat, sigma) - 1)
+        with pytest.raises(EigensolverError, match="12 Ritz values .* count is 11"):
+            tg.eigendecompose(torus.con, 12, method="lanczos", seed=1)
+
+    def test_pivoted_factorisation_voids_the_count(self):
+        # a zero diagonal forces SuperLU off the diagonal pivots
+        swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert spectral._count_below(swap, 0.5) == 1
+        with pytest.raises(EigensolverError, match="pivoted off the diagonal"):
+            spectral._count_below(swap, 0.0)
 
     def test_null_space_constant_vector(self, torus):
         spec = tg.eigendecompose(torus.lap, 3)
@@ -199,6 +230,33 @@ def _eigenvalue_clusters(values, tol):
         else:
             clusters.append([idx])
     return clusters
+
+
+def _assert_count_matches_dense(mat, dense, sigma):
+    # a sigma on an eigenvalue has no well-defined count under rounding
+    assume(np.abs(dense - sigma).min() > 1e-9 * max(1.0, abs(sigma)))
+    assert spectral._count_below(mat, sigma) == np.count_nonzero(dense < sigma)
+
+
+class TestInertiaCount:
+    """Sylvester counts against dense eigenvalues, over the range the Lanczos
+    path certifies (up to the 61st eigenvalue, past k = 50 plus the gap pair)."""
+
+    @pytest.fixture(scope="class")
+    def knn_dense(self, torus):
+        return np.linalg.eigvalsh(torus.con.matrix.toarray())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(fraction=st.floats(-0.05, 1.0))
+    def test_knn_torus(self, torus, knn_dense, fraction):
+        _assert_count_matches_dense(torus.con.matrix, knn_dense,
+                                    fraction * knn_dense[60])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(fraction=st.floats(-0.05, 1.0))
+    def test_mesh_torus(self, mesh_torus_con, fraction):
+        con, dense = mesh_torus_con
+        _assert_count_matches_dense(con.matrix, dense, fraction * dense[60])
 
 
 class TestPositionalEncoding:
