@@ -4,7 +4,7 @@ Every command is a pure function of (config, input files, seed): rerunning
 with the same configuration and BLAS thread count reproduces all output files
 byte-identically.
 A run manifest records the config hash, per-stage wall times and a hashed
-inventory of outputs.
+inventory of the files the run wrote.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import logging
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -27,32 +28,61 @@ class CommandError(click.ClickException):
     exit_code = 1
 
 
-@contextmanager
-def _stage(stages: list, name: str):
-    log.info("stage %s", name)
-    start = time.perf_counter()
-    yield
-    stages.append({"name": name, "seconds": time.perf_counter() - start})
+@dataclass
+class Run:
+    """One command run: its config, stage timings and the output paths it
+    wrote, from which it writes the manifest. It holds paths and timings
+    only, never arrays."""
+
+    cfg: io.ExperimentConfig
+    stages: list = field(default_factory=list)
+    written: list = field(default_factory=list)
+
+    @property
+    def out(self) -> Path:
+        return Path(self.cfg.output_dir)
+
+    @contextmanager
+    def stage(self, name: str):
+        log.info("stage %s", name)
+        start = time.perf_counter()
+        yield
+        self.stages.append({"name": name, "seconds": time.perf_counter() - start})
+
+    def path(self, name: str) -> Path:
+        """An output file or directory of this run, in the output directory
+        (made on first use); a directory counts with every file under it."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.written.append(self.out / name)
+        return self.out / name
+
+    def write_manifest(self) -> None:
+        files = set()
+        for path in self.written:
+            if path.is_dir():
+                files.update(p for p in path.rglob("*") if p.is_file())
+            else:
+                files.add(path)
+        io.write_json_atomic(self.out / "manifest.json", {
+            "command": self.cfg.kind,
+            "tool_version": __version__,
+            "config_hash": io.config_hash(self.cfg.raw),
+            "seed": int(self.cfg.seed),
+            "stages": self.stages,
+            "outputs": [{"path": str(path.relative_to(self.out)),
+                         "sha256": io.sha256_file(path),
+                         "bytes": path.stat().st_size} for path in sorted(files)],
+        })
 
 
-def _write_manifest(out_dir: Path, command: str, cfg_raw: dict, seed: int,
-                    stages: list) -> None:
-    outputs = []
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            outputs.append({
-                "path": str(path.relative_to(out_dir)),
-                "sha256": io.sha256_file(path),
-                "bytes": path.stat().st_size,
-            })
-    io.write_json_atomic(out_dir / "manifest.json", {
-        "command": command,
-        "tool_version": __version__,
-        "config_hash": io.config_hash(cfg_raw),
-        "seed": int(seed),
-        "stages": stages,
-        "outputs": outputs,
-    })
+def _execute(body, cfg: io.ExperimentConfig, *args) -> None:
+    """Run one command body and write its manifest; library errors exit 1."""
+    run = Run(cfg)
+    try:
+        body(run, *args)
+        run.write_manifest()
+    except (ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:
+        raise CommandError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _load_config(config_path: str, expected_kind: str, out_override: str | None,
@@ -105,51 +135,61 @@ def _spectrum_checked(operator, k: int, seed: int) -> spectral.Spectrum:
     return spec
 
 
-def _geometry_pipeline(cfg: io.ExperimentConfig, stages: list):
-    with _stage(stages, "load_input"):
+def _geometry_pipeline(run: Run):
+    cfg = run.cfg
+    with run.stage("load_input"):
         cloud, faces = _load_cloud(cfg)
-    with _stage(stages, "build_graph"):
+    with run.stage("build_graph"):
         graph = _build_graph(cfg, cloud, faces)
-    with _stage(stages, "tangent_frames"):
+    with run.stage("tangent_frames"):
         frames = geo.estimate_tangent_frames(graph, cloud, cfg.manifold_dim,
                                              cfg.frame_neighbors)
-    with _stage(stages, "transports"):
+    with run.stage("transports"):
         transports = geo.compute_transports(graph, frames)
     return cloud, faces, graph, frames, transports
 
 
-def _load_field(cfg: io.ExperimentConfig, cloud: geo.PointCloud, stages: list) -> np.ndarray:
-    if not cfg.field:
+def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
+             transports: geo.TransportMaps, scalar: bool = False):
+    """The connection-Laplacian spectrum at the largest configured k, and
+    with ``scalar`` the graph-Laplacian one of the channel-wise baseline."""
+    k, seed = max(run.cfg.k_list), run.cfg.seed
+    with run.stage("laplacians"):
+        con = spectral.assemble_connection_laplacian(graph, frames, transports)
+        lap = spectral.assemble_graph_laplacian(graph) if scalar else None
+    with run.stage("spectrum"):
+        spec = _spectrum_checked(con, k, seed)
+        spec_s = _spectrum_checked(lap, min(k, graph.n - 2), seed) if scalar else None
+    return spec, spec_s
+
+
+def _load_field(run: Run, cloud: geo.PointCloud) -> np.ndarray:
+    path = run.cfg.field
+    if not path:
         raise CommandError("config needs a 'field' CSV with ground-truth vectors")
-    with _stage(stages, "load_input"):
-        ids, pts, vecs = io.read_vector_csv(cfg.field)
+    with run.stage("load_input"):
+        ids, pts, vecs = io.read_vector_csv(path)
     if vecs is None:
-        raise CommandError(f"{cfg.field}: no vector columns")
+        raise CommandError(f"{path}: no vector columns")
     if not np.array_equal(ids, np.arange(cloud.n)):
-        raise CommandError(f"{cfg.field}: ids must be 0..{cloud.n - 1} in order")
+        raise CommandError(f"{path}: ids must be 0..{cloud.n - 1} in order")
     if not np.array_equal(pts, cloud.points):
-        raise CommandError(f"{cfg.field}: positions disagree with the input geometry")
+        raise CommandError(f"{path}: positions disagree with the input geometry")
     return vecs
 
 
-def _resolve_hyperparams(cfg: io.ExperimentConfig, train_nodes, targets, spectrum,
-                         frames, graph, cloud, stages) -> gp.MaternHyperparams:
-    hp = cfg.hyperparams_obj()
-    if hp is not None:
-        return hp
-    nu = io._parse_nu((cfg.fit or {}).get("nu", 1.5))
-    with _stage(stages, "fit_hyperparameters"):
-        hp = gp.fit_hyperparameters(train_nodes, targets, spectrum, frames, nu=nu,
-                                    search=_search_config(cfg), seed=cfg.seed,
-                                    initial=_search_start(graph, cloud, nu))
+def _resolve_hyperparams(run: Run, train_nodes, targets, spectrum, frames, graph,
+                         cloud) -> gp.MaternHyperparams:
+    cfg = run.cfg
+    if cfg.hyperparams is not None:
+        return cfg.hyperparams
+    with run.stage("fit_hyperparameters"):
+        hp = gp.fit_hyperparameters(train_nodes, targets, spectrum, frames,
+                                    nu=cfg.fit.nu, search=cfg.fit.search, seed=cfg.seed,
+                                    initial=_search_start(graph, cloud, cfg.fit.nu))
     log.info("fitted hyperparams: sigma=%.4g kappa=%.4g nu=%s sigma_n=%.4g",
              hp.sigma, hp.kappa, hp.nu, hp.sigma_n)
     return hp
-
-
-def _search_config(cfg: io.ExperimentConfig) -> gp.SearchConfig:
-    """The search budget of ``cfg.fit``, shared by every search of a command."""
-    return gp.SearchConfig(**{k: int(v) for k, v in (cfg.fit or {}).items() if k != "nu"})
 
 
 def _search_start(graph: geo.ProximityGraph, cloud: geo.PointCloud,
@@ -160,37 +200,16 @@ def _search_start(graph: geo.ProximityGraph, cloud: geo.PointCloud,
     return gp.MaternHyperparams(sigma=1.0, kappa=kappa, nu=nu, sigma_n=1e-3)
 
 
-def _write_predictions(out_dir: Path, stem: str, cloud: geo.PointCloud,
-                       nodes: np.ndarray, vectors: np.ndarray,
-                       faces: np.ndarray | None, stages: list) -> None:
-    with _stage(stages, "write_outputs"):
-        io.write_vector_csv(out_dir / f"{stem}.csv", cloud.points[nodes], vectors,
+def _write_predictions(run: Run, stem: str, cloud: geo.PointCloud, nodes: np.ndarray,
+                       vectors: np.ndarray, faces: np.ndarray | None) -> None:
+    with run.stage("write_outputs"):
+        io.write_vector_csv(run.path(f"{stem}.csv"), cloud.points[nodes], vectors,
                             ids=nodes)
         if cloud.dim in (2, 3):
             full = np.zeros((cloud.n, cloud.dim))
             full[nodes] = vectors
-            io.write_vtk(out_dir / f"{stem}.vtk", cloud.points, full, name=stem,
+            io.write_vtk(run.path(f"{stem}.vtk"), cloud.points, full, name=stem,
                          faces=faces)
-
-
-def _out_dir(cfg: io.ExperimentConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _set_log_level(_ctx, _param, value):
-    if value is not None:
-        logging.getLogger().setLevel(value.upper())
-        log.setLevel(value.upper())
-    return value
-
-
-def log_level_option(fn):
-    return click.option("--log-level", expose_value=False, default=None,
-                        type=click.Choice(["debug", "info", "warning", "error"]),
-                        callback=_set_log_level, is_eager=True,
-                        help="Stderr logging verbosity.")(fn)
 
 
 def common_options(fn):
@@ -200,7 +219,6 @@ def common_options(fn):
                       help="Override the config's output directory.")(fn)
     fn = click.option("--seed", "seed_override", default=None, type=int,
                       help="Override the config's seed.")(fn)
-    fn = log_level_option(fn)
     return fn
 
 
@@ -215,45 +233,28 @@ def main(log_level: str):
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _run(fn, *args):
-    try:
-        fn(*args)
-    except click.ClickException:
-        raise
-    except (ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:
-        raise CommandError(f"{type(exc).__name__}: {exc}") from exc
-
-
-@main.command()
-@common_options
-def generate(config_path, out_override, seed_override):
+def _cmd_generate(run: Run):
     """Generate a smooth ground-truth vector field by heat diffusion."""
-    cfg = _load_config(config_path, "generate", out_override, seed_override)
-    _run(_cmd_generate, cfg)
-
-
-def _cmd_generate(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
-    cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    with _stage(stages, "laplacians"):
+    cfg = run.cfg
+    cloud, faces, graph, frames, transports = _geometry_pipeline(run)
+    with run.stage("laplacians"):
         lap = spectral.assemble_graph_laplacian(graph)
         con = spectral.assemble_connection_laplacian(graph, frames, transports)
     if cfg.anchor_count is not None:
         anchor_count = int(cfg.anchor_count)
     else:
         anchor_count = max(1, int(round((cfg.anchor_fraction or 0.1) * cloud.n)))
-    with _stage(stages, "diffuse"):
+    with run.stage("diffuse"):
         gen = fields.generate_experiment_field(cloud, frames, con, lap,
                                                anchor_count, cfg.seed, tau=cfg.tau)
     ambient = gen.field.ambient()
-    with _stage(stages, "write_outputs"):
-        io.write_vector_csv(out / "field.csv", cloud.points, ambient)
+    with run.stage("write_outputs"):
+        io.write_vector_csv(run.path("field.csv"), cloud.points, ambient)
         if cloud.dim in (2, 3):
-            io.write_vtk(out / "field.vtk", cloud.points, ambient, name="field",
+            io.write_vtk(run.path("field.vtk"), cloud.points, ambient, name="field",
                          faces=faces)
         coherence = fields.direction_coherence(graph, transports, gen.field.coords)
-        io.write_json_atomic(out / "field_meta.json", {
+        io.write_json_atomic(run.path("field_meta.json"), {
             "tau": cfg.tau,
             "seed": int(cfg.seed),
             "anchor_count": anchor_count,
@@ -264,22 +265,13 @@ def _cmd_generate(cfg: io.ExperimentConfig):
             "min_direction_norm_node": int(np.argmin(gen.direction_norms)),
             "min_coherence_node": int(np.argmin(coherence)),
         })
-    _write_manifest(out, "generate", cfg.raw, cfg.seed, stages)
 
 
-@main.command()
-@common_options
-def superresolve(config_path, out_override, seed_override):
+def _cmd_superresolve(run: Run):
     """Fit on a seeded node split and predict the held-out vectors."""
-    cfg = _load_config(config_path, "superresolve", out_override, seed_override)
-    _run(_cmd_superresolve, cfg)
-
-
-def _cmd_superresolve(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
-    cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud, stages)
+    cfg = run.cfg
+    cloud, faces, graph, frames, transports = _geometry_pipeline(run)
+    truth = _load_field(run, cloud)
 
     n_train = int(round(cfg.split_fraction * cloud.n))
     if n_train < 1:
@@ -289,18 +281,12 @@ def _cmd_superresolve(cfg: io.ExperimentConfig):
     perm = np.random.default_rng(cfg.seed).permutation(cloud.n)
     train, test = perm[:n_train], perm[n_train:]
 
-    k_max = max(cfg.k_list)
-    with _stage(stages, "laplacians"):
-        con = spectral.assemble_connection_laplacian(graph, frames, transports)
-    with _stage(stages, "spectrum"):
-        spec_full = _spectrum_checked(con, k_max, cfg.seed)
-
+    spec_full, _ = _spectra(run, graph, frames, transports)
     metrics = []
     for k in sorted(set(cfg.k_list)):
         spec = spectral.truncate(spec_full, k)
-        hp = _resolve_hyperparams(cfg, train, truth[train], spec, frames, graph,
-                                  cloud, stages)
-        with _stage(stages, f"fit_predict_k{k}"):
+        hp = _resolve_hyperparams(run, train, truth[train], spec, frames, graph, cloud)
+        with run.stage(f"fit_predict_k{k}"):
             if cfg.inducing_fraction:
                 n_ind = max(1, int(round(cfg.inducing_fraction * len(train))))
                 ind_sel, _ = geo.furthest_point_sample(cloud.points[train], n_ind)
@@ -310,17 +296,16 @@ def _cmd_superresolve(cfg: io.ExperimentConfig):
             else:
                 model = gp.fit(train, truth[train], spec, frames, hp)
                 mean, _ = gp.predict(model, test)
-        _write_predictions(out, f"predictions_k{k}", cloud, test, mean, faces, stages)
+        _write_predictions(run, f"predictions_k{k}", cloud, test, mean, faces)
         for metric in (fields.alignment_score(mean, truth[test]),
                        fields.angular_error(mean, truth[test])):
             rec = metric.to_dict()
             rec["k"] = k
             metrics.append(rec)
-    with _stage(stages, "write_outputs"):
-        io.write_metrics_json(out / "metrics.json", metrics)
-        np_split = {"train": [int(i) for i in train], "test": [int(i) for i in test]}
-        io.write_json_atomic(out / "split.json", np_split)
-    _write_manifest(out, "superresolve", cfg.raw, cfg.seed, stages)
+    with run.stage("write_outputs"):
+        io.write_metrics_json(run.path("metrics.json"), metrics)
+        io.write_json_atomic(run.path("split.json"), {
+            "train": [int(i) for i in train], "test": [int(i) for i in test]})
 
 
 def _resolve_mask(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
@@ -355,20 +340,12 @@ def _resolve_mask(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
     return mask
 
 
-@main.command()
-@common_options
-def inpaint(config_path, out_override, seed_override):
+def _cmd_inpaint(run: Run):
     """Mask a region, train on the rest, and predict inside the mask with
     both the vector GP and the channel-wise RBF baseline."""
-    cfg = _load_config(config_path, "inpaint", out_override, seed_override)
-    _run(_cmd_inpaint, cfg)
-
-
-def _cmd_inpaint(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
-    cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud, stages)
+    cfg = run.cfg
+    cloud, faces, graph, frames, transports = _geometry_pipeline(run)
+    truth = _load_field(run, cloud)
     mask = _resolve_mask(cfg, cloud, graph, transports, frames, truth)
     if not mask.any():
         raise CommandError("mask is empty: nothing to inpaint")
@@ -377,27 +354,19 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
     train = np.nonzero(~mask)[0]
     test = np.nonzero(mask)[0]
 
-    k = max(cfg.k_list)
-    with _stage(stages, "laplacians"):
-        con = spectral.assemble_connection_laplacian(graph, frames, transports)
-        lap = spectral.assemble_graph_laplacian(graph)
-    with _stage(stages, "spectrum"):
-        spec_c = _spectrum_checked(con, k, cfg.seed)
-        spec_s = _spectrum_checked(lap, min(k, cloud.n - 2), cfg.seed)
-
-    hp = _resolve_hyperparams(cfg, train, truth[train], spec_c, frames, graph,
-                              cloud, stages)
-    with _stage(stages, "fit_predict_gp"):
+    spec_c, spec_s = _spectra(run, graph, frames, transports, scalar=True)
+    hp = _resolve_hyperparams(run, train, truth[train], spec_c, frames, graph, cloud)
+    with run.stage("fit_predict_gp"):
         model = gp.fit(train, truth[train], spec_c, frames, hp)
         mean_gp, _ = gp.predict(model, test)
 
-    hp_base = io._hp_from_dict(cfg.baseline_hyperparams)
+    hp_base = cfg.baseline_hyperparams
     if hp_base is None:
-        with _stage(stages, "fit_baseline_hyperparameters"):
+        with run.stage("fit_baseline_hyperparameters"):
             hp_base = fields.fit_baseline_hyperparameters(
-                spec_s, train, truth[train], _search_config(cfg), seed=cfg.seed,
+                spec_s, train, truth[train], cfg.fit.search, seed=cfg.seed,
                 initial=_search_start(graph, cloud, math.inf))
-    with _stage(stages, "fit_predict_baseline"):
+    with run.stage("fit_predict_baseline"):
         mean_base = fields.baseline_scalar_rbf_predict(spec_s, train, truth[train],
                                                        test, hp_base)
 
@@ -415,103 +384,98 @@ def _cmd_inpaint(cfg: io.ExperimentConfig):
             rec = metric.to_dict()
             rec["method"] = method
             metrics.append(rec)
-        _write_predictions(out, f"predictions_{method}", cloud, test, mean, faces, stages)
-    with _stage(stages, "write_outputs"):
-        io.write_metrics_json(out / "metrics.json", metrics)
-        io.write_json_atomic(out / "mask.json",
+        _write_predictions(run, f"predictions_{method}", cloud, test, mean, faces)
+    with run.stage("write_outputs"):
+        io.write_metrics_json(run.path("metrics.json"), metrics)
+        io.write_json_atomic(run.path("mask.json"),
                              {"nodes": [int(i) for i in np.nonzero(mask)[0]]})
-    _write_manifest(out, "inpaint", cfg.raw, cfg.seed, stages)
 
 
-@main.command(name="fit")
-@common_options
-def fit_cmd(config_path, out_override, seed_override):
+def _cmd_fit(run: Run):
     """Fit a model to every vector in the field file and persist it."""
-    cfg = _load_config(config_path, "fit", out_override, seed_override)
-    _run(_cmd_fit, cfg)
-
-
-def _cmd_fit(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
-    cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    truth = _load_field(cfg, cloud, stages)
-    k = max(cfg.k_list)
-    with _stage(stages, "laplacians"):
-        con = spectral.assemble_connection_laplacian(graph, frames, transports)
-    with _stage(stages, "spectrum"):
-        spec = _spectrum_checked(con, k, cfg.seed)
+    cloud, _, graph, frames, transports = _geometry_pipeline(run)
+    truth = _load_field(run, cloud)
+    spec, _ = _spectra(run, graph, frames, transports)
     train = np.arange(cloud.n)
-    hp = _resolve_hyperparams(cfg, train, truth, spec, frames, graph, cloud, stages)
-    with _stage(stages, "fit_model"):
+    hp = _resolve_hyperparams(run, train, truth, spec, frames, graph, cloud)
+    with run.stage("fit_model"):
         model = gp.fit(train, truth, spec, frames, hp)
-    with _stage(stages, "write_outputs"):
-        io.save_model(out / "model", model, frames)
-    _write_manifest(out, "fit", cfg.raw, cfg.seed, stages)
+    with run.stage("write_outputs"):
+        io.save_model(run.path("model"), model, frames)
 
 
-@main.command()
-@common_options
-def predict(config_path, out_override, seed_override):
+def _cmd_predict(run: Run):
     """Predict vectors at query nodes from a persisted model."""
-    cfg = _load_config(config_path, "predict", out_override, seed_override)
-    _run(_cmd_predict, cfg)
-
-
-def _cmd_predict(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
+    cfg = run.cfg
     if not cfg.model_dir:
         raise CommandError("config needs model_dir")
-    with _stage(stages, "load_model"):
+    if cfg.query_points is not None and not cfg.allow_out_of_graph:
+        raise CommandError(
+            "query_points given but allow_out_of_graph is false; off-graph "
+            "prediction is an extension beyond the core method"
+        )
+    with run.stage("load_model"):
         model, frames = io.load_model(cfg.model_dir)
 
     if cfg.query_points is not None:
-        if not cfg.allow_out_of_graph:
-            raise CommandError(
-                "query_points given but allow_out_of_graph is false; off-graph "
-                "prediction is an extension beyond the core method"
-            )
-        cloud, faces, graph, _, _ = _geometry_pipeline(cfg, stages)
-        ids, qpts, _ = io.read_vector_csv(cfg.query_points)
-        with _stage(stages, "extend_encodings"):
-            enc, _ = gp.extend_encodings(qpts, cloud, graph, frames, model.spectrum)
-        with _stage(stages, "predict"):
+        # the model's frames encode the queries, so only the graph is rebuilt
+        with run.stage("load_input"):
+            cloud, faces = _load_cloud(cfg)
+            ids, positions, _ = io.read_vector_csv(cfg.query_points)
+        with run.stage("build_graph"):
+            graph = _build_graph(cfg, cloud, faces)
+        with run.stage("extend_encodings"):
+            enc, _ = gp.extend_encodings(positions, cloud, graph, frames, model.spectrum)
+        with run.stage("predict"):
             mean, covs = gp.predict_at_encodings(model, enc)
-        with _stage(stages, "write_outputs"):
-            io.write_vector_csv(out / "predictions.csv", qpts, mean, ids=ids)
-            _write_variances(out, ids, covs)
     else:
         n = model.encodings.shape[0]
         if cfg.query == "all":
-            nodes = np.arange(n)
+            ids = np.arange(n)
         else:
-            nodes = np.asarray(cfg.query, dtype=np.int64)
-            if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+            ids = np.asarray(cfg.query, dtype=np.int64)
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise CommandError("query node out of range")
         # node positions are not stored in the model; pull them from the
         # configured geometry when available, else write zeros
         if cfg.input_mesh or cfg.input_cloud:
-            with _stage(stages, "load_input"):
+            with run.stage("load_input"):
                 cloud, _ = _load_cloud(cfg)
-            if cloud.n <= int(nodes.max(initial=0)):
+            if cloud.n <= int(ids.max(initial=0)):
                 raise CommandError("query node out of range for the given geometry")
-            positions = cloud.points[nodes]
+            positions = cloud.points[ids]
         else:
-            positions = np.zeros((len(nodes), frames.dim))
-        with _stage(stages, "predict"):
-            mean, covs = gp.predict(model, nodes)
-        with _stage(stages, "write_outputs"):
-            io.write_vector_csv(out / "predictions.csv", positions, mean, ids=nodes)
-            _write_variances(out, nodes, covs)
-    _write_manifest(out, "predict", cfg.raw, cfg.seed, stages)
+            positions = np.zeros((len(ids), frames.dim))
+        with run.stage("predict"):
+            mean, covs = gp.predict(model, ids)
+    with run.stage("write_outputs"):
+        io.write_vector_csv(run.path("predictions.csv"), positions, mean, ids=ids)
+        lines = ["id,variance_trace"]
+        for i, cov in zip(ids, covs):
+            lines.append(f"{int(i)},{io.fmt_float(float(np.trace(cov)))}")
+        run.path("variances.csv").write_text("\n".join(lines) + "\n")
 
 
-def _write_variances(out: Path, ids: np.ndarray, covs: np.ndarray) -> None:
-    lines = ["id,variance_trace"]
-    for i, cov in zip(ids, covs):
-        lines.append(f"{int(i)},{io.fmt_float(float(np.trace(cov)))}")
-    (out / "variances.csv").write_text("\n".join(lines) + "\n")
+def _cmd_spectrum(run: Run):
+    """Compute and export the connection-Laplacian spectrum."""
+    _, _, graph, frames, transports = _geometry_pipeline(run)
+    spec, _ = _spectra(run, graph, frames, transports)
+    with run.stage("write_outputs"):
+        io.save_spectrum(run.path("spectrum"), spec)
+
+
+def _config_command(kind: str, body) -> None:
+    """Register ``body`` as the ``kind`` command over a config of that kind;
+    its docstring is the command's help."""
+    def command(config_path, out_override, seed_override):
+        _execute(body, _load_config(config_path, kind, out_override, seed_override))
+    main.command(name=kind, help=body.__doc__)(common_options(command))
+
+
+for _kind, _body in {"generate": _cmd_generate, "superresolve": _cmd_superresolve,
+                     "inpaint": _cmd_inpaint, "fit": _cmd_fit,
+                     "predict": _cmd_predict, "spectrum": _cmd_spectrum}.items():
+    _config_command(_kind, _body)
 
 
 @main.command(name="eval")
@@ -522,7 +486,6 @@ def _write_variances(out: Path, ids: np.ndarray, covs: np.ndarray) -> None:
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               help="Optional config (kind=eval) for graph parameters.")
 @click.option("--out", "out_override", default=None, help="Output directory.")
-@log_level_option
 def eval_cmd(pred_path, truth_path, config_path, out_override):
     """Alignment and angular error on the node ids both files share, and
     Dirichlet energies of the truth field with and without the predictions.
@@ -530,21 +493,18 @@ def eval_cmd(pred_path, truth_path, config_path, out_override):
     Ids found in only one file are counted in n_excluded. The energies use
     the graph rebuilt from the truth file; the predicted one replaces the
     truth at the shared ids."""
-    _run(_cmd_eval, pred_path, truth_path, config_path, out_override)
-
-
-def _cmd_eval(pred_path, truth_path, config_path, out_override):
-    stages: list = []
     if config_path:
         cfg = _load_config(config_path, "eval", out_override, None)
-    else:
-        if not out_override:
-            raise CommandError("eval needs --out (or a config with output_dir)")
+    elif out_override:
         cfg = io.ExperimentConfig(kind="eval", output_dir=out_override,
                                   raw={"kind": "eval"})
-    out = _out_dir(cfg)
+    else:
+        raise CommandError("eval needs --out (or a config with output_dir)")
+    _execute(_cmd_eval, cfg, pred_path, truth_path)
 
-    with _stage(stages, "load_input"):
+
+def _cmd_eval(run: Run, pred_path, truth_path):
+    with run.stage("load_input"):
         pred_ids, pred_pts, pred_vecs = io.read_vector_csv(pred_path)
         truth_ids, truth_pts, truth_vecs = io.read_vector_csv(truth_path)
     if pred_vecs is None or truth_vecs is None:
@@ -574,11 +534,11 @@ def _cmd_eval(pred_path, truth_path, config_path, out_override):
         rec["n_excluded"] += unmatched
         records.append(rec)
 
-    with _stage(stages, "rebuild_geometry"):
+    with run.stage("rebuild_geometry"):
         cloud = geo.PointCloud(truth_pts)
-        graph = _build_graph(cfg, cloud, None)
-        frames = geo.estimate_tangent_frames(graph, cloud, cfg.manifold_dim,
-                                             cfg.frame_neighbors)
+        graph = _build_graph(run.cfg, cloud, None)
+        frames = geo.estimate_tangent_frames(graph, cloud, run.cfg.manifold_dim,
+                                             run.cfg.frame_neighbors)
         transports = geo.compute_transports(graph, frames)
     combined = truth_vecs.copy()
     combined[truth_at] = pred_vecs[pred_at]
@@ -587,34 +547,10 @@ def _cmd_eval(pred_path, truth_path, config_path, out_override):
         energy = spectral.dirichlet_energy(graph, transports, frames.project(vecs))
         records.append({"metric": name, "value": energy,
                         "n_nodes": int(cloud.n), "n_excluded": 0})
-    with _stage(stages, "write_outputs"):
-        io.write_json_atomic(out / "metrics.json", {"metrics": records})
-    raw = cfg.raw or {"kind": "eval"}
-    _write_manifest(out, "eval", raw, cfg.seed, stages)
+    with run.stage("write_outputs"):
+        io.write_json_atomic(run.path("metrics.json"), {"metrics": records})
     for rec in records:
         click.echo(f"{rec['metric']}: {rec['value']:.6g}")
-
-
-@main.command()
-@common_options
-def spectrum(config_path, out_override, seed_override):
-    """Compute and export the connection-Laplacian spectrum."""
-    cfg = _load_config(config_path, "spectrum", out_override, seed_override)
-    _run(_cmd_spectrum, cfg)
-
-
-def _cmd_spectrum(cfg: io.ExperimentConfig):
-    stages: list = []
-    out = _out_dir(cfg)
-    cloud, faces, graph, frames, transports = _geometry_pipeline(cfg, stages)
-    k = max(cfg.k_list)
-    with _stage(stages, "laplacians"):
-        con = spectral.assemble_connection_laplacian(graph, frames, transports)
-    with _stage(stages, "spectrum"):
-        spec = _spectrum_checked(con, k, cfg.seed)
-    with _stage(stages, "write_outputs"):
-        io.save_spectrum(out / "spectrum", spec)
-    _write_manifest(out, "spectrum", cfg.raw, cfg.seed, stages)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ __all__ = [
     "ParseError",
     "NonManifoldWarning",
     "fmt_float",
-    "write_points_csv",
     "load_point_cloud",
     "read_vector_csv",
     "write_vector_csv",
@@ -96,10 +95,6 @@ def write_vector_csv(path, points: np.ndarray, vectors: np.ndarray | None = None
             cells += [fmt_float(v) for v in vectors[r]]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_points_csv(path, cloud: PointCloud, ids: np.ndarray | None = None) -> None:
-    write_vector_csv(path, cloud.points, cloud.vectors, ids)
 
 
 def read_vector_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -448,7 +443,10 @@ def _read_matrix_csv(path) -> np.ndarray:
     return mat
 
 
-def save_spectrum(directory, spectrum: Spectrum, solver_tol: float = 1e-10) -> Path:
+SOLVER_TOLERANCE = 1e-10  # eigendecompose's default, recorded in spectrum.json
+
+
+def save_spectrum(directory, spectrum: Spectrum) -> Path:
     """Write eigenvalues.csv, eigenvectors.csv and spectrum.json into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -461,7 +459,7 @@ def save_spectrum(directory, spectrum: Spectrum, solver_tol: float = 1e-10) -> P
         "next_eigenvalue": spectrum.next_eigenvalue,
         "sign_convention": "largest-magnitude entry of each eigenvector positive; "
                            "off-diagonal blocks are -w_ij O_ij",
-        "solver_tolerance": solver_tol,
+        "solver_tolerance": SOLVER_TOLERANCE,
         "eigenvalues_csv": "eigenvalues.csv",
         "eigenvectors_csv": "eigenvectors.csv",
     })
@@ -547,6 +545,14 @@ class GraphConfig:
 
 
 @dataclass
+class FitConfig:
+    """The ``fit`` block: smoothness and budget of every search of a run."""
+
+    nu: float = 1.5
+    search: gp_mod.SearchConfig = dataclasses.field(default_factory=gp_mod.SearchConfig)
+
+
+@dataclass
 class ExperimentConfig:
     """Validated run configuration; a single JSON document on disk."""
 
@@ -560,9 +566,9 @@ class ExperimentConfig:
     manifold_dim: int = 2
     frame_neighbors: int | str = "auto"
     num_eigenvectors: int | list = 50
-    hyperparams: dict | None = None
-    fit: dict | None = None
-    baseline_hyperparams: dict | None = None
+    hyperparams: gp_mod.MaternHyperparams | None = None
+    fit: FitConfig = dataclasses.field(default_factory=FitConfig)
+    baseline_hyperparams: gp_mod.MaternHyperparams | None = None
     tau: float = 100.0
     anchor_count: int | None = None
     anchor_fraction: float | None = 0.1
@@ -594,15 +600,16 @@ class ExperimentConfig:
         ks = self.num_eigenvectors
         return [int(v) for v in ks] if isinstance(ks, list) else [int(ks)]
 
-    def hyperparams_obj(self) -> gp_mod.MaternHyperparams | None:
-        return _hp_from_dict(self.hyperparams)
-
 
 def _parse_nu(nu):
-    """Smoothness as stored in JSON: a number, "inf" or a numeric string."""
-    if isinstance(nu, str):
-        return math.inf if nu == "inf" else float(nu)
-    return nu
+    """Smoothness as stored in JSON: a positive number, "inf" or a numeric string."""
+    try:
+        value = (math.inf if nu == "inf" else float(nu)) if isinstance(nu, str) else nu
+        if value > 0:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"nu must be a positive number or 'inf', got {nu!r}")
 
 
 def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
@@ -615,6 +622,16 @@ def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
         sigma_n=float(raw.get("sigma_n", 1e-3)),
     )
 
+
+def _fit_from_dict(raw: dict | None) -> FitConfig:
+    budget = dict(raw or {})
+    nu = _parse_nu(budget.pop("nu", 1.5))
+    return FitConfig(nu, gp_mod.SearchConfig(**{k: int(v) for k, v in budget.items()}))
+
+
+# config blocks parsed into objects when the config is loaded
+_BLOCKS = {"graph": lambda raw: GraphConfig(**raw), "hyperparams": _hp_from_dict,
+           "baseline_hyperparams": _hp_from_dict, "fit": _fit_from_dict}
 
 _HP_KEYS = set(gp_mod.MaternHyperparams.__dataclass_fields__)
 NESTED_KEYS = {"graph": set(GraphConfig.__dataclass_fields__), "hyperparams": _HP_KEYS,
@@ -640,8 +657,12 @@ def load_config(path) -> ExperimentConfig:
             raise ParseError(path, None,
                              f"unknown {name} keys: {sorted(set(raw[name]) - nested)}")
     kwargs = dict(raw)
-    if "graph" in kwargs:
-        kwargs["graph"] = GraphConfig(**kwargs["graph"])
+    for name, parse in _BLOCKS.items():
+        if name in kwargs:
+            try:
+                kwargs[name] = parse(kwargs[name])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(path, None, f"{name}: {exc}") from None
     base = path.parent
     for attr in ("input_mesh", "input_cloud", "field", "query_points", "model_dir"):
         if kwargs.get(attr):

@@ -337,6 +337,135 @@ class TestFitPredict:
         ids, _, vecs = tio.read_vector_csv(workdir / "pred_off" / "predictions.csv")
         assert vecs.shape == (2, 3)
         assert np.isfinite(vecs).all()
+        # the model's frames encode the queries: both inputs are read in one
+        # stage and only the graph is rebuilt
+        stages = json.loads((workdir / "pred_off" / "manifest.json").read_text())["stages"]
+        assert [stage["name"] for stage in stages] == [
+            "load_model", "load_input", "build_graph", "extend_encodings", "predict",
+            "write_outputs"]
+
+
+class TestManifest:
+    def test_lists_only_the_files_of_this_run(self, workdir, generated):
+        # the second run writes no k=10 predictions; the first run's files stay
+        # on disk but are not part of the second run's inventory
+        gen_out, _ = generated
+        out = workdir / "super_twice"
+        payload = {
+            "kind": "superresolve",
+            "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"),
+            "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS,
+            "seed": 11,
+            "output_dir": str(out),
+        }
+        for ks in ([10, 50], 50):
+            cfg = write_config(workdir, "super_twice.json",
+                               {**payload, "num_eigenvectors": ks})
+            result = run_cli(["superresolve", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+        assert sorted(output_hashes(out)) == ["metrics.json", "predictions_k50.csv",
+                                              "predictions_k50.vtk", "split.json"]
+        assert (out / "predictions_k10.csv").exists()
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("name, block", [
+        ("hyperparams", {"sigma": -1}),
+        ("baseline_hyperparams", {"sigma": -1}),
+        ("baseline_hyperparams", {"nu": "abc"}),
+        ("fit", {"n_starts": 0}),
+        ("fit", {"nu": -2}),
+    ])
+    def test_bad_config_values_fail_before_any_work(self, tmp_path, generated,
+                                                    monkeypatch, name, block):
+        gen_out, _ = generated
+        cfg = write_config(tmp_path, "inpaint.json", {
+            "kind": "inpaint",
+            "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"),
+            "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS,
+            "baseline_hyperparams": BASELINE_HP,
+            "seed": 3,
+            "output_dir": str(tmp_path / "out"),
+            name: block,
+        })
+
+        def no_input(*_args):
+            raise AssertionError("the mesh was read before the config was checked")
+
+        monkeypatch.setattr(tio, "load_mesh", no_input)
+        result = run_cli(["inpaint", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert f"{name}: " in result.output
+        assert not (tmp_path / "out").exists()
+
+
+class TestCommandContract:
+    """Stage names, in order, and output paths of every command's manifest:
+    the benchmark harness times stages by name and checks the inventory."""
+
+    GEOMETRY = ["load_input", "build_graph", "tangent_frames", "transports"]
+    MODEL = ["model/frames.csv", "model/model.json", "model/spectrum/eigenvalues.csv",
+             "model/spectrum/eigenvectors.csv", "model/spectrum/spectrum.json",
+             "model/targets.csv"]
+    SPECTRUM = ["spectrum/eigenvalues.csv", "spectrum/eigenvectors.csv",
+                "spectrum/spectrum.json"]
+    EXPECTED = {
+        "generate": (GEOMETRY + ["laplacians", "diffuse", "write_outputs"],
+                     ["field.csv", "field.vtk", "field_meta.json"]),
+        "superresolve": (
+            GEOMETRY + ["load_input", "laplacians", "spectrum",
+                        "fit_predict_k10", "write_outputs",
+                        "fit_predict_k25", "write_outputs",
+                        "fit_predict_k50", "write_outputs", "write_outputs"],
+            ["metrics.json"] + [f"predictions_k{k}.{ext}" for k in (10, 25, 50)
+                                for ext in ("csv", "vtk")] + ["split.json"]),
+        "inpaint": (
+            GEOMETRY + ["load_input", "laplacians", "spectrum", "fit_predict_gp",
+                        "fit_predict_baseline", "write_outputs", "write_outputs",
+                        "write_outputs"],
+            ["mask.json", "metrics.json", "predictions_channel_rbf.csv",
+             "predictions_channel_rbf.vtk", "predictions_vector_gp.csv",
+             "predictions_vector_gp.vtk"]),
+        "fit": (GEOMETRY + ["load_input", "laplacians", "spectrum", "fit_model",
+                            "write_outputs"], MODEL),
+        "predict": (["load_model", "load_input", "predict", "write_outputs"],
+                    ["predictions.csv", "variances.csv"]),
+        "spectrum": (GEOMETRY + ["laplacians", "spectrum", "write_outputs"], SPECTRUM),
+        "eval": (["load_input", "rebuild_geometry", "write_outputs"], ["metrics.json"]),
+    }
+
+    def test_stages_and_outputs_of_every_command(self, tmp_path):
+        base = {"input_mesh": str(TORUS_OBJ), "graph": {"k_neighbors": 6}, "seed": 5}
+        field = str(tmp_path / "generate" / "field.csv")
+        configs = {
+            "generate": {"anchor_count": 40},
+            "superresolve": {"field": field, "num_eigenvectors": [10, 25, 50],
+                             "hyperparams": HYPERPARAMS},
+            "inpaint": {"field": field, "num_eigenvectors": 50,
+                        "hyperparams": HYPERPARAMS, "baseline_hyperparams": BASELINE_HP,
+                        "mask": {"center_node": "auto", "fraction": 0.15}},
+            "fit": {"field": field, "num_eigenvectors": 50, "hyperparams": HYPERPARAMS},
+            "predict": {"model_dir": str(tmp_path / "fit" / "model")},
+            "spectrum": {"num_eigenvectors": 50},
+        }
+        for kind, payload in configs.items():
+            cfg = write_config(tmp_path, f"{kind}.json", {
+                **base, **payload, "kind": kind, "output_dir": str(tmp_path / kind)})
+            result = run_cli([kind, "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+        result = run_cli(["eval", "--pred",
+                          str(tmp_path / "superresolve" / "predictions_k50.csv"),
+                          "--truth", field, "--out", str(tmp_path / "eval")])
+        assert result.exit_code == 0, result.output
+        for kind, (stages, outputs) in self.EXPECTED.items():
+            manifest = json.loads((tmp_path / kind / "manifest.json").read_text())
+            assert manifest["command"] == kind
+            assert [stage["name"] for stage in manifest["stages"]] == stages, kind
+            assert [o["path"] for o in manifest["outputs"]] == outputs, kind
 
 
 class TestEval:

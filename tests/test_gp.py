@@ -1,5 +1,4 @@
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -560,27 +559,36 @@ class TestInducingPoints:
         dtc_align = tfields.alignment_score(dtc_mean, truth[test]).value
         assert abs(exact_align - dtc_align) <= 0.05
 
-    def test_cost_scales_linearly_in_training_size(self, torus, torus_spectrum):
+    def test_cost_scales_linearly_in_training_size(self, torus, torus_spectrum,
+                                                   monkeypatch):
+        # the work of every dense factorisation DTC runs, counted as
+        # m * n * min(m, n) flops per m x n matrix: deterministic, unlike
+        # wall time, and an (N*d)^2 Gram would grow it 8x per doubling
         spec = truncate(torus_spectrum, 20)
         hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
         rng = np.random.default_rng(12)
         inducing = np.arange(0, 400, 10)  # fixed 40 inducing nodes
         query = np.arange(0, 400, 7)
+        flops = []
+        for name in ("qr", "svd", "cholesky"):
+            def counted(a, *args, _factorise=getattr(np.linalg, name), **kwargs):
+                a = np.asarray(a)
+                flops.append(a.size * min(a.shape[-2:]))
+                return _factorise(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
 
-        def time_for(n_train):
+        def work_for(n_train):
             train = np.arange(n_train)
             y = rng.standard_normal((n_train, 3))
-            best = np.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                tg.inducing_point_predict(train, y, inducing, spec, torus.frames,
-                                          hp, query)
-                best = min(best, time.perf_counter() - start)
-            return best
+            flops.clear()
+            tg.inducing_point_predict(train, y, inducing, spec, torus.frames,
+                                      hp, query)
+            return sum(flops)
 
-        t_small, t_large = time_for(150), time_for(300)
+        w_small, w_large = work_for(150), work_for(300)
+        assert w_small >= 150 * 3 * 20**2  # the thin QR of the training rows
         # linear scaling predicts 2x; allow a factor-of-2 tolerance
-        assert t_large / t_small <= 4.0
+        assert w_large / w_small <= 4.0
 
     def test_rank_deficient_inducing_sets_match_dense_oracle(self, torus,
                                                              torus_spectrum):

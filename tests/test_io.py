@@ -295,6 +295,36 @@ class TestConfig:
             tio.load_config(self.write(tmp_path, {
                 "kind": "generate", "output_dir": "out", name: payload}))
 
+    def test_blocks_parsed_once(self, tmp_path):
+        cfg = tio.load_config(self.write(tmp_path, {
+            "kind": "inpaint", "output_dir": "out",
+            "hyperparams": {"sigma": 2.0, "nu": 2.5},
+            "baseline_hyperparams": {"nu": "inf"},
+            "fit": {"nu": "inf", "n_starts": 1, "grid_points": 3}}))
+        assert cfg.hyperparams == tg.MaternHyperparams(sigma=2.0, nu=2.5)
+        assert cfg.baseline_hyperparams == tg.MaternHyperparams(nu=math.inf)
+        assert cfg.fit == tio.FitConfig(math.inf, tg.SearchConfig(n_starts=1,
+                                                                  grid_points=3))
+        default = tio.load_config(self.write(tmp_path, {
+            "kind": "inpaint", "output_dir": "out", "hyperparams": None, "fit": None}))
+        assert default.hyperparams is None and default.baseline_hyperparams is None
+        assert default.fit == tio.FitConfig(1.5, tg.SearchConfig())
+
+    @pytest.mark.parametrize("name, block, message", [
+        ("hyperparams", {"sigma": -1}, "sigma must be positive"),
+        ("hyperparams", {"kappa": "wide"}, "could not convert"),
+        ("baseline_hyperparams", {"sigma": -1}, "sigma must be positive"),
+        ("baseline_hyperparams", {"nu": "abc"}, "nu must be a positive number"),
+        ("fit", {"n_starts": 0}, "n_starts must be >= 1"),
+        ("fit", {"nu": -2}, "nu must be a positive number"),
+        ("fit", {"nu": [1]}, "nu must be a positive number"),
+        ("graph", [], "must be a mapping"),
+    ])
+    def test_bad_block_values_rejected(self, tmp_path, name, block, message):
+        with pytest.raises(ParseError, match=f"{name}: .*{message}"):
+            tio.load_config(self.write(tmp_path, {
+                "kind": "inpaint", "output_dir": "out", name: block}))
+
     def test_search_budget_validated(self):
         for budget in ({"n_starts": 0}, {"n_sweeps": 0}, {"grid_points": 1}):
             with pytest.raises(ValueError, match=f"{next(iter(budget))} must be >="):
