@@ -104,8 +104,7 @@ def _load_config(config_path: str, expected_kind: str, out_override: str | None,
 
 def _load_cloud(cfg: io.ExperimentConfig) -> tuple[geo.PointCloud, np.ndarray | None]:
     if cfg.input_mesh:
-        cloud, faces = io.load_mesh(cfg.input_mesh)
-        return cloud, faces
+        return io.load_mesh(cfg.input_mesh)
     if cfg.input_cloud:
         cloud, _ = io.load_point_cloud(cfg.input_cloud)
         return cloud, None
@@ -135,8 +134,12 @@ def _spectrum_checked(operator, k: int, seed: int) -> spectral.Spectrum:
     return spec
 
 
-def _geometry_pipeline(run: Run):
+def _geometry_pipeline(run: Run, field: bool = False):
+    """Input, graph, frames and transports; with ``field``, a config that
+    names no field CSV fails before the first stage."""
     cfg = run.cfg
+    if field and not cfg.field:
+        raise CommandError("config needs a 'field' CSV with ground-truth vectors")
     with run.stage("load_input"):
         cloud, faces = _load_cloud(cfg)
     with run.stage("build_graph"):
@@ -165,8 +168,6 @@ def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
 
 def _load_field(run: Run, cloud: geo.PointCloud) -> np.ndarray:
     path = run.cfg.field
-    if not path:
-        raise CommandError("config needs a 'field' CSV with ground-truth vectors")
     with run.stage("load_input"):
         ids, pts, vecs = io.read_vector_csv(path)
     if vecs is None:
@@ -270,7 +271,7 @@ def _cmd_generate(run: Run):
 def _cmd_superresolve(run: Run):
     """Fit on a seeded node split and predict the held-out vectors."""
     cfg = run.cfg
-    cloud, faces, graph, frames, transports = _geometry_pipeline(run)
+    cloud, faces, graph, frames, transports = _geometry_pipeline(run, field=True)
     truth = _load_field(run, cloud)
 
     n_train = int(round(cfg.split_fraction * cloud.n))
@@ -344,7 +345,7 @@ def _cmd_inpaint(run: Run):
     """Mask a region, train on the rest, and predict inside the mask with
     both the vector GP and the channel-wise RBF baseline."""
     cfg = run.cfg
-    cloud, faces, graph, frames, transports = _geometry_pipeline(run)
+    cloud, faces, graph, frames, transports = _geometry_pipeline(run, field=True)
     truth = _load_field(run, cloud)
     mask = _resolve_mask(cfg, cloud, graph, transports, frames, truth)
     if not mask.any():
@@ -393,7 +394,7 @@ def _cmd_inpaint(run: Run):
 
 def _cmd_fit(run: Run):
     """Fit a model to every vector in the field file and persist it."""
-    cloud, _, graph, frames, transports = _geometry_pipeline(run)
+    cloud, _, graph, frames, transports = _geometry_pipeline(run, field=True)
     truth = _load_field(run, cloud)
     spec, _ = _spectra(run, graph, frames, transports)
     train = np.arange(cloud.n)
@@ -450,10 +451,7 @@ def _cmd_predict(run: Run):
             mean, covs = gp.predict(model, ids)
     with run.stage("write_outputs"):
         io.write_vector_csv(run.path("predictions.csv"), positions, mean, ids=ids)
-        lines = ["id,variance_trace"]
-        for i, cov in zip(ids, covs):
-            lines.append(f"{int(i)},{io.fmt_float(float(np.trace(cov)))}")
-        run.path("variances.csv").write_text("\n".join(lines) + "\n")
+        io.write_variances_csv(run.path("variances.csv"), ids, covs)
 
 
 def _cmd_spectrum(run: Run):

@@ -1,9 +1,13 @@
 """Deterministic ingestion and emission of clouds, meshes, fields, spectra,
 models, and experiment configs.
 
-CSV is the interchange spine; every writer pins float formatting to %.17g so
-identical inputs produce byte-identical files. Legacy ASCII VTK is emitted
-for visualization only.
+CSV is the interchange spine; legacy ASCII VTK is emitted for visualization
+only. `_write_text` writes every file, one row format per block of rows built
+from the single float format %.17g: identical inputs give byte-identical files
+and every double round-trips bit for bit. `_parse_block` reads every numeric
+block with one ``np.array`` conversion per chunk of rows, which accepts exactly
+the numbers Python's float/int accept; a bad row, or a non-finite value, is a
+ParseError with its source line number.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +30,10 @@ from .spectral import Spectrum
 __all__ = [
     "ParseError",
     "NonManifoldWarning",
-    "fmt_float",
     "load_point_cloud",
     "read_vector_csv",
     "write_vector_csv",
+    "write_variances_csv",
     "load_mesh",
     "write_obj",
     "generate_torus",
@@ -46,7 +51,8 @@ __all__ = [
     "sha256_file",
 ]
 
-VTK_HEADER = "# vtk DataFile Version 3.0"
+_FLOAT = "%.17g"  # the one float format: 17 significant digits round-trip every double
+_CHUNK = 4096  # rows per conversion or write: bounds the strings held at once
 
 
 class ParseError(ValueError):
@@ -61,15 +67,59 @@ class NonManifoldWarning(UserWarning):
     """An edge of the mesh is shared by more than two faces."""
 
 
-def fmt_float(x: float) -> str:
-    return "%.17g" % x
+# The one row writer and the one block parser of every text format
+
+def _write_text(path, *parts) -> None:
+    """Write header lines (strings) and row blocks ``(fmt, *arrays)``: one line
+    ``fmt % row`` per row, a row joining the same row of each 2-D array."""
+    with open(path, "w") as fh:
+        for part in parts:
+            if isinstance(part, str):
+                fh.write(part + "\n")
+                continue
+            fmt, *blocks = part
+            for start in range(0, len(blocks[0]), _CHUNK):
+                rows = zip(*[b[start:start + _CHUNK].tolist() for b in blocks], strict=True)
+                fh.write("".join([fmt % tuple(chain(*r)) + "\n" for r in rows]))
+        if not fh.tell():
+            fh.write("\n")  # a file of no lines is one newline
 
 
-def _check_finite(values: np.ndarray, path, line_of_row) -> None:
-    bad = np.argwhere(~np.isfinite(values))
+def _parse_block(path, lines, line_nos, width, ids=False, split=str.split,
+                 wrong_width="expected {width} columns, got {got}",
+                 bad_number="bad number: {exc}") -> list[np.ndarray]:
+    """[int64 ids,] float values of the ``width``-token rows ``lines[ln - 1]``
+    for the 1-based ``line_nos``; with ``ids`` the first column also comes
+    back as int64. Only a chunk of rows that fails to convert is rescanned,
+    row by row, to raise the ParseError of its first bad row; then the first
+    row holding a non-finite value raises one."""
+
+    def convert(rows):
+        head = [np.array([r[0] for r in rows], dtype=np.int64)] if ids else []
+        return (*head, np.array(rows, dtype=float).reshape(len(rows), width))
+
+    parts = []  # one chunk even for no rows, so that the arrays exist
+    for start in range(0, max(len(line_nos), 1), _CHUNK):
+        chunk = [split(lines[ln - 1]) for ln in line_nos[start:start + _CHUNK]]
+        try:
+            if set(map(len, chunk)) - {width}:
+                raise ValueError("ragged rows")
+            parts.append(convert(chunk))
+        except (ValueError, OverflowError):
+            for ln, cells in zip(line_nos[start:start + _CHUNK], chunk):
+                if len(cells) != width:
+                    raise ParseError(path, ln, wrong_width.format(width=width,
+                                                                  got=len(cells)))
+                try:
+                    convert([cells])
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(path, ln, bad_number.format(exc=exc)) from None
+            raise
+    arrays = [np.concatenate(blocks) for blocks in zip(*parts)]
+    bad = np.flatnonzero(~np.isfinite(arrays[-1]).all(axis=1))
     if bad.size:
-        row = int(bad[0][0])
-        raise ParseError(path, line_of_row(row), "non-finite value")
+        raise ParseError(path, line_nos[bad[0]], "non-finite value")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -80,63 +130,42 @@ def write_vector_csv(path, points: np.ndarray, vectors: np.ndarray | None = None
                      ids: np.ndarray | None = None) -> None:
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    if ids is None:
-        ids = np.arange(n)
     header = ["id"] + [f"x{a}" for a in range(d)]
     if vectors is not None:
         vectors = np.asarray(vectors, dtype=float)
         if vectors.shape != (n, d):
             raise ValueError("vectors shape mismatch")
         header += [f"v{a}" for a in range(d)]
-    lines = [",".join(header)]
-    for r in range(n):
-        cells = [str(int(ids[r]))] + [fmt_float(v) for v in points[r]]
-        if vectors is not None:
-            cells += [fmt_float(v) for v in vectors[r]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = np.arange(n) if ids is None else np.asarray(ids)
+    blocks = (ids[:, None], points) + (() if vectors is None else (vectors,))
+    _write_text(path, ",".join(header), ("%d" + f",{_FLOAT}" * (len(header) - 1), *blocks))
+
+
+def write_variances_csv(path, ids: np.ndarray, covariances: np.ndarray) -> None:
+    """``id,variance_trace``: the trace of each node's d x d covariance."""
+    traces = np.trace(covariances, axis1=1, axis2=2)
+    _write_text(path, "id,variance_trace",
+                ("%d," + _FLOAT, np.asarray(ids)[:, None], traces[:, None]))
 
 
 def read_vector_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Raw (ids, points, vectors-or-None) from the CSV format; no cloud invariants."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     if not lines:
         raise ParseError(path, 1, "empty file")
     header = [h.strip() for h in lines[0].split(",")]
     if not header or header[0] != "id":
         raise ParseError(path, 1, "header must start with 'id'")
-    x_cols = [h for h in header if h.startswith("x")]
-    v_cols = [h for h in header if h.startswith("v")]
-    d = len(x_cols)
+    d = sum(h.startswith("x") for h in header)
     if d < 1 or header[1:1 + d] != [f"x{a}" for a in range(d)]:
         raise ParseError(path, 1, "expected columns x0..x{d-1} after id")
-    has_vectors = len(v_cols) > 0
+    has_vectors = any(h.startswith("v") for h in header)
     if has_vectors and header[1 + d:] != [f"v{a}" for a in range(d)]:
         raise ParseError(path, 1, "vector columns must be v0..v{d-1}")
-    width = 1 + d + (d if has_vectors else 0)
-    ids, pts, vecs = [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(path, ln, f"expected {width} columns, got {len(cells)}")
-        try:
-            ids.append(int(cells[0]))
-            pts.append([float(c) for c in cells[1:1 + d]])
-            if has_vectors:
-                vecs.append([float(c) for c in cells[1 + d:]])
-        except ValueError as exc:
-            raise ParseError(path, ln, f"bad number: {exc}") from None
-    ids_arr = np.array(ids, dtype=np.int64)
-    pts_arr = np.array(pts, dtype=float).reshape(len(ids), d)
-    _check_finite(pts_arr, path, lambda r: r + 2)
-    vecs_arr = None
-    if has_vectors:
-        vecs_arr = np.array(vecs, dtype=float).reshape(len(ids), d)
-        _check_finite(vecs_arr, path, lambda r: r + 2)
-    return ids_arr, pts_arr, vecs_arr
+    rows = [ln for ln in range(2, len(lines) + 1) if lines[ln - 1].strip()]
+    ids, values = _parse_block(path, lines, rows, 1 + d + (d if has_vectors else 0),
+                               ids=True, split=lambda line: line.split(","))
+    return ids, values[:, 1:1 + d].copy(), values[:, 1 + d:].copy() if has_vectors else None
 
 
 def load_point_cloud(path) -> tuple[PointCloud, np.ndarray]:
@@ -158,48 +187,46 @@ def _fan(indices: list[int], path, ln: int) -> list[list[int]]:
     return [[indices[0], indices[a], indices[a + 1]] for a in range(1, len(indices) - 1)]
 
 
-def _load_obj(path) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    verts: list[list[float]] = []
+def _load_obj(path) -> tuple[np.ndarray, np.ndarray]:
+    lines = Path(path).read_text().split("\n")
     vert_lines: list[int] = []
     faces: list[list[int]] = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            key = tokens[0]
-            if key == "v":
-                if len(tokens) < 4:
-                    raise ParseError(path, ln, "vertex needs 3 coordinates")
+    error = None
+    for ln, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#") or tokens[0] in _OBJ_SKIP:
+            continue
+        if tokens[0] == "v":
+            vert_lines.append(ln)
+            continue
+        try:
+            if tokens[0] != "f":
+                raise ParseError(path, ln, f"unknown element type {tokens[0]!r}")
+            idx = []
+            for tok in tokens[1:]:
                 try:
-                    verts.append([float(t) for t in tokens[1:4]])
+                    v = int(tok.split("/")[0])
                 except ValueError:
-                    raise ParseError(path, ln, "bad vertex coordinate") from None
-                vert_lines.append(ln)
-            elif key == "f":
-                idx = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        v = int(head)
-                    except ValueError:
-                        raise ParseError(path, ln, f"bad face index {tok!r}") from None
-                    if v <= 0:
-                        raise ParseError(path, ln, "face indices must be positive")
-                    if v > len(verts):
-                        raise ParseError(path, ln, f"face index {v} out of range")
-                    idx.append(v - 1)
-                faces.extend(_fan(idx, path, ln))
-            elif key in _OBJ_SKIP:
-                continue
-            else:
-                raise ParseError(path, ln, f"unknown element type {key!r}")
-    return (np.array(verts, dtype=float),
-            np.array(faces, dtype=np.int64).reshape(-1, 3), vert_lines)
+                    raise ParseError(path, ln, f"bad face index {tok!r}") from None
+                if v <= 0:
+                    raise ParseError(path, ln, "face indices must be positive")
+                if v > len(vert_lines):
+                    raise ParseError(path, ln, f"face index {v} out of range")
+                idx.append(v - 1)
+            faces.extend(_fan(idx, path, ln))
+        except ParseError as exc:
+            error = exc
+            break
+    # every vertex row precedes the error, so a bad one is the first error
+    (verts,) = _parse_block(path, lines, vert_lines, 3, split=lambda s: s.split()[1:4],
+                            wrong_width="vertex needs 3 coordinates",
+                            bad_number="bad vertex coordinate")
+    if error:
+        raise error
+    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
-def _load_ply(path) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _load_ply(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "ply":
@@ -213,13 +240,19 @@ def _load_ply(path) -> tuple[np.ndarray, np.ndarray, list[int]]:
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
-            if tokens[1] != "ascii":
+            if tokens[1:2] != ["ascii"]:
                 raise ParseError(path, ln, "only ASCII PLY is supported")
             fmt_seen = True
         elif tokens[0] == "element":
-            if tokens[1] not in ("vertex", "face"):
+            if len(tokens) > 1 and tokens[1] not in ("vertex", "face"):
                 raise ParseError(path, ln, f"unknown element type {tokens[1]!r}")
-            elements.append((tokens[1], int(tokens[2]), []))
+            try:
+                count = int(tokens[2])
+            except (IndexError, ValueError):
+                count = -1
+            if count < 0:
+                raise ParseError(path, ln, "element needs a name and a count >= 0")
+            elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError(path, ln, "property before any element")
@@ -234,41 +267,35 @@ def _load_ply(path) -> tuple[np.ndarray, np.ndarray, list[int]]:
         raise ParseError(path, None, "missing format line")
 
     verts = np.empty((0, 3))
-    vert_lines: list[int] = []
     faces: list[list[int]] = []
     for name, count, props in elements:
+        rows = range(ln + 1, min(ln + count, len(lines)) + 1)
         if name == "vertex":
             for axis in ("x", "y", "z"):
                 if axis not in props:
                     raise ParseError(path, None, f"vertex element missing property {axis}")
-            cols = [props.index(a) for a in ("x", "y", "z")]
-            rows = []
-            for r in range(count):
-                tokens = lines[ln].split()
-                ln += 1
-                if len(tokens) != len(props):
-                    raise ParseError(path, ln, "wrong number of vertex properties")
-                try:
-                    rows.append([float(tokens[c]) for c in cols])
-                except ValueError:
-                    raise ParseError(path, ln, "bad vertex value") from None
-                vert_lines.append(ln)
-            verts = np.array(rows, dtype=float).reshape(count, 3)
+            (values,) = _parse_block(path, lines, rows, len(props),
+                                     wrong_width="wrong number of vertex properties",
+                                     bad_number="bad vertex value")
+            verts = values[:, [props.index(a) for a in "xyz"]]
         else:
-            for r in range(count):
-                tokens = lines[ln].split()
-                ln += 1
+            for r in rows:
+                tokens = lines[r - 1].split()
                 try:
                     cnt = int(tokens[0])
                     idx = [int(t) for t in tokens[1:1 + cnt]]
                 except (ValueError, IndexError):
-                    raise ParseError(path, ln, "bad face record") from None
+                    raise ParseError(path, r, "bad face record") from None
                 if len(idx) != cnt:
-                    raise ParseError(path, ln, "face count/index mismatch")
+                    raise ParseError(path, r, "face count/index mismatch")
                 if any(v < 0 or v >= len(verts) for v in idx):
-                    raise ParseError(path, ln, "face index out of range")
-                faces.extend(_fan(idx, path, ln))
-    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3), vert_lines
+                    raise ParseError(path, r, "face index out of range")
+                faces.extend(_fan(idx, path, r))
+        if len(rows) < count:
+            raise ParseError(path, len(lines), f"file ends after {len(rows)} of "
+                                               f"{count} {name} rows")
+        ln += count
+    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
 def _warn_non_manifold(faces: np.ndarray, path) -> None:
@@ -285,14 +312,13 @@ def load_mesh(path) -> tuple[PointCloud, np.ndarray]:
     """Vertices (declaration order) and fan-triangulated faces from OBJ or PLY."""
     suffix = Path(path).suffix.lower()
     if suffix == ".obj":
-        verts, faces, vert_lines = _load_obj(path)
+        verts, faces = _load_obj(path)
     elif suffix == ".ply":
-        verts, faces, vert_lines = _load_ply(path)
+        verts, faces = _load_ply(path)
     else:
         raise ParseError(path, None, f"unsupported mesh format {suffix!r}")
     if len(verts) == 0:
         raise ParseError(path, None, "mesh has no vertices")
-    _check_finite(verts, path, lambda r: vert_lines[r])
     _warn_non_manifold(faces, path)
     return PointCloud(verts), faces
 
@@ -300,12 +326,8 @@ def load_mesh(path) -> tuple[PointCloud, np.ndarray]:
 def write_obj(path, points: np.ndarray, faces: np.ndarray) -> None:
     points = np.asarray(points, dtype=float)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    lines = []
-    for p in points:
-        lines.append("v " + " ".join(fmt_float(v) for v in p))
-    for f in faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, ("v" + f" {_FLOAT}" * points.shape[1], points),
+                ("f %d %d %d", faces + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +345,12 @@ def generate_torus(major_radius: float, minor_radius: float, n_major: int,
     ring = major_radius + minor_radius * np.cos(vv)
     pts = np.stack([ring * np.cos(uu), ring * np.sin(uu),
                     minor_radius * np.sin(vv)], axis=-1).reshape(-1, 3)
-    faces = []
-    for a in range(n_major):
-        for b in range(n_minor):
-            p00 = a * n_minor + b
-            p01 = a * n_minor + (b + 1) % n_minor
-            p10 = ((a + 1) % n_major) * n_minor + b
-            p11 = ((a + 1) % n_major) * n_minor + (b + 1) % n_minor
-            faces.append([p00, p10, p11])
-            faces.append([p00, p11, p01])
-    return pts, np.array(faces, dtype=np.int64)
+    p00 = np.arange(n_major * n_minor, dtype=np.int64).reshape(n_major, n_minor)
+    p01 = np.roll(p00, -1, axis=1)
+    p10 = np.roll(p00, -1, axis=0)
+    p11 = np.roll(p10, -1, axis=1)
+    # per grid cell (a, b) in row-major order: triangles (00, 10, 11), (00, 11, 01)
+    return pts, np.stack([p00, p10, p11, p00, p11, p01], axis=-1).reshape(-1, 3)
 
 
 def generate_icosphere(subdivisions: int = 2, radius: float = 1.0
@@ -352,25 +370,17 @@ def generate_icosphere(subdivisions: int = 2, radius: float = 1.0
     ], dtype=np.int64)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
-        new_faces = []
-        vert_list = [v for v in verts]
-
-        def midpoint(a: int, b: int) -> int:
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                mid = vert_list[a] + vert_list[b]
-                mid /= np.linalg.norm(mid)
-                cache[key] = len(vert_list)
-                vert_list.append(mid)
-            return cache[key]
-
-        for f in faces:
-            a, b, c = int(f[0]), int(f[1]), int(f[2])
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(vert_list)
-        faces = np.array(new_faces, dtype=np.int64)
+        # one new vertex per edge, numbered in order of the edge's first use
+        # among the faces' edges ab, bc, ca
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, first, inverse = np.unique(edges, axis=0, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        ab, bc, ca = (len(verts) + np.argsort(order)[inverse.reshape(-1)]).reshape(-1, 3).T
+        mids = verts[keys[order, 0]] + verts[keys[order, 1]]
+        verts = np.vstack([verts, [mid / np.linalg.norm(mid) for mid in mids]])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
     return verts * radius, faces
 
 
@@ -386,29 +396,20 @@ def write_vtk(path, points: np.ndarray, vectors: np.ndarray, name: str = "field"
     if points.shape[0] != vectors.shape[0]:
         raise ValueError("point/vector count mismatch")
     if points.shape[1] == 2:
-        points = np.column_stack([points, np.zeros(len(points))])
-        vectors = np.column_stack([vectors, np.zeros(len(vectors))])
+        points, vectors = (np.pad(a, ((0, 0), (0, 1))) for a in (points, vectors))
     if points.shape[1] != 3:
         raise ValueError("VTK export needs 2- or 3-dimensional points")
     n = points.shape[0]
-    lines = [VTK_HEADER, name, "ASCII", "DATASET POLYDATA", f"POINTS {n} double"]
-    for p in points:
-        lines.append(" ".join(fmt_float(v) for v in p))
     if faces is not None and len(faces):
         faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-        lines.append(f"POLYGONS {len(faces)} {4 * len(faces)}")
-        for f in faces:
-            lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+        cells = (f"POLYGONS {len(faces)} {4 * len(faces)}", ("3 %d %d %d", faces))
     else:
-        lines.append(f"VERTICES {n} {2 * n}")
-        for a in range(n):
-            lines.append(f"1 {a}")
-    lines.append(f"POINT_DATA {n}")
-    lines.append(f"VECTORS {name} double")
-    for v in vectors:
-        lines.append(" ".join(fmt_float(x) for x in v))
+        cells = (f"VERTICES {n} {2 * n}", ("1 %d", np.arange(n)[:, None]))
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_text(path, "# vtk DataFile Version 3.0", name, "ASCII", "DATASET POLYDATA",
+                    f"POINTS {n} double", (" ".join([_FLOAT] * 3), points), *cells,
+                    f"POINT_DATA {n}", f"VECTORS {name} double",
+                    (" ".join([_FLOAT] * vectors.shape[1]), vectors))
     except OSError as exc:
         raise OSError(f"failed to write VTK file {path}: {exc}") from exc
 
@@ -425,22 +426,18 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 def _write_matrix_csv(path, matrix: np.ndarray) -> None:
-    lines = [",".join(fmt_float(v) for v in row) for row in np.atleast_2d(matrix)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    matrix = np.atleast_2d(matrix)
+    _write_text(path, (",".join([_FLOAT] * matrix.shape[1]), matrix))
 
 
 def _read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(c) for c in line.split(",")])
-        except ValueError:
-            raise ParseError(path, ln, "bad number") from None
-    mat = np.array(rows, dtype=float)
-    _check_finite(mat, path, lambda r: r + 1)
-    return mat
+    lines = Path(path).read_text().splitlines()
+    rows = [ln for ln in range(1, len(lines) + 1) if lines[ln - 1].strip()]
+    if not rows:
+        return np.empty(0)
+    return _parse_block(path, lines, rows, len(lines[rows[0] - 1].split(",")),
+                        split=lambda line: line.split(","), wrong_width="bad number",
+                        bad_number="bad number")[0]
 
 
 SOLVER_TOLERANCE = 1e-10  # eigendecompose's default, recorded in spectrum.json
@@ -626,6 +623,9 @@ def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
 def _fit_from_dict(raw: dict | None) -> FitConfig:
     budget = dict(raw or {})
     nu = _parse_nu(budget.pop("nu", 1.5))
+    for key, value in budget.items():
+        if isinstance(value, bool) or not float(value).is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     return FitConfig(nu, gp_mod.SearchConfig(**{k: int(v) for k, v in budget.items()}))
 
 

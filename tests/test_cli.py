@@ -403,6 +403,22 @@ class TestConfigValues:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("kind", ["superresolve", "inpaint", "fit"])
+    def test_missing_field_fails_before_any_stage(self, tmp_path, monkeypatch, kind):
+        cfg = write_config(tmp_path, f"{kind}.json", {
+            "kind": kind, "input_mesh": str(TORUS_OBJ), "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS, "output_dir": str(tmp_path / "out")})
+
+        def no_input(*_args):
+            raise AssertionError("the mesh was read before the field was checked")
+
+        monkeypatch.setattr(tio, "load_mesh", no_input)
+        result = run_cli([kind, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "config needs a 'field' CSV" in result.output
+        assert not (tmp_path / "out").exists()
+
+
 class TestCommandContract:
     """Stage names, in order, and output paths of every command's manifest:
     the benchmark harness times stages by name and checks the inventory."""

@@ -1,9 +1,13 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tangentgp as tg
 from tangentgp import io as tio
@@ -24,6 +28,12 @@ class TestVectorCsv:
         assert np.array_equal(pts, pts2)
         assert np.array_equal(vecs, vecs2)
 
+    def test_row_width_follows_x_and_v_columns(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("id,x0,x1,note\n0,1,2\n1,3,4\n")
+        ids, pts, vecs = tio.read_vector_csv(path)
+        assert ids.tolist() == [0, 1] and pts.tolist() == [[1, 2], [3, 4]] and vecs is None
+
     def test_points_only(self, tmp_path):
         path = tmp_path / "pts.csv"
         tio.write_vector_csv(path, np.array([[0.0, 1.0], [2.0, 3.0]]))
@@ -42,6 +52,37 @@ class TestVectorCsv:
         path = tmp_path / "bad.csv"
         path.write_text("id,x0,x1\n0,1.0,2.0\n1,nan,0.0\n")
         with pytest.raises(ParseError, match="bad.csv:3"):
+            tio.read_vector_csv(path)
+
+    def test_non_finite_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,x0,x1\n0,1,2\n\n1,3,4\n2,nan,5\n")
+        with pytest.raises(ParseError, match="blank.csv:5: non-finite value"):
+            tio.read_vector_csv(path)
+        spec = tmp_path / "spec"
+        spec.mkdir()
+        (spec / "spectrum.json").write_text(json.dumps({
+            "n": 1, "m": 2, "eigenvalues_csv": "vals.csv", "eigenvectors_csv": "vecs.csv"}))
+        (spec / "vals.csv").write_text("1\n2\n")
+        (spec / "vecs.csv").write_text("1,2\n\n\n3,inf\n")
+        with pytest.raises(ParseError, match="vecs.csv:4: non-finite value"):
+            tio.load_spectrum(spec)
+
+    def test_numbers_as_python_reads_them(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text("id,x0,x1\n1_0, 1.5,+.5\n\uff11\uff12,1_0.25,-0\n")
+        ids, pts, _ = tio.read_vector_csv(path)
+        assert ids.tolist() == [10, 12]
+        assert pts.tolist() == [[1.5, 0.5], [10.25, 0.0]]
+        assert math.copysign(1.0, pts[1, 1]) == -1.0
+
+    def test_bad_number_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,x0,x1\n0,1,2\n1.0,3,4\n")
+        with pytest.raises(ParseError, match="bad.csv:3: bad number: invalid literal"):
+            tio.read_vector_csv(path)
+        path.write_text("id,x0,x1\n99999999999999999999,1,2\n")
+        with pytest.raises(ParseError, match="bad.csv:2: bad number"):
             tio.read_vector_csv(path)
 
     def test_bad_header(self, tmp_path):
@@ -85,6 +126,22 @@ class TestObj:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         _, faces = tio.load_mesh(path)
         assert faces.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+    def test_mixed_polygons_keep_face_order(self, tmp_path):
+        path = tmp_path / "mixed.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 2 2 1\n"
+                        "f 1 2 3\nf 1 3 4 5\nf 2 3 5\n")
+        _, faces = tio.load_mesh(path)
+        assert faces.tolist() == [[0, 1, 2], [0, 2, 3], [0, 3, 4], [1, 2, 4]]
+
+    def test_first_error_by_line_wins(self, tmp_path):
+        path = tmp_path / "bad.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\nv 0 x 0\nwompwomp\n")
+        with pytest.raises(ParseError, match="bad.obj:4: face index 4 out of range"):
+            tio.load_mesh(path)
+        path.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\nwompwomp\n")
+        with pytest.raises(ParseError, match="bad.obj:2: vertex needs 3 coordinates"):
+            tio.load_mesh(path)
 
     def test_slash_indices_and_skippable_keywords(self, tmp_path):
         path = tmp_path / "tex.obj"
@@ -156,6 +213,23 @@ class TestPly:
         with pytest.raises(ParseError, match="ASCII"):
             tio.load_mesh(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (("0 1 0\n3 0 1 2\n", ""), r"tri.ply:12: file ends after 2 of 3 vertex rows"),
+        (("3 0 1 2\n", ""), r"tri.ply:13: file ends after 0 of 1 face rows"),
+        (("element vertex 3", "element vertex x3"),
+         r"tri.ply:4: element needs a name and a count"),
+        (("element face 1", "element face"), r"tri.ply:8: element needs a name"),
+        (("format ascii 1.0", "format"), r"tri.ply:2: only ASCII PLY is supported"),
+        (("0 1 0\n", "0 1\n"), r"tri.ply:13: wrong number of vertex properties"),
+        (("3 0 1 2", "3 0 1 x"), r"tri.ply:14: bad face record"),
+        (("3 0 1 2", "3 0 1 3"), r"tri.ply:14: face index out of range"),
+    ])
+    def test_malformed_reports_path_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "tri.ply"
+        path.write_text(self.PLY_MINIMAL.replace(*edit))
+        with pytest.raises(ParseError, match=message):
+            tio.load_mesh(path)
+
     def test_unsupported_extension(self, tmp_path):
         path = tmp_path / "mesh.stl"
         path.write_text("whatever")
@@ -176,6 +250,41 @@ class TestGenerators:
         ring = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2) - major
         resid = ring**2 + pts[:, 2] ** 2 - minor**2
         assert np.abs(resid).max() <= 1e-12
+
+    def test_torus_face_order(self):
+        # oracle: two triangles per grid cell (a, b), cells in row-major order
+        n_major, n_minor = 5, 4
+        _, faces = tio.generate_torus(2.0, 0.8, n_major, n_minor)
+        expected = []
+        for a in range(n_major):
+            for b in range(n_minor):
+                p00, p01 = a * n_minor + b, a * n_minor + (b + 1) % n_minor
+                p10 = ((a + 1) % n_major) * n_minor + b
+                p11 = ((a + 1) % n_major) * n_minor + (b + 1) % n_minor
+                expected += [[p00, p10, p11], [p00, p11, p01]]
+        assert faces.dtype == np.int64 and faces.tolist() == expected
+
+    def test_icosphere_matches_midpoint_cache_reference(self):
+        # oracle: subdivision with a midpoint cache, one new vertex per edge
+        # in order of first use
+        verts, faces = tio.generate_icosphere(0)
+        for subdivisions in range(1, 4):
+            cache, vert_list, new_faces = {}, list(verts), []
+
+            def midpoint(a, b):
+                key = (min(a, b), max(a, b))
+                if key not in cache:
+                    mid = vert_list[a] + vert_list[b]
+                    cache[key] = len(vert_list)
+                    vert_list.append(mid / np.linalg.norm(mid))
+                return cache[key]
+
+            for a, b, c in faces.tolist():
+                ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+                new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+            verts, faces = np.array(vert_list), np.array(new_faces)
+            got_verts, got_faces = tio.generate_icosphere(subdivisions)
+            assert np.array_equal(got_verts, verts) and np.array_equal(got_faces, faces)
 
     def test_icosphere_counts_and_radius(self):
         for subdiv, count in ((0, 12), (1, 42), (2, 162)):
@@ -262,6 +371,199 @@ class TestModelPersistence:
         assert math.isinf(loaded.hyperparams.nu)
 
 
+TRICKY = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, -2.5],
+                   [123456789.125, -1e-300, 0.0]])
+TRICKY_VECTORS = np.array([[1 / 3, -0.0, 0.1], [5e-324, -1e308, 2.0],
+                           [0.7, 1e-5, -1 / 3]])
+MESH_POINTS = np.vstack([TRICKY, [[1.0, 1 / 3, 0.1]]])
+MESH_FACES = np.array([[0, 1, 2], [0, 2, 3]])
+
+# Expected text of each writer on the values above: every float as %.17g.
+GOLDEN = {
+    "vectors.csv": (
+        "id,x0,x1,x2,v0,v1,v2\n"
+        "0,-0,4.9406564584124654e-324,1e+308,0.33333333333333331,-0,0.10000000000000001\n"
+        "9007199254740993,0.10000000000000001,0.33333333333333331,"
+        "-2.5,4.9406564584124654e-324,-1e+308,2\n"
+        "4611686018427387911,123456789.125,-1e-300,0,"
+        "0.69999999999999996,1.0000000000000001e-05,-0.33333333333333331\n"),
+    "points.csv": (
+        "id,x0,x1\n"
+        "0,-0,4.9406564584124654e-324\n"
+        "1,0.10000000000000001,0.33333333333333331\n"
+        "2,123456789.125,-1e-300\n"),
+    "mesh.obj": (
+        "v -0 4.9406564584124654e-324 1e+308\n"
+        "v 0.10000000000000001 0.33333333333333331 -2.5\n"
+        "v 123456789.125 -1e-300 0\n"
+        "v 1 0.33333333333333331 0.10000000000000001\n"
+        "f 1 2 3\n"
+        "f 1 3 4\n"),
+    "faces.vtk": (
+        "# vtk DataFile Version 3.0\n"
+        "field\n"
+        "ASCII\n"
+        "DATASET POLYDATA\n"
+        "POINTS 4 double\n"
+        "-0 4.9406564584124654e-324 1e+308\n"
+        "0.10000000000000001 0.33333333333333331 -2.5\n"
+        "123456789.125 -1e-300 0\n"
+        "1 0.33333333333333331 0.10000000000000001\n"
+        "POLYGONS 2 8\n"
+        "3 0 1 2\n"
+        "3 0 2 3\n"
+        "POINT_DATA 4\n"
+        "VECTORS field double\n"
+        "0.33333333333333331 -0 0.10000000000000001\n"
+        "4.9406564584124654e-324 -1e+308 2\n"
+        "0.69999999999999996 1.0000000000000001e-05 -0.33333333333333331\n"
+        "0 -0 4.9406564584124654e-324\n"),
+    "cloud.vtk": (
+        "# vtk DataFile Version 3.0\n"
+        "pred\n"
+        "ASCII\n"
+        "DATASET POLYDATA\n"
+        "POINTS 3 double\n"
+        "-0 4.9406564584124654e-324 0\n"
+        "0.10000000000000001 0.33333333333333331 0\n"
+        "123456789.125 -1e-300 0\n"
+        "VERTICES 3 6\n"
+        "1 0\n"
+        "1 1\n"
+        "1 2\n"
+        "POINT_DATA 3\n"
+        "VECTORS pred double\n"
+        "0.33333333333333331 -0 0\n"
+        "4.9406564584124654e-324 -1e+308 0\n"
+        "0.69999999999999996 1.0000000000000001e-05 0\n"),
+    "spectrum/eigenvalues.csv": (
+        "4.9406564584124654e-324\n"
+        "0.10000000000000001\n"
+        "0.33333333333333331\n"),
+    "spectrum/eigenvectors.csv": (
+        "0.33333333333333331,-0,0.10000000000000001\n"
+        "0.66666666666666663,1e-300,-0.5\n"
+        "0.66666666666666663,-0.33333333333333331,0.25\n"
+        "0,0.66666666666666663,-0.66666666666666663\n"
+        "-0,0.10000000000000001,1e-08\n"
+        "1,4.9406564584124654e-324,0.125\n"),
+    "model/frames.csv": (
+        "0.33333333333333331,0.66666666666666663,0.66666666666666663,"
+        "0.33333333333333331,0.66666666666666663,-0.66666666666666663\n"
+        "1,-0,0,1,-0,0\n"
+        "0,1,-1,0,0,-0\n"),
+    "model/targets.csv": (
+        "-0,4.9406564584124654e-324,0.10000000000000001\n"
+        "0.33333333333333331,-2.5,10000000000\n"),
+    "variances.csv": (
+        "id,variance_trace\n"
+        "3,0.6333333333333333\n"
+        "9007199254740993,4.9406564584124654e-324\n"
+        "0,1e+308\n"),
+}
+
+
+class TestGoldenText:
+    def check(self, path, name):
+        assert path.read_text() == GOLDEN[name]
+
+    def test_vector_csv(self, tmp_path):
+        tio.write_vector_csv(tmp_path / "v.csv", TRICKY, TRICKY_VECTORS,
+                             ids=np.array([0, 2**53 + 1, 2**62 + 7]))
+        self.check(tmp_path / "v.csv", "vectors.csv")
+        tio.write_vector_csv(tmp_path / "p.csv", TRICKY[:, :2])
+        self.check(tmp_path / "p.csv", "points.csv")
+
+    def test_obj(self, tmp_path):
+        tio.write_obj(tmp_path / "m.obj", MESH_POINTS, MESH_FACES)
+        self.check(tmp_path / "m.obj", "mesh.obj")
+
+    def test_vtk_with_and_without_faces(self, tmp_path):
+        vectors = np.vstack([TRICKY_VECTORS, [[0.0, -0.0, 5e-324]]])
+        tio.write_vtk(tmp_path / "f.vtk", MESH_POINTS, vectors, name="field",
+                      faces=MESH_FACES)
+        self.check(tmp_path / "f.vtk", "faces.vtk")
+        tio.write_vtk(tmp_path / "c.vtk", TRICKY[:, :2], TRICKY_VECTORS[:, :2],
+                      name="pred")
+        self.check(tmp_path / "c.vtk", "cloud.vtk")
+
+    def test_spectrum_and_model_csvs(self, tmp_path):
+        spectrum = tg.spectral.Spectrum(np.array([5e-324, 0.1, 1 / 3]), np.array(
+            [[1 / 3, -0.0, 0.1], [2 / 3, 1e-300, -0.5], [2 / 3, -1 / 3, 0.25],
+             [0.0, 2 / 3, -2 / 3], [-0.0, 0.1, 1e-8], [1.0, 5e-324, 0.125]]),
+            n=3, m=2, next_eigenvalue=0.5)
+        frames = tg.geometry.GaugeFrames(np.array([
+            [[1 / 3, 2 / 3], [2 / 3, 1 / 3], [2 / 3, -2 / 3]],
+            [[1.0, -0.0], [0.0, 1.0], [-0.0, 0.0]],
+            [[0.0, 1.0], [-1.0, 0.0], [0.0, -0.0]]]))
+        targets = np.array([[-0.0, 5e-324, 0.1], [1 / 3, -2.5, 1e10]])
+        model = tg.fit(np.array([0, 2]), targets, spectrum, frames,
+                       tg.MaternHyperparams(sigma_n=0.1))
+        tio.save_model(tmp_path / "model", model, frames)
+        for name in ("spectrum/eigenvalues.csv", "spectrum/eigenvectors.csv",
+                     "model/frames.csv", "model/targets.csv"):
+            self.check(tmp_path / "model" / name.replace("model/", ""), name)
+
+    def test_variances_csv(self, tmp_path):
+        covs = np.array([np.diag(d) for d in ([0.1, 0.2, 1 / 3], [5e-324, -0.0, 0.0],
+                                              [1e308, 1e-300, 0.7])])
+        tio.write_variances_csv(tmp_path / "var.csv", np.array([3, 2**53 + 1, 0]), covs)
+        self.check(tmp_path / "var.csv", "variances.csv")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw, min_rows=0, min_cols=1):
+    shape = (draw(st.integers(min_rows, 12)), draw(st.integers(min_cols, 4)))
+    return draw(hnp.arrays(np.float64, shape, elements=FINITE))
+
+
+class TestRoundTrip:
+    """Every writer's text reads back to bit-equal arrays."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(points=tables(min_cols=1), data=st.data())
+    def test_vector_csv(self, tmp_path_factory, points, data):
+        vectors = data.draw(st.none() | hnp.arrays(np.float64, points.shape,
+                                                   elements=FINITE))
+        ids = data.draw(hnp.arrays(np.int64, len(points)))
+        path = tmp_path_factory.mktemp("csv") / "v.csv"
+        tio.write_vector_csv(path, points, vectors, ids=ids)
+        ids2, points2, vectors2 = tio.read_vector_csv(path)
+        assert ids2.tobytes() == ids.tobytes()
+        assert points2.tobytes() == points.tobytes()
+        assert (vectors2 is None if vectors is None
+                else vectors2.tobytes() == vectors.tobytes())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(vectors=tables(min_rows=1), data=st.data())
+    def test_spectrum(self, tmp_path_factory, vectors, data):
+        values = data.draw(hnp.arrays(np.float64, vectors.shape[1], elements=FINITE))
+        directory = tmp_path_factory.mktemp("spec")
+        tio.save_spectrum(directory, tg.spectral.Spectrum(values, vectors, n=1, m=1))
+        loaded = tio.load_spectrum(directory)
+        assert loaded.eigenvalues.tobytes() == values.tobytes()
+        assert loaded.eigenvectors.tobytes() == vectors.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(points=hnp.arrays(np.float64, st.tuples(st.integers(3, 12), st.just(3)),
+                             elements=FINITE, unique=True), data=st.data())
+    def test_obj(self, tmp_path_factory, points, data):
+        n = len(points)
+        faces = np.array(data.draw(st.lists(
+            st.permutations(range(n)).map(lambda p: p[:3]), max_size=8)),
+            dtype=np.int64).reshape(-1, 3)
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        tio.write_obj(path, points, faces)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonManifoldWarning)
+            cloud, faces2 = tio.load_mesh(path)
+        assert cloud.points.tobytes() == points.tobytes()
+        assert faces2.tobytes() == faces.tobytes()
+
+
 class TestConfig:
     def write(self, tmp_path, payload):
         path = tmp_path / "config.json"
@@ -319,6 +621,8 @@ class TestConfig:
         ("fit", {"nu": -2}, "nu must be a positive number"),
         ("fit", {"nu": [1]}, "nu must be a positive number"),
         ("graph", [], "must be a mapping"),
+        ("fit", {"n_starts": 2.9}, "n_starts must be an integer"),
+        ("fit", {"grid_points": True}, "grid_points must be an integer"),
     ])
     def test_bad_block_values_rejected(self, tmp_path, name, block, message):
         with pytest.raises(ParseError, match=f"{name}: .*{message}"):
