@@ -209,12 +209,11 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     query_nodes = gp._validate_query(query_nodes, spectrum.n)
     hp = replace(hyperparams, nu=np.inf)
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    filt = gp.spectral_filter(spectrum.eigenvalues, hp)
-    c_norm = gp.normalization_constant(encodings, filt, spectrum.m)
-    reduced = gp._reduce(encodings[train_nodes], train_vectors)
-    b = gp._features(reduced.r, filt, hp.sigma, c_norm)
-    _, weights, _ = gp._weight_posterior(b, reduced, hp.sigma_n, gp._basis(reduced.r, b))
-    return gp._features(encodings[query_nodes], filt, hp.sigma, c_norm) @ weights
+    reduced = gp._reduce(encodings, train_nodes, train_vectors)
+    # one target column per channel
+    model = gp.VectorFieldGP(spectrum, encodings, hp, train_nodes, train_vectors,
+                             **gp._posterior(reduced, spectrum, hp))
+    return model.features(encodings[query_nodes]) @ model.alpha
 
 
 def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -310,16 +309,11 @@ def boundary_angular_jump(graph: ProximityGraph, transports: TransportMaps,
     edges = graph.edges[boundary]
     if edges.shape[0] == 0:
         raise ValueError("mask has no boundary edges")
-    maps = transports.for_edges(edges)
-    flip = ~mask[edges[:, 0]]
-    i = np.where(flip, edges[:, 1], edges[:, 0])  # the masked (predicted) endpoint
-    j = np.where(flip, edges[:, 0], edges[:, 1])
+    # each row (i, j): i the masked (predicted) endpoint, j the other
+    edges = np.where(mask[edges[:, 0]][:, None], edges, edges[:, ::-1])
+    i, j = edges[:, 0], edges[:, 1]
     coords_j = np.swapaxes(frames.frames[j], 1, 2) @ vectors[j][:, :, None]
-    # into(i, j) is maps[e] when i < j and its transpose otherwise
-    moved = np.empty_like(coords_j)
-    moved[~flip] = maps[~flip] @ coords_j[~flip]
-    moved[flip] = np.swapaxes(maps[flip], 1, 2) @ coords_j[flip]
-    reference = (frames.frames[i] @ moved)[:, :, 0]
+    reference = (frames.frames[i] @ (transports.for_edges(edges) @ coords_j))[:, :, 0]
     pred = vectors[i]
     pred_norm, ref_norm = _row_norms(pred), _row_norms(reference)
     keep = (pred_norm > ZERO_NORM_TOL) & (ref_norm > ZERO_NORM_TOL)
@@ -345,10 +339,9 @@ def direction_coherence(graph: ProximityGraph, transports: TransportMaps,
     coords = np.asarray(coords, dtype=float)
     norms = np.linalg.norm(coords, axis=1)
     units = np.where(norms[:, None] > ZERO_NORM_TOL, coords / np.maximum(norms, 1e-300)[:, None], 0.0)
-    maps = transports.for_edges(graph.edges)
     i, j = graph.edges[:, 0], graph.edges[:, 1]
-    into_i = (maps @ units[j][:, :, None])[:, :, 0]
-    into_j = (np.swapaxes(maps, 1, 2) @ units[i][:, :, None])[:, :, 0]
+    into_i = (transports.for_edges(graph.edges) @ units[j][:, :, None])[:, :, 0]
+    into_j = (transports.for_edges(graph.edges[:, ::-1]) @ units[i][:, :, None])[:, :, 0]
     # add.at accumulates in index order: each node sums its terms in edge order
     acc = np.zeros_like(coords)
     np.add.at(acc, graph.edges.reshape(-1),

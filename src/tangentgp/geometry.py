@@ -481,14 +481,21 @@ def _edge_vector_stacks(graph: ProximityGraph, points: np.ndarray, sizes: np.nda
     return stacks
 
 
+def _zero_singular_values(sv: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The rank rule: which of the descending singular values ``sv`` (..., r)
+    of matrices whose last two dimensions are ``shape[-2:]`` count as zero,
+    namely those at most s_1 * max(rows, cols) * eps."""
+    return sv <= sv[..., :1] * max(shape[-2:]) * np.finfo(float).eps
+
+
 def _frames_from_edge_vectors(edge_vecs: np.ndarray, m: int
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Sign-fixed frames (g, d, m) from stacked (g, d, N) edge vectors, N >= m:
     the left singular vectors of the m largest singular values. Also returns
     which stacks have numerical rank below m."""
     u, s, _ = np.linalg.svd(edge_vecs, full_matrices=False)
-    rank_tol = s[:, 0] * max(edge_vecs.shape[1:]) * np.finfo(float).eps
-    return _fix_column_signs(u[:, :, :m]), s[:, m - 1] <= rank_tol
+    deficient = _zero_singular_values(s, edge_vecs.shape)[:, m - 1]
+    return _fix_column_signs(u[:, :, :m]), deficient
 
 
 def estimate_tangent_frames(graph: ProximityGraph, cloud: PointCloud, m: int,
@@ -593,9 +600,8 @@ class TransportMaps:
     rows unique and in lexicographic order (the layout of
     ``ProximityGraph.edges``). ``maps`` is (E, m, m): ``maps[e]`` takes
     tangent coordinates at node ``edges[e, 1]`` into the frame at node
-    ``edges[e, 0]``. ``into(i, j)`` returns the m x m orthogonal matrix taking
-    coordinates at node j into the frame at node i; ``into(i, j)`` equals
-    ``into(j, i).T``.
+    ``edges[e, 0]``. The map of the reverse direction is the transpose;
+    :meth:`for_edges` is the one place that applies this rule.
     """
 
     edges: np.ndarray
@@ -629,22 +635,29 @@ class TransportMaps:
         return np.where(keys[rows] == wanted, rows, -1)
 
     def for_edges(self, edges: np.ndarray) -> np.ndarray:
-        """Maps for each row (i, j), i < j, of ``edges``, shape (E', m, m).
+        """For each row (a, b) of ``edges``, in either order, the map taking
+        coordinates at node b into the frame at node a; shape (E', m, m).
 
         Raises ValueError naming the first edge that has no map.
         """
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         rows = self._rows(edges)
         missing = np.flatnonzero(rows < 0)
         if missing.size:
             i, j = edges[missing[0]]
             raise ValueError(f"missing transport for edge ({i}, {j})")
-        return self.maps[rows]
+        maps = self.maps[rows]
+        reverse = edges[:, 0] > edges[:, 1]
+        if reverse.all():  # a transposed view: BLAS rounds products as for maps[e].T
+            return np.swapaxes(maps, 1, 2)
+        return np.where(reverse[:, None, None], np.swapaxes(maps, 1, 2), maps)
 
     def into(self, i: int, j: int) -> np.ndarray:
-        row = int(self._rows([i, j])[0])
-        if row < 0:
+        """The m x m orthogonal map taking coordinates at node j into the
+        frame at node i; ``into(i, j)`` equals ``into(j, i).T``."""
+        if not self.has_edge(i, j):
             raise KeyError((i, j))
-        return self.maps[row] if i < j else self.maps[row].T
+        return self.for_edges([[i, j]])[0]
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._rows([i, j])[0] >= 0)

@@ -42,8 +42,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
-    _frames_from_edge_vectors, _procrustes
-from .spectral import Spectrum, positional_encodings
+    _frames_from_edge_vectors, _procrustes, _zero_singular_values
+from .spectral import Spectrum, _eigencoordinates, positional_encodings
 
 __all__ = [
     "MaternHyperparams",
@@ -167,54 +167,66 @@ def _cholesky_with_jitter(mat: np.ndarray, scale: float | None = None,
     )
 
 
+def _row_space(feats: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis W (k x p) of the row space of ``feats`` by the rank
+    rule of frame estimation (``geometry._zero_singular_values``), or None
+    for W = I: full column rank, which needs no singular vectors."""
+    keep = ~_zero_singular_values(np.linalg.svd(feats, compute_uv=False), feats.shape)
+    if keep.size == feats.shape[1] and keep.all():
+        return None
+    return np.linalg.svd(feats, full_matrices=False)[2][keep].T
+
+
 @dataclass(frozen=True)
 class _Reduced:
     """Training encodings E ((N*d) x k) and targets Y reduced by one thin QR,
     E = Q R. For features A = E diag(s), B = R diag(s) gives A^T A = B^T B,
     A^T Y = B^T z and |Y - A W|^2 = |z - B W|^2 + ``outside``."""
 
+    traces: np.ndarray  # (k,) per-eigenpair mean trace over all nodes
     r: np.ndarray  # (min(N*d, k), k)
     z: np.ndarray  # Q^T Y: one column per target column (or a vector)
     outside: float  # |Y - Q z|^2, summed over the target columns
     rows: int  # N*d
+    full_rank: bool  # R has full column rank, so W = I for every setting
 
 
-def _reduce(encodings: np.ndarray, targets: np.ndarray) -> _Reduced:
-    """Reduce training encodings (n, d, k) and targets (n*d rows) to k rows."""
-    n, d, k = encodings.shape
+def _reduce(encodings: np.ndarray, train_nodes: np.ndarray,
+            targets: np.ndarray) -> _Reduced:
+    """Reduce the training encodings ``encodings[train_nodes]`` (n, d, k) and
+    targets (n*d rows) to k rows; ``encodings`` holds every node's."""
+    train = encodings[train_nodes]
+    n, d, k = train.shape
     if n < 1:
         raise ValueError("need at least one training node")
-    q, r = np.linalg.qr(encodings.reshape(n * d, k))
+    q, r = np.linalg.qr(train.reshape(n * d, k))
     z = q.T @ targets
     outside = targets - q @ z
-    return _Reduced(r, z, float(np.sum(outside * outside)), n * d)
+    return _Reduced(_encoding_traces(encodings), r, z, float(np.sum(outside * outside)),
+                    n * d, _row_space(r) is None)
 
 
-def _row_space(feats: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis W (k x p) of the row space of ``feats`` by the rank
-    rule of frame estimation (singular values above s_1 * max(shape) * eps),
-    or None for W = I: full column rank, which needs no singular vectors."""
-    sv = np.linalg.svd(feats, compute_uv=False)
-    keep = sv > sv[0] * max(feats.shape) * np.finfo(float).eps
-    if keep.size == feats.shape[1] and keep.all():
-        return None
-    return np.linalg.svd(feats, full_matrices=False)[2][keep].T
-
-
-def _basis(r: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """W for B = R diag(s); R decides whether W = I, as rank(R diag(s)) = rank(R)."""
-    return None if _row_space(r) is None else _row_space(b)
-
-
-def _weight_posterior(b: np.ndarray, reduced: _Reduced, sigma_n: float,
-                      basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lower Cholesky factor of M = s^2 I_p + (B W)^T B W, the weight mean
-    w = W M^-1 (B W)^T z (length k) and the jitter, for B = ``b`` = R diag(s)
-    of ``reduced`` and W = ``basis`` (None for I); s^2 = sigma_n^2 + jitter,
-    see the module docstring for the jitter rule."""
+def _posterior(reduced: _Reduced, spectrum: Spectrum, hyperparams: MaternHyperparams,
+               inducing_r: np.ndarray | None = None) -> dict:
+    """The weight posterior on the row space of the training features, or of
+    the features whose reduced rows are ``inducing_r``, as the posterior
+    fields of :class:`VectorFieldGP`: the filter, c_norm, W (None for I), the
+    Cholesky factor of M, the weight mean and the jitter. R decides whether
+    W = I, as rank(R diag(s)) = rank(R); see the module docstring for M and
+    the jitter."""
+    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
+    c_norm = _c_norm(reduced.traces, filter_values, spectrum.m)
+    b = _features(reduced.r, filter_values, hyperparams.sigma, c_norm)
+    if inducing_r is None:
+        basis = None if reduced.full_rank else _row_space(b)
+    elif _row_space(inducing_r) is None:
+        basis = None
+    else:
+        basis = _row_space(_features(inducing_r, filter_values, hyperparams.sigma, c_norm))
     bw = b if basis is None else b @ basis
     gram = bw.T @ bw
     gram = (gram + gram.T) / 2.0
+    sigma_n = hyperparams.sigma_n
     if sigma_n > 0:
         # one try at level 0; the scale only labels a failure
         chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(gram.shape[0]),
@@ -224,23 +236,25 @@ def _weight_posterior(b: np.ndarray, reduced: _Reduced, sigma_n: float,
         chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / reduced.rows,
                                              JITTER_LADDER[1:])
     weights = cho_solve((chol, True), bw.T @ reduced.z)
-    return chol, weights if basis is None else basis @ weights, jitter
+    return dict(filter_values=filter_values, c_norm=c_norm, basis=basis, chol=chol,
+                alpha=weights if basis is None else basis @ weights, jitter=jitter)
 
 
-def _weight_lml(b: np.ndarray, reduced: _Reduced, chol: np.ndarray,
-                weights: np.ndarray, noise: float) -> float:
-    """Log marginal likelihood summed over the target columns.
+def _weight_lml(model: VectorFieldGP, reduced: _Reduced) -> float:
+    """Log marginal likelihood of ``model`` on its ``reduced`` training data,
+    summed over the target columns.
 
     Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - p) log s^2
-    + log det M) - (N/2) log 2 pi, with N = N*d rows, s^2 = ``noise``, M the
-    p x p matrix factored by ``chol`` and |y - A w|^2 = |z - B w|^2 + o.
+    + log det M) - (N/2) log 2 pi, with N = N*d rows, M the p x p matrix
+    factored by ``model.chol`` and |y - A w|^2 = |z - B w|^2 + o.
     """
-    rows, p = reduced.rows, chol.shape[0]
+    chol, weights, noise, rows = model.chol, model.alpha, model.noise, reduced.rows
     columns = 1 if reduced.z.ndim == 1 else reduced.z.shape[1]
-    resid = reduced.z - b @ weights
+    resid = reduced.z - model.features(reduced.r) @ weights
     quad = ((float(np.sum(resid * resid)) + reduced.outside) / noise
             + float(np.sum(weights * weights)))
-    logdet = (rows - p) * math.log(noise) + 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = ((rows - chol.shape[0]) * math.log(noise)
+              + 2.0 * float(np.sum(np.log(np.diag(chol)))))
     return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
 
 
@@ -338,19 +352,12 @@ def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyp
                inducing_nodes: np.ndarray | None = None) -> VectorFieldGP:
     """The posterior given ``targets`` at ``train_nodes`` on the row space of
     the features at ``inducing_nodes`` (default: the training nodes)."""
-    filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
-    c_norm = normalization_constant(encodings, filter_values, spectrum.m)
-    reduced = _reduce(encodings[train_nodes], targets.reshape(-1))
-    r_u = reduced.r if inducing_nodes is None else np.linalg.qr(
+    r_u = None if inducing_nodes is None else np.linalg.qr(
         encodings[inducing_nodes].reshape(-1, encodings.shape[-1]), mode="r")
-    basis = _basis(r_u, _features(r_u, filter_values, hyperparams.sigma, c_norm))
-    chol, alpha, jitter = _weight_posterior(
-        _features(reduced.r, filter_values, hyperparams.sigma, c_norm), reduced,
-        hyperparams.sigma_n, basis)
+    reduced = _reduce(encodings, train_nodes, targets.reshape(-1))
     return VectorFieldGP(spectrum=spectrum, encodings=encodings, hyperparams=hyperparams,
                          train_nodes=train_nodes, targets=targets,
-                         filter_values=filter_values, c_norm=c_norm, basis=basis,
-                         chol=chol, alpha=alpha, jitter=jitter)
+                         **_posterior(reduced, spectrum, hyperparams, r_u))
 
 
 def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
@@ -392,9 +399,8 @@ def log_marginal_likelihood(model: VectorFieldGP) -> float:
     - (N/2) log 2 pi, which needs no subtraction of nearly equal terms and
     holds for N = N*d rows above or below k.
     """
-    reduced = _reduce(model.encodings[model.train_nodes], model.targets.reshape(-1))
-    return _weight_lml(model.features(reduced.r), reduced, model.chol, model.alpha,
-                       model.noise)
+    return _weight_lml(model, _reduce(model.encodings, model.train_nodes,
+                                      model.targets.reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -423,11 +429,12 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
     """Deterministic multi-start coordinate descent over the search box.
 
     Maximizes ``objective(theta)`` (theta in log space, -inf allowed) on a
-    shrinking per-axis grid. Returns the best theta over every evaluation,
-    so the result dominates all grid initializations by construction. The
-    objective must be deterministic: no point is evaluated twice, so a grid
-    candidate equal to the current point, or to a point of an earlier sweep
-    or start, costs nothing.
+    shrinking per-axis grid. Returns the first evaluated theta of the highest
+    value over every evaluation (NaN never wins), so the result dominates all
+    grid initializations by construction. The objective must be
+    deterministic: no point is evaluated twice, so a grid candidate equal to
+    the current point, or to a point of an earlier sweep or start, costs
+    nothing.
     """
     lows = np.array([b[0] for b in search.bounds])
     highs = np.array([b[1] for b in search.bounds])
@@ -437,7 +444,7 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
     for _ in range(search.n_starts - 1):
         starts.append(lows + (highs - lows) * rng.uniform(size=lows.shape[0]))
 
-    values: dict[tuple, float] = {}
+    values: dict[tuple, float] = {}  # every evaluation, in evaluation order
 
     def value_at(theta: np.ndarray) -> float:
         key = tuple(theta.tolist())
@@ -445,13 +452,9 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
             values[key] = objective(theta)
         return values[key]
 
-    best_theta = None
-    best_value = -np.inf
     for theta0 in starts:
         theta = theta0.copy()
         value = value_at(theta)
-        if value > best_value:
-            best_value, best_theta = value, theta.copy()
         span = (highs - lows) / 4.0
         for _ in range(search.n_sweeps):
             improved = False
@@ -466,14 +469,13 @@ def coordinate_search(objective, search: SearchConfig, seed: int,
                     if v > value:
                         value, theta = v, trial
                         improved = True
-                    if v > best_value:
-                        best_value, best_theta = v, trial.copy()
             span *= 0.5
             if not improved and span.max() < 1e-3:
                 break
-    if best_theta is None:  # no value above -inf
+    scored = {key: v for key, v in values.items() if v > -np.inf}  # drops NaN
+    if not scored:
         raise ValueError("objective was NaN/inf everywhere searched")
-    return best_theta
+    return np.array(max(scored, key=scored.get))
 
 
 def _hyperparams_at(theta: np.ndarray, nu: float) -> MaternHyperparams:
@@ -487,23 +489,16 @@ def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
     (one column per independent output, or a vector) at the training nodes,
     with (sigma, kappa, sigma_n) = exp(theta) and nu fixed.
 
-    The encoding traces, the QR of the training encodings and the rank test
-    of :func:`_basis` are done here once, so each evaluation works on k x k
-    arrays only. Failed factorizations and invalid hyperparameters score -inf.
+    :func:`_reduce` runs here once, so each evaluation works on k x k arrays
+    only. Failed factorizations and invalid hyperparameters score -inf.
     """
-    traces = _encoding_traces(encodings)
-    reduced = _reduce(encodings[train_nodes], targets)
-    full_rank = _row_space(reduced.r) is None
+    reduced = _reduce(encodings, train_nodes, targets)
 
     def objective(theta: np.ndarray) -> float:
         try:
             hp = _hyperparams_at(theta, nu)
-            filter_values = spectral_filter(spectrum.eigenvalues, hp)
-            b = _features(reduced.r, filter_values, hp.sigma,
-                          _c_norm(traces, filter_values, spectrum.m))
-            chol, weights, jitter = _weight_posterior(
-                b, reduced, hp.sigma_n, None if full_rank else _row_space(b))
-            value = _weight_lml(b, reduced, chol, weights, hp.sigma_n**2 + jitter)
+            value = _weight_lml(VectorFieldGP(spectrum, encodings, hp, train_nodes, targets,
+                                              **_posterior(reduced, spectrum, hp)), reduced)
         except (GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
             return -np.inf
@@ -589,7 +584,9 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
         raise ValueError("new points have wrong ambient dimension")
     m, k = spectrum.m, spectrum.k
     if n_neighbors is None:
-        # mirror the frame-estimation neighbourhood rule
+        # one size for every query point: twice the rounded mean degree, at
+        # least m + 1 and at most n (frame estimation sizes each node by its
+        # own degree, within [m, n - 1])
         n_neighbors = max(m + 1, 2 * int(round(float(np.mean(graph.degrees)))))
     n_neighbors = min(n_neighbors, cloud.n)
     if n_neighbors < m:
@@ -600,7 +597,6 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
     dists, nbr_idx = tree.query(new_points, k=n_neighbors)
     nbr_idx = np.atleast_2d(nbr_idx)
     dists = np.atleast_2d(dists)
-    scaled = (spectrum.eigenvectors * np.sqrt(spectrum.n * m)).reshape(spectrum.n, m, k)
 
     edge_vecs = np.swapaxes(cloud.points[nbr_idx] - new_points[:, None, :], 1, 2)
     new_frames, deficient = _frames_from_edge_vectors(edge_vecs, m)
@@ -617,7 +613,7 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
     floor = (1e-8 * np.maximum(dists.mean(axis=1), np.finfo(float).tiny)) ** 2
     weights = 1.0 / (dists ** 2 + floor[:, None])
     weights /= weights.sum(axis=1, keepdims=True)
-    moved = maps @ scaled[nbr_idx]
+    moved = maps @ _eigencoordinates(spectrum, nbr_idx)
     acc = np.zeros((new_points.shape[0], m, k))
     for t in range(nbr_idx.shape[1]):  # neighbours in distance order, as summed per point
         acc += weights[:, t, None, None] * moved[:, t]

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gp as gp_mod
 from .geometry import GaugeFrames, PointCloud, _unique_edges
-from .spectral import Spectrum
+from .spectral import LANCZOS_TOL, Spectrum
 
 __all__ = [
     "ParseError",
@@ -159,9 +159,9 @@ def read_vector_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     d = sum(h.startswith("x") for h in header)
     if d < 1 or header[1:1 + d] != [f"x{a}" for a in range(d)]:
         raise ParseError(path, 1, "expected columns x0..x{d-1} after id")
-    has_vectors = any(h.startswith("v") for h in header)
+    has_vectors = len(header) > 1 + d
     if has_vectors and header[1 + d:] != [f"v{a}" for a in range(d)]:
-        raise ParseError(path, 1, "vector columns must be v0..v{d-1}")
+        raise ParseError(path, 1, "columns after x0..x{d-1} must be v0..v{d-1}")
     rows = [ln for ln in range(2, len(lines) + 1) if lines[ln - 1].strip()]
     ids, values = _parse_block(path, lines, rows, 1 + d + (d if has_vectors else 0),
                                ids=True, split=lambda line: line.split(","))
@@ -440,9 +440,6 @@ def _read_matrix_csv(path) -> np.ndarray:
                         bad_number="bad number")[0]
 
 
-SOLVER_TOLERANCE = 1e-10  # eigendecompose's default, recorded in spectrum.json
-
-
 def save_spectrum(directory, spectrum: Spectrum) -> Path:
     """Write eigenvalues.csv, eigenvectors.csv and spectrum.json into a directory."""
     directory = Path(directory)
@@ -456,7 +453,7 @@ def save_spectrum(directory, spectrum: Spectrum) -> Path:
         "next_eigenvalue": spectrum.next_eigenvalue,
         "sign_convention": "largest-magnitude entry of each eigenvector positive; "
                            "off-diagonal blocks are -w_ij O_ij",
-        "solver_tolerance": SOLVER_TOLERANCE,
+        "solver_tolerance": LANCZOS_TOL,
         "eigenvalues_csv": "eigenvalues.csv",
         "eigenvectors_csv": "eigenvectors.csv",
     })
@@ -485,7 +482,8 @@ def save_model(directory, model: gp_mod.VectorFieldGP, frames: GaugeFrames) -> P
     """Persist a fitted model as spectrum dir + frames/targets CSV + manifest.
 
     The k x k weight-space factor and weight mean are recomputed on load
-    (deterministically, O(N*d*k^2)) rather than serialized.
+    (deterministically, O(N*d*k^2)) rather than serialized; the load checks
+    the recomputed c_norm against the stored one.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -522,6 +520,11 @@ def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames]:
     train_nodes = np.array(manifest["train_nodes"], dtype=np.int64)
     model = gp_mod.fit(train_nodes, targets, spectrum, frames,
                        _hp_from_dict(manifest["hyperparams"]))
+    # the stored c_norm catches CSVs that are not the ones the model was fit on
+    if not math.isclose(model.c_norm, manifest["c_norm"], rel_tol=1e-12):
+        raise ParseError(directory / "model.json", None,
+                         f"stored c_norm {manifest['c_norm']!r} disagrees with "
+                         f"{model.c_norm!r} from the model's CSV files")
     return model, frames
 
 
@@ -640,6 +643,45 @@ NESTED_KEYS = {"graph": set(GraphConfig.__dataclass_fields__), "hyperparams": _H
                "mask": {"nodes", "center_node", "fraction", "radius"}}
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+_FRACTION = ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1)
+_COUNT = ("an integer >= 1", lambda v: _index(v) and v >= 1)
+_POSITIVE = ("a number > 0", lambda v: _number(v) and v > 0)
+# the schema's bound on each value, checked at load; a dotted name is a key
+# of a nested block
+_BOUNDS = {
+    "tau": ("a number >= 0", lambda v: _number(v) and v >= 0),
+    "split_fraction": _FRACTION, "anchor_fraction": _FRACTION,
+    "inducing_fraction": _FRACTION, "mask.fraction": _FRACTION,
+    "anchor_count": _COUNT, "manifold_dim": _COUNT, "graph.k_neighbors": _COUNT,
+    "frame_neighbors": ("an integer >= 1 or 'auto'", lambda v: v == "auto" or _COUNT[1](v)),
+    "graph.bandwidth": _POSITIVE, "mask.radius": _POSITIVE,
+    "mask.center_node": ("an integer >= 0 or 'auto'", lambda v: v == "auto" or _index(v)),
+    "mask.nodes": ("a list of integers >= 0",
+                   lambda v: isinstance(v, list) and all(map(_index, v))),
+}
+_NULLABLE = {"anchor_fraction", "inducing_fraction", "anchor_count", "graph.bandwidth"}
+
+
+def _check_bounds(raw: dict, path) -> None:
+    """Raise a ParseError naming the first value outside its schema bound."""
+    for name, (bound, valid) in _BOUNDS.items():
+        block, _, key = name.rpartition(".")
+        section = raw.get(block) if block else raw
+        if not isinstance(section, dict) or key not in section:
+            continue
+        value = section[key]
+        if not (valid(value) or (value is None and name in _NULLABLE)):
+            raise ParseError(path, None, f"{name}: must be {bound}, got {value!r}")
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -656,6 +698,7 @@ def load_config(path) -> ExperimentConfig:
         if isinstance(raw.get(name), dict) and set(raw[name]) - nested:
             raise ParseError(path, None,
                              f"unknown {name} keys: {sorted(set(raw[name]) - nested)}")
+    _check_bounds(raw, path)
     kwargs = dict(raw)
     for name, parse in _BLOCKS.items():
         if name in kwargs:

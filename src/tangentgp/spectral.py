@@ -30,6 +30,7 @@ __all__ = [
     "scalar_frames",
     "dirichlet_energy",
     "DENSE_FALLBACK_SIZE",
+    "LANCZOS_TOL",
 ]
 
 # dense eigendecomposition below this operator size
@@ -38,6 +39,9 @@ RESIDUAL_TOL = 1e-8
 DEGENERATE_GAP = 1e-8
 # shift-invert pole at -SHIFT_FRACTION * mean diagonal, just below the spectrum
 SHIFT_FRACTION = 1e-3
+# ARPACK's convergence tolerance, and its iteration budget per operator row
+LANCZOS_TOL = 1e-10
+LANCZOS_ITERATIONS_PER_ROW = 10
 
 
 class EigensolverError(RuntimeError):
@@ -89,11 +93,11 @@ def assemble_connection_laplacian(graph: ProximityGraph, frames: GaugeFrames,
     n, m = graph.n, frames.m
     if frames.n != n:
         raise ValueError("graph and frames size mismatch")
-    maps = transports.for_edges(graph.edges)
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     w = graph.weights[:, None, None]
-    blocks = np.concatenate([graph.degrees[:, None, None] * np.eye(m), -w * maps,
-                             -w * np.swapaxes(maps, 1, 2)])
+    blocks = np.concatenate([graph.degrees[:, None, None] * np.eye(m),
+                             -w * transports.for_edges(graph.edges),
+                             -w * transports.for_edges(graph.edges[:, ::-1])])
     block_rows = np.concatenate([np.arange(n), i, j])
     block_cols = np.concatenate([np.arange(n), j, i])
     brow, bcol = np.divmod(np.arange(m * m), m)
@@ -140,11 +144,12 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 def _arpack(operator, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    maxiter = LANCZOS_ITERATIONS_PER_ROW * operator.shape[0]
     try:
-        return eigsh(operator, **kwargs)
+        return eigsh(operator, tol=LANCZOS_TOL, maxiter=maxiter, **kwargs)
     except ArpackNoConvergence as exc:
         raise EigensolverError(
-            f"Lanczos failed to converge after {kwargs['maxiter']} iterations: "
+            f"Lanczos failed to converge after {maxiter} iterations: "
             f"{len(exc.eigenvalues)} of {kwargs['k']} pairs converged"
         ) from exc
 
@@ -193,8 +198,7 @@ def _count_below(mat: sparse.csr_matrix, sigma: float) -> int:
 
 
 def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
-                  wanted: int, sigma: float, rng: np.random.Generator, tol: float,
-                  maxiter: int) -> np.ndarray:
+                  wanted: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Up to ``wanted`` eigenvectors of L orthogonal to ``vecs`` whose
     eigenvalue lies below sigma.
 
@@ -211,14 +215,12 @@ def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
                                 matvec=lambda x: project(inverse @ project(x)))
     # the complement has rank size - count, so every mu asked for is positive
     mu, found = _arpack(complement, k=min(wanted, size - count - 1),
-                        which="LA", v0=_unit(project(rng.standard_normal(size))),
-                        tol=tol, maxiter=maxiter)
+                        which="LA", v0=_unit(project(rng.standard_normal(size))))
     return found[:, 1.0 / mu - delta < sigma]
 
 
 def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
-                     rng: np.random.Generator, tol: float,
-                     maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Ritz pairs of L on ``basis``, grown until they hold every eigenvalue
     below sigma = cut - DEGENERATE_GAP * max(1, cut), as counted by inertia.
 
@@ -232,8 +234,7 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
     if found < count:
         delta, inverse = _shift_invert(mat)
         while found < count:
-            missed = _missed_pairs(inverse, delta, vecs, count - found, sigma, rng,
-                                   tol, maxiter)
+            missed = _missed_pairs(inverse, delta, vecs, count - found, sigma, rng)
             vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
             grown = int(np.count_nonzero(vals < sigma))
             if grown <= found:
@@ -249,13 +250,14 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
 
 
 def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
-                   method: str = "auto", seed: int = 0, tol: float = 1e-10,
-                   maxiter: int | None = None) -> Spectrum:
+                   method: str = "auto", seed: int = 0) -> Spectrum:
     """k smallest eigenpairs of a symmetric PSD Laplacian.
 
     ``method`` is "dense", "lanczos", or "auto" (dense when the operator
     size is at most ``DENSE_FALLBACK_SIZE``). The Lanczos path factorises
-    L + delta*I once with sparse LU and runs shift-invert ARPACK on it. A
+    L + delta*I once with sparse LU and runs shift-invert ARPACK on it, to
+    relative accuracy ``LANCZOS_TOL`` within ``LANCZOS_ITERATIONS_PER_ROW``
+    iterations per operator row (more raises ``EigensolverError``). A
     single-vector Krylov method can miss copies of a repeated eigenvalue, so
     the result is certified: one unpivoted LU of L - sigma*I, sigma just
     below the largest Ritz value, counts the eigenvalues below sigma by
@@ -283,16 +285,12 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
         vals, vecs = vals[:k_req], vecs[:, :k_req]
     elif method == "lanczos":
         k_req = min(k_req, size - 2)
-        if maxiter is None:
-            maxiter = 10 * size
         delta, inverse = _shift_invert(mat)
         rng = np.random.default_rng(seed)
         ritz, basis = _arpack(mat, k=k_req, sigma=-delta, which="LM",
-                              OPinv=inverse, v0=_unit(rng.standard_normal(size)),
-                              tol=tol, maxiter=maxiter)
+                              OPinv=inverse, v0=_unit(rng.standard_normal(size)))
         del inverse  # free the factor before the inertia count builds its own
-        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng, tol,
-                                      maxiter)
+        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
         vals, vecs = vals[:k_req], vecs[:, :k_req]
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -345,27 +343,26 @@ def scalar_frames(n: int) -> GaugeFrames:
     return GaugeFrames(np.ones((n, 1, 1)))
 
 
-def positional_encodings(spectrum: Spectrum, frames: GaugeFrames) -> np.ndarray:
-    """All positional encodings, shape (n, d, k).
-
-    Node i's encoding is T_i times its m-row slice of the eigenvector
-    matrix, the rows i*m .. (i+1)*m - 1, scaled by sqrt(n*m).
-    """
+def _eigencoordinates(spectrum: Spectrum, nodes=slice(None)) -> np.ndarray:
+    """Each of ``nodes``' m-row block of the eigenvector matrix, the rows
+    i*m .. (i+1)*m - 1 of node i, scaled by sqrt(n*m): shape (..., m, k)."""
     n, m = spectrum.n, spectrum.m
-    if frames.n != n or frames.m != m:
+    return spectrum.eigenvectors.reshape(n, m, spectrum.k)[nodes] * np.sqrt(n * m)
+
+
+def positional_encodings(spectrum: Spectrum, frames: GaugeFrames) -> np.ndarray:
+    """All positional encodings, shape (n, d, k): node i's is T_i times its
+    scaled eigencoordinate block (see :func:`positional_encoding`)."""
+    if frames.n != spectrum.n or frames.m != spectrum.m:
         raise ValueError("spectrum and frames disagree on (n, m)")
-    scaled = spectrum.eigenvectors * np.sqrt(n * m)
-    blocks = scaled.reshape(n, m, spectrum.k)
-    return np.einsum("ndm,nmk->ndk", frames.frames, blocks)
+    return np.einsum("ndm,nmk->ndk", frames.frames, _eigencoordinates(spectrum))
 
 
 def positional_encoding(spectrum: Spectrum, frames: GaugeFrames, i: int) -> np.ndarray:
     """Single-node encoding P_i = T_i @ (sqrt(nm) * U[i*m:(i+1)*m, :]), (d, k)."""
-    n, m = spectrum.n, spectrum.m
-    if not 0 <= i < n:
-        raise IndexError(f"node {i} out of range [0, {n})")
-    rows = spectrum.eigenvectors[i * m:(i + 1) * m] * np.sqrt(n * m)
-    return frames.frames[i] @ rows
+    if not 0 <= i < spectrum.n:
+        raise IndexError(f"node {i} out of range [0, {spectrum.n})")
+    return frames.frames[i] @ _eigencoordinates(spectrum, i)
 
 
 def dirichlet_energy(graph: ProximityGraph, transports: TransportMaps,

@@ -403,6 +403,32 @@ class TestConfigValues:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("name, fragment", [
+        ("tau", {"tau": -1}),
+        ("split_fraction", {"split_fraction": 1.5}),
+        ("manifold_dim", {"manifold_dim": 0}),
+        ("mask.fraction", {"mask": {"fraction": "x"}}),
+        ("anchor_fraction", {"anchor_fraction": 5}),
+        ("inducing_fraction", {"inducing_fraction": 3}),
+        ("frame_neighbors", {"frame_neighbors": 0}),
+    ])
+    def test_out_of_bound_values_fail_before_any_stage(self, tmp_path, generated,
+                                                       monkeypatch, name, fragment):
+        gen_out, _ = generated
+        cfg = write_config(tmp_path, "superresolve.json", {
+            "kind": "superresolve", "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"), "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS, "output_dir": str(tmp_path / "out"), **fragment})
+
+        def no_input(*_args):
+            raise AssertionError("the mesh was read before the config was checked")
+
+        monkeypatch.setattr(tio, "load_mesh", no_input)
+        result = run_cli(["superresolve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert f"{name}: must be " in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["superresolve", "inpaint", "fit"])
     def test_missing_field_fails_before_any_stage(self, tmp_path, monkeypatch, kind):
         cfg = write_config(tmp_path, f"{kind}.json", {

@@ -378,6 +378,24 @@ class TestTransport:
             assert np.allclose(o_ij, o_ji.T, atol=1e-10)
             assert np.allclose(o_ij @ o_ji, np.eye(2), atol=1e-10)
 
+    def test_for_edges_orients_each_row(self, torus):
+        # a row (a, b) in either order gives the map from b's frame into a's
+        transports = torus.transports
+        rng = np.random.default_rng(9)
+        rows = transports.edges[rng.choice(len(transports.edges), 60, replace=False)]
+        rows = np.where(rng.random(60)[:, None] < 0.5, rows, rows[:, ::-1])
+        assert (rows[:, 0] > rows[:, 1]).any() and (rows[:, 0] < rows[:, 1]).any()
+        maps = transports.for_edges(rows)
+        stored = {tuple(e): o for e, o in zip(transports.edges.tolist(), transports.maps)}
+        for (a, b), o in zip(rows.tolist(), maps):
+            assert np.array_equal(o, stored[(a, b)] if a < b else stored[(b, a)].T)
+            assert np.array_equal(o, transports.into(a, b))
+        assert np.array_equal(transports.for_edges(rows[:, ::-1]), np.swapaxes(maps, 1, 2))
+        b, a = (int(v) for v in transports.edges[-1])
+        partial = tg.TransportMaps(transports.edges[:-1], transports.maps[:-1])
+        with pytest.raises(ValueError, match=rf"missing transport for edge \({a}, {b}\)"):
+            partial.for_edges([[a, b]])
+
     def test_transports_orthogonal(self, torus):
         for (i, j) in torus.graph.edges[::17]:
             o = torus.transports.into(int(i), int(j))

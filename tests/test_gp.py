@@ -521,6 +521,24 @@ class TestFitHyperparameters:
         search = SearchConfig(n_starts=2, n_sweeps=1, grid_points=3)
         with pytest.raises(ValueError, match="NaN/inf everywhere"):
             coordinate_search(lambda theta: -np.inf, search, seed=0)
+        with pytest.raises(ValueError, match="NaN/inf everywhere"):
+            coordinate_search(lambda theta: math.nan, search, seed=0)
+
+    def test_first_of_the_highest_values_wins_and_nan_never(self):
+        # ties on whole numbers, and NaN on half of the box
+        search = SearchConfig(n_starts=3, n_sweeps=3, grid_points=5)
+        evaluated = []
+
+        def objective(theta):
+            value = math.nan if theta[0] > 0 else float(np.round(-abs(theta[1])))
+            evaluated.append((tuple(theta.tolist()), value))
+            return value
+
+        best = coordinate_search(objective, search, seed=1)
+        finite = [(theta, v) for theta, v in evaluated if not math.isnan(v)]
+        top = max(v for _, v in finite)
+        assert tuple(best.tolist()) == next(theta for theta, v in finite if v == top)
+        assert sum(v == top for _, v in finite) > 1
 
 
 class TestInducingPoints:
@@ -728,6 +746,71 @@ class TestInvariance:
         train = rng.choice(400, n_train, replace=False)
         self._assert_same_posterior(truncate(torus_spectrum, k), spec, train,
                                     torus_truth.field.ambient(), torus.frames, frames)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A random spanning path plus random extra edges, with random positive
+    weights, and a generator for the rest of the example."""
+    n = draw(st.integers(4, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    pairs = np.concatenate([np.stack([order[:-1], order[1:]], axis=1),
+                            rng.integers(0, n, (draw(st.integers(0, 3 * n)), 2))])
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    return tg.ProximityGraph(n, edges, rng.uniform(0.1, 2.0, len(edges))), rng
+
+
+class TestReductions:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=weighted_graphs())
+    def test_scalar_frames_reduce_to_the_graph_gp(self, case):
+        # m = 1: L_c is the graph Laplacian, and the vector GP on one channel
+        # is that channel of the channel-wise baseline at nu = inf
+        graph, rng = case
+        n = graph.n
+        frames = scalar_frames(n)
+        con = tg.assemble_connection_laplacian(graph, frames,
+                                               tg.compute_transports(graph, frames))
+        lap = tg.assemble_graph_laplacian(graph)
+        assert np.array_equal(con.matrix.toarray(), lap.matrix.toarray())
+        k = int(rng.integers(1, n + 1))
+        train = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        y = rng.standard_normal((len(train), 3))
+        hp = tg.MaternHyperparams(sigma=rng.uniform(0.5, 2.0), kappa=rng.uniform(0.5, 3.0),
+                                  nu=math.inf, sigma_n=10 ** rng.uniform(-3, 0))
+        base = tfields.baseline_scalar_rbf_predict(tg.eigendecompose(lap, k), train, y,
+                                                   np.arange(n), hp)
+        spec = tg.eigendecompose(con, k)
+        for c in range(3):
+            mean, _ = tg.predict(tg.fit(train, y[:, [c]], spec, frames, hp), np.arange(n))
+            assert np.abs(mean[:, 0] - base[:, c]).max() <= 1e-9 * np.abs(y).max()
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_node_relabelling_permutes_everything(self, seed):
+        # a jittered mesh has no distance ties, so relabelling its nodes keeps
+        # every frame neighbourhood; eigenvalues stay, predictions permute
+        rng = np.random.default_rng(seed)
+        points, faces = tio.generate_torus(2.0, 0.8, 15, 10)
+        points = points + 1e-3 * rng.standard_normal(points.shape)
+        perm = rng.permutation(len(points))
+        setup, relabelled = build_setup(points, faces), build_setup(points[perm], faces)
+        spec, spec_p = (tg.eigendecompose(s.con, 41) for s in (setup, relabelled))
+        assert np.allclose(spec_p.eigenvalues, spec.eigenvalues, rtol=0,
+                           atol=1e-10 * spec.eigenvalues.max())
+        gaps = np.diff(spec.eigenvalues[10:41])
+        k = 11 + int(np.argmax(gaps))  # the widest cut from k = 11 to 40
+        assert gaps.max() > 1e-2 * spec.eigenvalues[k]
+        truth = setup.frames.to_ambient(rng.standard_normal((len(points), 2)))
+        train = rng.choice(len(points), 60, replace=False)
+        where = np.argsort(perm)  # node i is node where[i] after relabelling
+        hp = TestInvariance.HP
+        mean, _ = tg.predict(tg.fit(train, truth[train], truncate(spec, k), setup.frames,
+                                    hp), np.arange(len(points)))
+        mean_p, _ = tg.predict(tg.fit(where[train], truth[train], truncate(spec_p, k),
+                                      relabelled.frames, hp), where)
+        assert np.abs(mean_p - mean).max() <= 1e-10 * np.abs(truth).max()
 
 
 class TestOutOfGraphExtension:

@@ -29,10 +29,15 @@ class TestVectorCsv:
         assert np.array_equal(vecs, vecs2)
 
     def test_row_width_follows_x_and_v_columns(self, tmp_path):
+        # a header column other than id, x* and v* is rejected, not ignored
         path = tmp_path / "extra.csv"
-        path.write_text("id,x0,x1,note\n0,1,2\n1,3,4\n")
-        ids, pts, vecs = tio.read_vector_csv(path)
-        assert ids.tolist() == [0, 1] and pts.tolist() == [[1, 2], [3, 4]] and vecs is None
+        for header in ("id,x0,x1,note", "id,x0,x1,v0,v1,note", "id,x0,x1,note,v0,v1"):
+            path.write_text(header + "\n0,1,2\n1,3,4\n")
+            with pytest.raises(ParseError, match="extra.csv:1: columns after x0"):
+                tio.read_vector_csv(path)
+        path.write_text("id,x0,x1\n0,1,2,a\n")
+        with pytest.raises(ParseError, match="extra.csv:2: expected 3 columns, got 4"):
+            tio.read_vector_csv(path)
 
     def test_points_only(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -369,6 +374,21 @@ class TestModelPersistence:
         tio.save_model(tmp_path / "model", model, small_torus.frames)
         loaded, _ = tio.load_model(tmp_path / "model")
         assert math.isinf(loaded.hyperparams.nu)
+
+    def test_stored_c_norm_must_match_refit(self, tmp_path, small_torus):
+        spec = tg.eigendecompose(small_torus.con, 10)
+        model = tg.fit(np.arange(10), np.zeros((10, 3)), spec, small_torus.frames,
+                       tg.MaternHyperparams())
+        tio.save_model(tmp_path / "model", model, small_torus.frames)
+        manifest_path = tmp_path / "model" / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["c_norm"] *= 1 + 1e-13  # within the tolerance: loads
+        manifest_path.write_text(json.dumps(manifest))
+        tio.load_model(tmp_path / "model")
+        manifest["c_norm"] *= 1 + 1e-9
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match="model.json: stored c_norm"):
+            tio.load_model(tmp_path / "model")
 
 
 TRICKY = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, -2.5],

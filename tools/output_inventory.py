@@ -1,0 +1,108 @@
+"""Hash every output file of a fixed set of CLI runs of one checkout.
+
+Usage: python3 tools/output_inventory.py CHECKOUT OUT_DIR
+
+Runs the tangentgp CLI of ``CHECKOUT/src`` at one BLAS thread, each command
+into a fresh directory under OUT_DIR (which must not exist):
+
+- on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
+  (k in {10, 25, 50}, searched hyperparameters), ``inpaint``, ``fit``,
+  on-graph ``predict``, ``spectrum``, DTC ``superresolve``
+  (``inducing_fraction``) and ``eval``;
+- on the 100x60 mesh torus (Lanczos eigensolve): ``generate`` and
+  ``superresolve``. Its OBJ is written by the checkout's ``io.write_obj``.
+
+Prints one ``command path sha256`` line per output file, ``manifest.json``
+(which holds wall times) excepted, so that ``diff`` of two inventories
+compares the outputs of two checkouts. Outputs are byte-identical only at a
+fixed BLAS thread count, hence the pinning. Only the standard library is
+imported here; the checkout runs in child processes.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FIXED_HP = {"sigma": 1.0, "kappa": 1.0, "nu": 1.5, "sigma_n": 0.01}
+KNN = {"k_neighbors": 6, "weighting": "unit"}
+MESH_OBJ = ("from tangentgp import io; "
+            "io.write_obj(r'{path}', *io.generate_torus(2.0, 0.8, 100, 60))")
+
+
+def runs(fixture: Path, mesh: Path, out: Path) -> list[tuple[str, str, dict | list]]:
+    """(name, command, config or eval arguments) in execution order."""
+    truth = str(out / "generate" / "field.csv")
+    base = {"input_mesh": str(fixture), "graph": KNN, "manifold_dim": 2}
+    searched = {**base, "field": truth, "fit": {"nu": 1.5}}
+    mesh_base = {"input_mesh": str(mesh), "graph": {"use_mesh_edges": True},
+                 "manifold_dim": 2}
+    return [
+        ("generate", "generate", {**base, "anchor_count": 40, "tau": 100.0, "seed": 7}),
+        ("superresolve", "superresolve", {**searched, "num_eigenvectors": [10, 25, 50],
+                                          "split_fraction": 0.5, "seed": 11}),
+        ("inpaint", "inpaint", {**searched, "num_eigenvectors": 50, "seed": 3,
+                                "mask": {"center_node": "auto", "fraction": 0.15}}),
+        ("fit", "fit", {**searched, "num_eigenvectors": 25, "seed": 5}),
+        ("predict", "predict", {"input_mesh": str(fixture), "seed": 5,
+                                "model_dir": str(out / "fit" / "model")}),
+        ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
+        ("dtc", "superresolve", {**searched, "num_eigenvectors": [10, 50],
+                                 "split_fraction": 0.5, "inducing_fraction": 0.3,
+                                 "seed": 13}),
+        ("eval", "eval", ["--pred", str(out / "superresolve" / "predictions_k50.csv"),
+                          "--truth", truth]),
+        ("mesh_generate", "generate", {**mesh_base, "seed": 7, "tau": 10.0,
+                                       "anchor_fraction": 0.1}),
+        ("mesh_superresolve", "superresolve",
+         {**mesh_base, "field": str(out / "mesh_generate" / "field.csv"),
+          "num_eigenvectors": 50, "hyperparams": FIXED_HP, "split_fraction": 0.1,
+          "seed": 7}),
+    ]
+
+
+def run(env: dict, args: list[str], log: Path) -> None:
+    with open(log, "w") as fh:
+        code = subprocess.call(args, env=env, stdout=fh, stderr=subprocess.STDOUT)
+    if code:
+        sys.exit(f"{' '.join(args)} exited with {code}:\n{log.read_text()[-2000:]}")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    checkout, out = (Path(a).resolve() for a in argv)
+    out.mkdir(parents=True)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
+    mesh = out / "torus_100x60.obj"
+    run(env, [sys.executable, "-c", MESH_OBJ.format(path=mesh)], out / "mesh.log")
+    lines = [f"mesh {mesh.name} {sha256(mesh)}"]
+    cli = [sys.executable, "-m", "tangentgp.cli"]
+    for name, command, spec in runs(checkout / "tests" / "fixtures" / "torus_400.obj",
+                                    mesh, out):
+        target = out / name
+        if command == "eval":
+            args = [*spec, "--out", str(target)]
+        else:
+            config = out / f"{name}.json"
+            config.write_text(json.dumps({"kind": command, "output_dir": str(target),
+                                          **spec}, indent=2))
+            args = ["--config", str(config)]
+        run(env, [*cli, command, *args], out / f"{name}.log")
+        lines += [f"{name} {p.relative_to(target)} {sha256(p)}"
+                  for p in sorted(target.rglob("*"))
+                  if p.is_file() and p.name != "manifest.json"]
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
