@@ -89,16 +89,16 @@ def _load_config(config_path: str, expected_kind: str, out_override: str | None,
                  seed_override: int | None) -> io.ExperimentConfig:
     try:
         cfg = io.load_config(config_path)
+        overrides = {"output_dir": out_override or cfg.output_dir,
+                     "seed": cfg.seed if seed_override is None else seed_override}
+        io.check_config({**cfg.raw, **overrides})
     except (OSError, ValueError) as exc:
         raise CommandError(str(exc)) from exc
     if cfg.kind != expected_kind:
         raise CommandError(
             f"config kind is {cfg.kind!r} but the {expected_kind!r} command was invoked"
         )
-    if out_override:
-        cfg.output_dir = out_override
-    if seed_override is not None:
-        cfg.seed = seed_override
+    cfg.output_dir, cfg.seed = overrides["output_dir"], overrides["seed"]
     return cfg
 
 
@@ -134,6 +134,16 @@ def _spectrum_checked(operator, k: int, seed: int) -> spectral.Spectrum:
     return spec
 
 
+def _check_mask(mask: dict | None, n: int) -> None:
+    """Mask node indices: the schema bounds them below, the node count above."""
+    mask = mask or {}
+    named = {f"mask.nodes[{i}]": node for i, node in enumerate(mask.get("nodes", []))}
+    named["mask.center_node"] = mask.get("center_node", "auto")
+    for key, node in named.items():
+        if node != "auto" and node >= n:
+            raise CommandError(f"{key}: must be < {n}, the node count, got {node}")
+
+
 def _geometry_pipeline(run: Run, field: bool = False):
     """Input, graph, frames and transports; with ``field``, a config that
     names no field CSV fails before the first stage."""
@@ -142,6 +152,7 @@ def _geometry_pipeline(run: Run, field: bool = False):
         raise CommandError("config needs a 'field' CSV with ground-truth vectors")
     with run.stage("load_input"):
         cloud, faces = _load_cloud(cfg)
+    _check_mask(cfg.mask, cloud.n)
     with run.stage("build_graph"):
         graph = _build_graph(cfg, cloud, faces)
     with run.stage("tangent_frames"):
@@ -315,10 +326,7 @@ def _resolve_mask(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
     spec = cfg.mask or {}
     mask = np.zeros(cloud.n, dtype=bool)
     if "nodes" in spec:
-        nodes = np.asarray(spec["nodes"], dtype=np.int64)
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= cloud.n):
-            raise CommandError("mask node out of range")
-        mask[nodes] = True
+        mask[spec["nodes"]] = True
         return mask
     center = spec.get("center_node", "auto")
     if center == "auto":
@@ -327,10 +335,6 @@ def _resolve_mask(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
         coords = frames.project(truth)
         coherence = fields.direction_coherence(graph, transports, coords)
         center = int(np.argmin(coherence))
-    else:
-        center = int(center)
-        if not 0 <= center < cloud.n:
-            raise CommandError(f"mask center_node {center} out of range")
     dists = np.linalg.norm(cloud.points - cloud.points[center], axis=1)
     if "radius" in spec:
         mask[dists <= float(spec["radius"])] = True
@@ -434,9 +438,9 @@ def _cmd_predict(run: Run):
         if cfg.query == "all":
             ids = np.arange(n)
         else:
-            ids = np.asarray(cfg.query, dtype=np.int64)
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
+            if any(i >= n for i in cfg.query):
                 raise CommandError("query node out of range")
+            ids = np.asarray(cfg.query, dtype=np.int64)
         # node positions are not stored in the model; pull them from the
         # configured geometry when available, else write zeros
         if cfg.input_mesh or cfg.input_cloud:

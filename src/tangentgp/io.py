@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -45,6 +46,7 @@ __all__ = [
     "load_model",
     "ExperimentConfig",
     "load_config",
+    "check_config",
     "config_hash",
     "write_metrics_json",
     "write_json_atomic",
@@ -532,9 +534,6 @@ def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames]:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-KINDS = ("generate", "superresolve", "inpaint", "fit", "predict", "eval", "spectrum")
-
-
 @dataclass
 class GraphConfig:
     k_neighbors: int = 5
@@ -582,14 +581,7 @@ class ExperimentConfig:
     raw: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if not self.k_list or min(self.k_list) < 1:
-            raise ValueError("num_eigenvectors must be >= 1")
-        if self.graph.weighting not in ("unit", "gaussian"):
-            raise ValueError(f"unknown weighting {self.graph.weighting!r}")
+        # the schema cannot see the file system
         for attr in ("input_mesh", "input_cloud", "field", "query_points", "model_dir"):
             p = getattr(self, attr)
             if p is not None and not Path(p).exists():
@@ -598,88 +590,99 @@ class ExperimentConfig:
     @property
     def k_list(self) -> list[int]:
         ks = self.num_eigenvectors
-        return [int(v) for v in ks] if isinstance(ks, list) else [int(ks)]
+        return list(ks) if isinstance(ks, list) else [ks]
 
 
 def _parse_nu(nu):
-    """Smoothness as stored in JSON: a positive number, "inf" or a numeric string."""
-    try:
-        value = (math.inf if nu == "inf" else float(nu)) if isinstance(nu, str) else nu
-        if value > 0:
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"nu must be a positive number or 'inf', got {nu!r}")
+    """Smoothness as JSON stores it: a number, or "inf" for the heat kernel."""
+    return math.inf if nu == "inf" else nu
 
 
 def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
     if raw is None:
         return None
-    return gp_mod.MaternHyperparams(
-        sigma=float(raw.get("sigma", 1.0)),
-        kappa=float(raw.get("kappa", 1.0)),
-        nu=_parse_nu(raw.get("nu", 1.5)),
-        sigma_n=float(raw.get("sigma_n", 1e-3)),
-    )
+    return gp_mod.MaternHyperparams(**{key: _parse_nu(v) if key == "nu" else float(v)
+                                       for key, v in raw.items()})
 
 
 def _fit_from_dict(raw: dict | None) -> FitConfig:
     budget = dict(raw or {})
-    nu = _parse_nu(budget.pop("nu", 1.5))
-    for key, value in budget.items():
-        if isinstance(value, bool) or not float(value).is_integer():
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    return FitConfig(nu, gp_mod.SearchConfig(**{k: int(v) for k, v in budget.items()}))
+    smoothness = {"nu": _parse_nu(budget.pop("nu"))} if "nu" in budget else {}
+    return FitConfig(**smoothness, search=gp_mod.SearchConfig(**budget))
 
 
 # config blocks parsed into objects when the config is loaded
 _BLOCKS = {"graph": lambda raw: GraphConfig(**raw), "hyperparams": _hp_from_dict,
            "baseline_hyperparams": _hp_from_dict, "fit": _fit_from_dict}
 
-_HP_KEYS = set(gp_mod.MaternHyperparams.__dataclass_fields__)
-NESTED_KEYS = {"graph": set(GraphConfig.__dataclass_fields__), "hyperparams": _HP_KEYS,
-               "baseline_hyperparams": _HP_KEYS,
-               "fit": {"nu", "n_starts", "n_sweeps", "grid_points"},
-               "mask": {"nodes", "center_node", "fraction", "radius"}}
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-_FRACTION = ("a number in (0, 1]", lambda v: _number(v) and 0 < v <= 1)
-_COUNT = ("an integer >= 1", lambda v: _index(v) and v >= 1)
-_POSITIVE = ("a number > 0", lambda v: _number(v) and v > 0)
-# the schema's bound on each value, checked at load; a dotted name is a key
-# of a nested block
-_BOUNDS = {
-    "tau": ("a number >= 0", lambda v: _number(v) and v >= 0),
-    "split_fraction": _FRACTION, "anchor_fraction": _FRACTION,
-    "inducing_fraction": _FRACTION, "mask.fraction": _FRACTION,
-    "anchor_count": _COUNT, "manifold_dim": _COUNT, "graph.k_neighbors": _COUNT,
-    "frame_neighbors": ("an integer >= 1 or 'auto'", lambda v: v == "auto" or _COUNT[1](v)),
-    "graph.bandwidth": _POSITIVE, "mask.radius": _POSITIVE,
-    "mask.center_node": ("an integer >= 0 or 'auto'", lambda v: v == "auto" or _index(v)),
-    "mask.nodes": ("a list of integers >= 0",
-                   lambda v: isinstance(v, list) and all(map(_index, v))),
+# each draft-07 type: its words in a message and its test. An integer is a
+# JSON integer literal; a number is never a bool and always a finite double.
+_TYPES = {
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "null": ("null", lambda v: v is None),
+    "array": ("an array", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
 }
-_NULLABLE = {"anchor_fraction", "inducing_fraction", "anchor_count", "graph.bandwidth"}
+_LIMITS = {"minimum": (">=", lambda v, b: v >= b), "maximum": ("<=", lambda v, b: v <= b),
+           "exclusiveMinimum": (">", lambda v, b: v > b)}
 
 
-def _check_bounds(raw: dict, path) -> None:
-    """Raise a ParseError naming the first value outside its schema bound."""
-    for name, (bound, valid) in _BOUNDS.items():
-        block, _, key = name.rpartition(".")
-        section = raw.get(block) if block else raw
-        if not isinstance(section, dict) or key not in section:
-            continue
-        value = section[key]
-        if not (valid(value) or (value is None and name in _NULLABLE)):
-            raise ParseError(path, None, f"{name}: must be {bound}, got {value!r}")
+def _kinds(schema: dict) -> list:
+    """(words, test) of each kind of value ``schema`` admits, bounds aside."""
+    if "const" in schema:
+        return [(repr(schema["const"]), lambda v: v == schema["const"])]
+    kinds = schema.get("type", [])
+    return [_TYPES[kind] for kind in (kinds if isinstance(kinds, list) else [kinds])]
+
+
+def _check(value, schema: dict, key: str) -> None:
+    """Raise a ValueError naming ``key`` at the first keyword of ``schema``
+    that ``value`` breaks. Only the draft-07 keywords the shipped schema uses
+    are implemented; ``oneOf`` alternatives admit disjoint kinds of value, so
+    the one that admits a value decides it."""
+    def fail(bound):
+        raise ValueError(f"{key or 'config'}: must be {bound}, got {value!r}")
+
+    # the type or const of the schema, or of exactly one of its oneOf
+    # alternatives, must admit the value
+    alternatives = schema.get("oneOf", [schema])
+    admitted = [sub for sub in alternatives if any(test(value) for _, test in _kinds(sub))]
+    if len(admitted) != 1 and any(map(_kinds, alternatives)):
+        fail(" or ".join(words for sub in alternatives for words, _ in _kinds(sub)))
+    if "oneOf" in schema:
+        _check(value, admitted[0], key)
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"one of {schema['enum']}")
+    for word, (sign, holds) in _LIMITS.items():
+        if word in schema and isinstance(value, (int, float)) and not holds(value, schema[word]):
+            fail(f"{sign} {schema[word]}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"an array of {schema['minItems']} or more items")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{key}[{i}]")
+    if isinstance(value, dict):
+        properties, prefix = schema.get("properties", {}), f"{key}." if key else ""
+        for name in schema.get("required", []):
+            if name not in value:
+                raise ValueError(f"{prefix}{name}: required key missing")
+        unknown = sorted(set(value) - set(properties))
+        if unknown and schema.get("additionalProperties") is False:
+            raise ValueError(f"unknown {key or 'config'} keys: {unknown}")
+        for name, sub in properties.items():
+            if name in value:
+                _check(value[name], sub, prefix + name)
+
+
+def check_config(raw) -> None:
+    """Raise a ValueError naming the first key of a config, as parsed from
+    JSON, that breaks the shipped schema: the one statement of the contract."""
+    schema = Path(__file__).parent / "schemas" / "experiment-config.schema.json"
+    _check(raw, json.loads(schema.read_text()), "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -688,17 +691,10 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(path, 1, "config must be a JSON object")
-    known = {f for f in ExperimentConfig.__dataclass_fields__ if f != "raw"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ParseError(path, None, f"unknown config keys: {sorted(unknown)}")
-    for name, nested in NESTED_KEYS.items():
-        if isinstance(raw.get(name), dict) and set(raw[name]) - nested:
-            raise ParseError(path, None,
-                             f"unknown {name} keys: {sorted(set(raw[name]) - nested)}")
-    _check_bounds(raw, path)
+    try:
+        check_config(raw)
+    except ValueError as exc:
+        raise ParseError(path, None, str(exc)) from None
     kwargs = dict(raw)
     for name, parse in _BLOCKS.items():
         if name in kwargs:
@@ -707,11 +703,10 @@ def load_config(path) -> ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ParseError(path, None, f"{name}: {exc}") from None
     base = path.parent
-    for attr in ("input_mesh", "input_cloud", "field", "query_points", "model_dir"):
+    for attr in ("output_dir", "input_mesh", "input_cloud", "field", "query_points",
+                 "model_dir"):
         if kwargs.get(attr):
             kwargs[attr] = str((base / kwargs[attr]).resolve())
-    if kwargs.get("output_dir"):
-        kwargs["output_dir"] = str((base / kwargs["output_dir"]).resolve())
     return ExperimentConfig(raw=raw, **kwargs)
 
 

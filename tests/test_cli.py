@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import tangentgp as tg
 from tangentgp import fields as tfields
+from tangentgp import geometry as geo
 from tangentgp import gp
 from tangentgp import io as tio
 from tangentgp.cli import main
@@ -399,7 +400,97 @@ class TestConfigValues:
         monkeypatch.setattr(tio, "load_mesh", no_input)
         result = run_cli(["inpaint", "--config", str(cfg)])
         assert result.exit_code == 1
-        assert f"{name}: " in result.output
+        assert f"{name}.{next(iter(block))}: " in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, fragment", [
+        ("allow_out_of_graph", '"allow_out_of_graph": "false"'),
+        ("num_eigenvectors", '"num_eigenvectors": 2.5'),
+        ("num_eigenvectors[1]", '"num_eigenvectors": [10, 2.5]'),
+        ("num_eigenvectors", '"num_eigenvectors": true'),
+        ("num_eigenvectors", '"num_eigenvectors": "50"'),
+        ("seed", '"seed": "3"'),
+        ("seed", '"seed": 1.5'),
+        ("seed", '"seed": true'),
+        ("graph.use_mesh_edges", '"graph": {"use_mesh_edges": "no"}'),
+        ("graph.on_disconnected", '"graph": {"on_disconnected": "ignore"}'),
+        ("hyperparams.sigma", '"hyperparams": {"sigma": "2"}'),
+        ("hyperparams.sigma", '"hyperparams": {"sigma": true}'),
+        ("query", '"query": "some"'),
+        ("query[0]", '"query": [1.5]'),
+        ("fit.n_starts", '"fit": {"n_starts": 2.0}'),
+        ("fit.nu", '"fit": {"nu": "1.5"}'),
+        # values Python's json reads but the schema's numbers exclude
+        ("tau", '"tau": Infinity'),
+        ("tau", '"tau": 1e400'),
+        ("graph.bandwidth", '"graph": {"bandwidth": Infinity}'),
+        ("fit.nu", '"fit": {"nu": Infinity}'),
+        ("kind", None),
+        ("output_dir", '"output_dir": 5'),
+    ])
+    def test_malformed_configs_fail_naming_the_key(self, tmp_path, generated,
+                                                   monkeypatch, key, fragment):
+        # each loaded, or ended in a traceback, before configs met the schema
+        gen_out, _ = generated
+        payload = {"kind": "superresolve", "input_mesh": str(TORUS_OBJ),
+                   "field": str(gen_out / "field.csv"), "output_dir": "out"}
+        if fragment is None:
+            del payload[key]
+            text = json.dumps(payload)
+        else:
+            payload.pop(fragment.split('"')[1], None)
+            text = json.dumps(payload)[:-1] + ", " + fragment + "}"
+        (tmp_path / "config.json").write_text(text)
+
+        def no_input(*_args):
+            raise AssertionError("the mesh was read before the config was checked")
+
+        monkeypatch.setattr(tio, "load_mesh", no_input)
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(["superresolve", "--config", "config.json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"config.json: {key}: " in result.output
+        assert "Traceback" not in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_seed_override_checked_before_any_stage(self, tmp_path, generated,
+                                                    monkeypatch):
+        gen_out, _ = generated
+        cfg = write_config(tmp_path, "superresolve.json", {
+            "kind": "superresolve", "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"), "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS, "output_dir": str(tmp_path / "out")})
+
+        def no_input(*_args):
+            raise AssertionError("the mesh was read before the override was checked")
+
+        monkeypatch.setattr(tio, "load_mesh", no_input)
+        result = run_cli(["superresolve", "--config", str(cfg), "--seed", "-1"])
+        assert result.exit_code == 1
+        assert "seed: must be >= 0, got -1" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mask, message", [
+        ({"nodes": [3, 400]}, "mask.nodes[1]: must be < 400, the node count, got 400"),
+        ({"center_node": 400}, "mask.center_node: must be < 400, the node count, got 400"),
+    ])
+    def test_mask_nodes_checked_before_the_graph(self, tmp_path, generated, monkeypatch,
+                                                 mask, message):
+        gen_out, _ = generated
+        cfg = write_config(tmp_path, "inpaint.json", {
+            "kind": "inpaint", "input_mesh": str(TORUS_OBJ),
+            "field": str(gen_out / "field.csv"), "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS, "baseline_hyperparams": BASELINE_HP,
+            "mask": mask, "output_dir": str(tmp_path / "out")})
+
+        def no_graph(*_args):
+            raise AssertionError("the graph was built before the mask was checked")
+
+        monkeypatch.setattr(geo, "build_knn_graph", no_graph)
+        result = run_cli(["inpaint", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert message in result.output
         assert not (tmp_path / "out").exists()
 
 
@@ -640,6 +731,18 @@ class TestConfigVariants:
                                            / "predictions.csv")
         assert ids.tolist() == [5, 17, 200]
         assert vecs.shape == (3, 3)
+
+    def test_query_beyond_the_model_fails(self, workdir, generated):
+        # an index past int64 is a valid JSON integer, so it must not reach numpy
+        cfg = write_config(workdir, "predict_far.json", {
+            "kind": "predict",
+            "model_dir": str(workdir / "fit" / "model"),
+            "query": [5, 2**70],
+            "output_dir": str(workdir / "pred_far"),
+        })
+        result = run_cli(["predict", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "query node out of range" in result.output
 
     def test_superresolve_with_inducing_compression(self, workdir, generated):
         gen_out, _ = generated

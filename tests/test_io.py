@@ -1,7 +1,11 @@
+import dataclasses
+import importlib.util
 import json
 import math
 import re
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,6 +588,11 @@ class TestRoundTrip:
         assert faces2.tobytes() == faces.tobytes()
 
 
+def shipped_schema():
+    return json.loads((resources.files("tangentgp") / "schemas" /
+                       "experiment-config.schema.json").read_text())
+
+
 class TestConfig:
     def write(self, tmp_path, payload):
         path = tmp_path / "config.json"
@@ -633,19 +642,29 @@ class TestConfig:
         assert default.fit == tio.FitConfig(1.5, tg.SearchConfig())
 
     @pytest.mark.parametrize("name, block, message", [
-        ("hyperparams", {"sigma": -1}, "sigma must be positive"),
-        ("hyperparams", {"kappa": "wide"}, "could not convert"),
-        ("baseline_hyperparams", {"sigma": -1}, "sigma must be positive"),
-        ("baseline_hyperparams", {"nu": "abc"}, "nu must be a positive number"),
-        ("fit", {"n_starts": 0}, "n_starts must be >= 1"),
-        ("fit", {"nu": -2}, "nu must be a positive number"),
-        ("fit", {"nu": [1]}, "nu must be a positive number"),
-        ("graph", [], "must be a mapping"),
-        ("fit", {"n_starts": 2.9}, "n_starts must be an integer"),
-        ("fit", {"grid_points": True}, "grid_points must be an integer"),
-    ])
+        ("hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
+        ("hyperparams", {"kappa": "wide"}, ".kappa: must be a finite number, got 'wide'"),
+        ("baseline_hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
+        ("baseline_hyperparams", {"nu": "abc"},
+         ".nu: must be a finite number or 'inf', got 'abc'"),
+        ("fit", {"n_starts": 0}, ".n_starts: must be >= 1, got 0"),
+        ("fit", {"nu": -2}, ".nu: must be > 0, got -2"),
+        ("fit", {"nu": [1]}, ".nu: must be a finite number or 'inf', got [1]"),
+        ("graph", [], ": must be an object, got []"),
+        ("fit", {"n_starts": 2.9}, ".n_starts: must be an integer, got 2.9"),
+        ("fit", {"grid_points": True}, ".grid_points: must be an integer, got True"),
+    ], ids=["hyperparams-block0-sigma must be positive",
+            "hyperparams-block1-could not convert",
+            "baseline_hyperparams-block2-sigma must be positive",
+            "baseline_hyperparams-block3-nu must be a positive number",
+            "fit-block4-n_starts must be >= 1",
+            "fit-block5-nu must be a positive number",
+            "fit-block6-nu must be a positive number",
+            "graph-block7-must be a mapping",
+            "fit-block8-n_starts must be an integer",
+            "fit-block9-grid_points must be an integer"])
     def test_bad_block_values_rejected(self, tmp_path, name, block, message):
-        with pytest.raises(ParseError, match=f"{name}: .*{message}"):
+        with pytest.raises(ParseError, match=re.escape(name + message)):
             tio.load_config(self.write(tmp_path, {
                 "kind": "inpaint", "output_dir": "out", name: block}))
 
@@ -667,7 +686,7 @@ class TestConfig:
                 "input_mesh": "nope.obj"}))
 
     def test_seed_must_fit_u64(self, tmp_path):
-        with pytest.raises(ValueError, match="64-bit"):
+        with pytest.raises(ParseError, match="seed: must be <= 18446744073709551615"):
             tio.load_config(self.write(tmp_path, {
                 "kind": "generate", "output_dir": "out", "seed": 2**64}))
 
@@ -688,13 +707,72 @@ class TestConfig:
         assert tio.config_hash(a) != tio.config_hash({**a, "seed": 4})
 
     def test_schema_ships_and_matches_config_fields(self):
-        from importlib import resources
-        schema_text = (resources.files("tangentgp") / "schemas" /
-                       "experiment-config.schema.json").read_text()
-        schema = json.loads(schema_text)
+        schema = shipped_schema()
         config_fields = {f for f in tio.ExperimentConfig.__dataclass_fields__
                          if f != "raw"}
         assert set(schema["properties"]) == config_fields
-        for name, keys in tio.NESTED_KEYS.items():
+        hyperparams = set(tg.MaternHyperparams.__dataclass_fields__)
+        nested = {"graph": set(tio.GraphConfig.__dataclass_fields__),
+                  "hyperparams": hyperparams, "baseline_hyperparams": hyperparams,
+                  "fit": {"nu", "n_starts", "n_sweeps", "grid_points"}}
+        for name, keys in nested.items():
             assert set(schema["properties"][name]["properties"]) == keys, name
-            assert schema["properties"][name]["additionalProperties"] is False
+        for name, block in [("config", schema), *schema["properties"].items()]:
+            if "properties" in block:
+                assert block["additionalProperties"] is False, name
+
+    def test_schema_defaults_are_the_dataclass_defaults(self):
+        # the dataclass field is the one default; the schema only documents it
+        schema = shipped_schema()["properties"]
+        fields = {**{(None, f.name): f for f in
+                     dataclasses.fields(tio.ExperimentConfig)},
+                  **{("graph", f.name): f for f in dataclasses.fields(tio.GraphConfig)}}
+        documented = {(None, name): spec["default"] for name, spec in schema.items()
+                      if "default" in spec}
+        documented.update({("graph", name): spec["default"] for name, spec in
+                           schema["graph"]["properties"].items() if "default" in spec})
+        assert len(documented) == 11
+        for key, default in documented.items():
+            field = fields[key]
+            value = (field.default_factory() if field.default is dataclasses.MISSING
+                     else field.default)
+            assert value == default and type(value) is type(default), key
+
+    def test_schema_uses_only_checked_keywords(self):
+        # a keyword the checker does not implement would be ignored silently
+        checked = {"type", "enum", "const", "minimum", "maximum", "exclusiveMinimum",
+                   "oneOf", "items", "minItems", "properties", "additionalProperties",
+                   "required"}
+        annotations = {"$schema", "title", "description", "default"}
+
+        def walk(schema, where):
+            assert set(schema) <= checked | annotations, (where, set(schema))
+            for name, sub in schema.get("properties", {}).items():
+                walk(sub, f"{where}.{name}")
+            if "items" in schema:
+                walk(schema["items"], f"{where}[]")
+            if "oneOf" in schema:
+                # the checker lets the one alternative of a value's kind decide
+                kinds = [repr(sub["const"]) if "const" in sub else sub["type"]
+                         for sub in schema["oneOf"]]
+                assert len(set(kinds)) == len(kinds), where
+                assert not {"integer", "number"} <= set(kinds), where
+                for sub in schema["oneOf"]:
+                    walk(sub, f"{where}|")
+
+        walk(shipped_schema(), "config")
+
+    def test_shipped_and_inventory_configs_meet_the_schema(self, tmp_path):
+        root = Path(__file__).parent.parent
+        for path in sorted((root / "configs").glob("*.json")):
+            tio.check_config(json.loads(path.read_text()))
+        spec = importlib.util.spec_from_file_location(
+            "output_inventory", root / "tools" / "output_inventory.py")
+        inventory = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inventory)
+        runs = inventory.runs(tmp_path / "torus.obj", tmp_path / "mesh.obj", tmp_path)
+        configs = [{"kind": command, "output_dir": str(tmp_path / name), **payload}
+                   for name, command, payload in runs if command != "eval"]
+        assert len(configs) == 9
+        for config in configs:
+            tio.check_config(config)
