@@ -418,7 +418,9 @@ def _neighborhood_sizes(graph: ProximityGraph, m: int,
         return auto_frame_neighbors(graph.degrees, m, graph.n)
     if n_neighbors < m:
         raise ValueError(f"n_neighbors must be >= m={m}")
-    return np.full(graph.n, int(n_neighbors), dtype=np.int64)
+    # no neighbourhood outgrows n - 1 other nodes; clipping first keeps huge
+    # sizes inside int64
+    return np.full(graph.n, min(int(n_neighbors), graph.n - 1), dtype=np.int64)
 
 
 def _frame_neighborhoods(graph: ProximityGraph, points: np.ndarray,

@@ -5,6 +5,11 @@ block operator with diagonal blocks D_ii * I and off-diagonal blocks
 -w_ij * O_ij for adjacent nodes, where O_ij transports coordinates at j into
 the frame at i. With this sign convention parallel fields span its null
 space and its quadratic form is the vector Dirichlet energy.
+
+For m = 2 on an orientable connection the operator is C-linear, the real
+form of an n x n complex Hermitian one, and the Lanczos path of
+:func:`eigendecompose` solves that form instead; every other operator takes
+the real path. Eigenvalues then come in exact pairs.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .geometry import GaugeFrames, ProximityGraph, TransportMaps, _fix_column_signs
@@ -42,6 +48,9 @@ SHIFT_FRACTION = 1e-3
 # ARPACK's convergence tolerance, and its iteration budget per operator row
 LANCZOS_TOL = 1e-10
 LANCZOS_ITERATIONS_PER_ROW = 10
+# how far, relative to its own size, a 2x2 block may be from a scaled rotation
+# after the frame flip and still count as one: the rounding of Procrustes maps
+ROTATION_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -143,7 +152,16 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _start_vector(rng: np.random.Generator, size: int, dtype) -> np.ndarray:
+    """A seeded random vector of the operator's dtype (complex: two draws)."""
+    vec = rng.standard_normal(size)
+    if np.issubdtype(dtype, np.complexfloating):
+        vec = vec + 1j * rng.standard_normal(size)
+    return vec
+
+
 def _arpack(operator, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    # eigsh hands a complex Hermitian operator to eigs (znaupd)
     maxiter = LANCZOS_ITERATIONS_PER_ROW * operator.shape[0]
     try:
         return eigsh(operator, tol=LANCZOS_TOL, maxiter=maxiter, **kwargs)
@@ -157,35 +175,35 @@ def _arpack(operator, **kwargs) -> tuple[np.ndarray, np.ndarray]:
 def _shift_invert(mat: sparse.csr_matrix) -> tuple[float, LinearOperator]:
     """(delta, operator applying (L + delta*I)^-1 through one sparse LU)."""
     size = mat.shape[0]
-    delta = SHIFT_FRACTION * float(mat.diagonal().mean())
+    delta = SHIFT_FRACTION * float(mat.diagonal().real.mean())
     try:
         lu = splu((mat + delta * sparse.identity(size)).tocsc(),
                   permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         raise EigensolverError(f"cannot factorise L + {delta:.3e} I: {exc}") from exc
-    return delta, LinearOperator((size, size), matvec=lu.solve, dtype=float)
+    return delta, LinearOperator((size, size), matvec=lu.solve, dtype=mat.dtype)
 
 
 def _rayleigh_ritz(mat: sparse.csr_matrix,
                    basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Ritz pairs of L on span(basis), ascending."""
     q, _ = np.linalg.qr(basis)
-    proj = q.T @ (mat @ q)
-    vals, coeffs = np.linalg.eigh((proj + proj.T) / 2)
+    proj = q.conj().T @ (mat @ q)
+    vals, coeffs = np.linalg.eigh((proj + proj.conj().T) / 2)
     return vals, q @ coeffs
 
 
 def _count_below(mat: sparse.csr_matrix, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric L below sigma, exactly.
+    """Number of eigenvalues of the symmetric or Hermitian L below sigma, exactly.
 
     By Sylvester's law of inertia it is the number of negative pivots of an
-    unpivoted LU (an LDL^T) of L - sigma*I. SuperLU keeps the diagonal pivots
+    unpivoted LU (an LDL^H) of L - sigma*I. SuperLU keeps the diagonal pivots
     at ``diag_pivot_thresh=0`` unless one is exactly zero; a row permutation
     other than the symmetric column ordering voids the count.
     """
     try:
-        # L - sigma*I is symmetric, so the transpose of its CSR form is its CSC
-        # form; the copy is freed before U's diagonal is read
+        # the transpose of the CSR form is the CSC form of L^T = conj(L), which
+        # has L's spectrum; the copy is freed before U's diagonal is read
         lu = splu((mat - sigma * sparse.identity(mat.shape[0], format="csr")).T,
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                   options={"SymmetricMode": True})
@@ -194,7 +212,7 @@ def _count_below(mat: sparse.csr_matrix, sigma: float) -> int:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolverError(
             f"LU of L - {sigma:.6e} I pivoted off the diagonal; no inertia count")
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
 def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
@@ -209,13 +227,14 @@ def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
     size, count = vecs.shape
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - vecs @ (vecs.T @ x)
+        return x - vecs @ (vecs.conj().T @ x)
 
-    complement = LinearOperator((size, size), dtype=float,
+    complement = LinearOperator((size, size), dtype=inverse.dtype,
                                 matvec=lambda x: project(inverse @ project(x)))
     # the complement has rank size - count, so every mu asked for is positive
+    start = _start_vector(rng, size, inverse.dtype)
     mu, found = _arpack(complement, k=min(wanted, size - count - 1),
-                        which="LA", v0=_unit(project(rng.standard_normal(size))))
+                        which="LA", v0=_unit(project(start)))
     return found[:, 1.0 / mu - delta < sigma]
 
 
@@ -228,6 +247,7 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
     sigma leaves it out of the count.
     """
     sigma = cut - DEGENERATE_GAP * max(1.0, cut)
+    form = "complex Hermitian form" if np.iscomplexobj(mat) else "real operator"
     count = _count_below(mat, sigma)
     vals, vecs = _rayleigh_ritz(mat, basis)
     found = int(np.count_nonzero(vals < sigma))
@@ -239,14 +259,80 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
             grown = int(np.count_nonzero(vals < sigma))
             if grown <= found:
                 raise EigensolverError(
-                    f"Lanczos basis holds {grown} of the {count} eigenvalues below "
-                    f"{sigma:.6e}, and the deflated search adds none")
+                    f"Lanczos basis of the {form} holds {grown} of the "
+                    f"{count} eigenvalues below {sigma:.6e}, and the deflated "
+                    f"search adds none")
             found = grown
     if found > count:
         raise EigensolverError(
-            f"Lanczos basis holds {found} Ritz values below {sigma:.6e}, but the "
-            f"inertia count is {count}")
+            f"Lanczos basis of the {form} holds {found} Ritz values "
+            f"below {sigma:.6e}, but the inertia count is {count}")
     return vals, vecs
+
+
+def _lanczos(mat: sparse.csr_matrix, count: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` smallest eigenpairs of the symmetric or Hermitian L:
+    shift-invert ARPACK, then the inertia-certified Rayleigh-Ritz step."""
+    delta, inverse = _shift_invert(mat)
+    rng = np.random.default_rng(seed)
+    ritz, basis = _arpack(mat, k=count, sigma=-delta, which="LM", OPinv=inverse,
+                          v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
+    del inverse  # free the factor before the inertia count builds its own
+    vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
+    return vals[:count], vecs[:, :count]
+
+
+def _hermitian_form(operator: GraphLaplacian | ConnectionLaplacian
+                    ) -> tuple[sparse.csr_matrix, np.ndarray] | None:
+    """(H, s): the n x n complex Hermitian form of an m = 2 connection
+    Laplacian, and the per-node flips s_i = +-1 of each frame's second axis
+    after which every 2x2 block [[a, b], [c, d]] is a scaled rotation, entry
+    H_ij = (a + d)/2 + i(c - b)/2. None when there is no such form: m != 2,
+    a non-orientable connection, or a block that is not a scaled rotation.
+
+    The sign of det of an off-diagonal block is that of det(O_ij). On the
+    signed double cover (node i+ is i, i- is i + n; a reflecting block joins
+    the two copies) the connection is orientable iff no i+ is connected to
+    its i-. Then s_i = +1 where i+ has the lower component label, which
+    keeps the frame of each graph component's lowest node.
+    """
+    if not isinstance(operator, ConnectionLaplacian) or operator.m != 2:
+        return None
+    n = operator.n
+    bsr = operator.matrix.tobsr(blocksize=(2, 2))
+    rows = np.repeat(np.arange(n), np.diff(bsr.indptr))
+    cols = bsr.indices
+    (a, b), (c, d) = bsr.data[:, 0].T, bsr.data[:, 1].T
+    det = a * d - b * c
+    edge = (rows != cols) & (det != 0)
+    cross = np.where(det[edge] < 0, n, 0)
+    heads = np.concatenate([rows[edge], rows[edge] + n])
+    tails = np.concatenate([cols[edge] + cross, cols[edge] + n - cross])
+    cover = sparse.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(2 * n, 2 * n))
+    _, labels = csgraph.connected_components(cover, directed=False)
+    if np.any(labels[:n] == labels[n:]):
+        return None
+    signs = np.where(labels[:n] < labels[n:], 1.0, -1.0)
+    b, c, d = b * signs[cols], c * signs[rows], d * signs[rows] * signs[cols]
+    size = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
+    if np.any(np.abs(a - d) + np.abs(b + c) > ROTATION_TOL * size):
+        return None
+    entries = (a + d) / 2 + 1j * ((c - b) / 2)
+    return sparse.csr_matrix((entries, cols, bsr.indptr), shape=(n, n)), signs
+
+
+def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Each eigenvector z of the Hermitian form as the two real eigenvectors
+    x = (Re z_i, s_i Im z_i) and Jx = (-Im z_i, s_i Re z_i) of L, in that
+    order: shape (2n, 2 * columns)."""
+    n, count = z.shape
+    pairs = np.empty((n, 2, count, 2))
+    pairs[:, 0, :, 0] = z.real
+    pairs[:, 1, :, 0] = signs[:, None] * z.imag
+    pairs[:, 0, :, 1] = -z.imag
+    pairs[:, 1, :, 1] = signs[:, None] * z.real
+    return pairs.reshape(2 * n, 2 * count)
 
 
 def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
@@ -266,9 +352,20 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     the complement of the basis asks for exactly the missing pairs and
     Rayleigh-Ritz is rerun; a search that adds none, a count below the Ritz
     values found, or a factorisation that pivots raises ``EigensolverError``
-    rather than return an incomplete spectrum. The start vectors are seeded:
-    for a fixed seed and a fixed BLAS thread count, results are
-    byte-identical across runs.
+    rather than return an incomplete spectrum.
+
+    On an orientable m = 2 connection Laplacian, whose 2x2 blocks are scaled
+    rotations once each node's frame is flipped to a common orientation, L
+    is C-linear: the n x n complex Hermitian form H of the vector heat method
+    (Sharp et al. 2019). Each eigenvalue of H is an eigenvalue of L twice
+    over, so the Lanczos path solves H for ceil((k+1)/2) pairs and returns
+    each complex eigenvector as two real ones, x and its quarter turn Jx, in
+    the caller's gauge; an odd k always cuts such a pair. Every other
+    operator (m != 2, graph Laplacians, a Moebius strip, blocks that are not
+    rotations) takes the real path; the dense path is the same for all.
+    The residual, PSD and sign conventions are applied to the real L either
+    way. The start vectors are seeded: for a fixed seed and a fixed BLAS
+    thread count, results are byte-identical across runs.
     """
     mat = operator.matrix
     size = mat.shape[0]
@@ -285,13 +382,14 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
         vals, vecs = vals[:k_req], vecs[:, :k_req]
     elif method == "lanczos":
         k_req = min(k_req, size - 2)
-        delta, inverse = _shift_invert(mat)
-        rng = np.random.default_rng(seed)
-        ritz, basis = _arpack(mat, k=k_req, sigma=-delta, which="LM",
-                              OPinv=inverse, v0=_unit(rng.standard_normal(size)))
-        del inverse  # free the factor before the inertia count builds its own
-        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
-        vals, vecs = vals[:k_req], vecs[:, :k_req]
+        form = _hermitian_form(operator)
+        pairs = (k_req + 1) // 2
+        if form is not None and pairs <= operator.n - 2:
+            hermitian, signs = form
+            vals, z = _lanczos(hermitian, pairs, seed)
+            vals, vecs = np.repeat(vals, 2)[:k_req], _real_pairs(z, signs)[:, :k_req]
+        else:
+            vals, vecs = _lanczos(mat, k_req, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -791,6 +791,24 @@ class TestSpectrumCommand:
         loaded = tio.load_spectrum(workdir / "spec" / "spectrum")
         assert loaded.k == 20 and loaded.n == 400 and loaded.m == 2
 
+    def test_frame_neighbors_beyond_int64_same_as_all_nodes(self, workdir):
+        # a frame neighbourhood never holds more than the n - 1 other nodes
+        hashes = []
+        for size in (10**30, 399):
+            cfg = write_config(workdir, f"spectrum_fn{size}.json", {
+                "kind": "spectrum",
+                "input_mesh": str(TORUS_OBJ),
+                "graph": {"k_neighbors": 6},
+                "frame_neighbors": size,
+                "num_eigenvectors": 10,
+                "seed": 0,
+                "output_dir": str(workdir / f"spec_fn{size}"),
+            })
+            result = run_cli(["spectrum", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            hashes.append(output_hashes(workdir / f"spec_fn{size}"))
+        assert hashes[0] == hashes[1]
+
     def test_wrong_kind_rejected(self, workdir):
         cfg = write_config(workdir, "wrong.json", {
             "kind": "generate",

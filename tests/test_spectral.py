@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from scipy import sparse
 from scipy.stats import ortho_group
 
 import tangentgp as tg
+from tangentgp import io as tio
 from tangentgp import spectral
 from tangentgp.spectral import EigensolverError, scalar_frames, truncate
 
@@ -125,57 +128,97 @@ class TestEigendecompose:
                 assert angles.max() < 1e-6
 
     @staticmethod
-    def _drop_cluster_member(mat, count):
-        """Dense eigenpairs, and the lowest count+1 of them minus one copy of
-        the fourfold 0.357 (column 8)."""
+    def _drop_cluster_member(mat, count, cluster):
+        """Dense eigenpairs of ``mat``, and its lowest count+1 pairs minus one
+        copy (the last column of ``cluster``) of a repeated eigenvalue."""
         vals, vecs = np.linalg.eigh(mat.toarray())
-        assert np.flatnonzero(np.abs(vals[:count + 1] - vals[8]) < 1e-6).tolist() \
-            == [6, 7, 8, 9]
-        kept = np.delete(np.arange(count + 1), 8)
+        assert np.flatnonzero(np.abs(vals[:count + 1] - vals[cluster[-1]]) < 1e-6
+                              ).tolist() == cluster
+        kept = np.delete(np.arange(count + 1), cluster[-1])
         return vals, vecs, kept
 
-    def test_count_and_deflation_restore_missing_cluster_member(self, torus,
-                                                                 monkeypatch):
-        # ARPACK hands back a basis missing one copy of the fourfold 0.357: the
-        # inertia count sees the shortfall and the deflated search adds the copy
-        from scipy.linalg import subspace_angles
-        vals, vecs, kept = self._drop_cluster_member(torus.con.matrix, 13)
+    def _restore_missing_member(self, operator, form, count, cluster, monkeypatch):
+        # ARPACK hands back a basis missing one copy of a repeated eigenvalue:
+        # the inertia count sees the shortfall and the deflated search adds it
+        vals, vecs, kept = self._drop_cluster_member(form, count, cluster)
         arpack = spectral._arpack
         asked = []
 
-        def deficient_first_run(operator, **kwargs):
+        def deficient_first_run(solved, **kwargs):
             asked.append(kwargs["k"])
             if len(asked) == 1:
                 return vals[kept], vecs[:, kept]
-            return arpack(operator, **kwargs)
+            return arpack(solved, **kwargs)
 
         monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
-        spec = tg.eigendecompose(torus.con, 12, method="lanczos", seed=0)
-        assert asked == [13, 1]  # the deflated search asks for the one missing pair
-        assert np.abs(spec.eigenvalues - vals[:12]).max() <= 1e-8
-        assert abs(spec.next_eigenvalue - vals[12]) <= 1e-8
-        angles = subspace_angles(vecs[:, 6:10], spec.eigenvectors[:, 6:10])
-        assert angles.max() < 1e-6
+        spec = tg.eigendecompose(operator, 12, method="lanczos", seed=0)
+        assert asked == [count, 1]  # the deflated search asks for the one missing pair
+        return spec
 
-    def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):
+    def _assert_matches_dense_at(self, spec, operator, columns):
+        from scipy.linalg import subspace_angles
+        vals, vecs = np.linalg.eigh(operator.matrix.toarray())
+        assert np.abs(spec.eigenvalues - np.clip(vals[:12], 0, None)).max() <= 1e-8
+        assert abs(spec.next_eigenvalue - vals[12]) <= 1e-8
+        assert subspace_angles(vecs[:, columns], spec.eigenvectors[:, columns]).max() < 1e-6
+
+    def test_count_and_deflation_restore_missing_cluster_member(self, torus,
+                                                                 monkeypatch):
+        # the real fourfold 0.357 of this torus is the complex twofold of its
+        # Hermitian form (columns 3, 4); k = 12 solves for 7 complex pairs
+        hermitian, _ = spectral._hermitian_form(torus.con)
+        spec = self._restore_missing_member(torus.con, hermitian, 7, [3, 4],
+                                            monkeypatch)
+        self._assert_matches_dense_at(spec, torus.con, slice(6, 10))
+
+    def test_count_and_deflation_restore_missing_cluster_member_real_route(
+            self, torus, monkeypatch):
+        # the graph Laplacian (m = 1) has the twofold 0.427 at columns 3, 4
+        spec = self._restore_missing_member(torus.lap, torus.lap.matrix, 13, [3, 4],
+                                            monkeypatch)
+        self._assert_matches_dense_at(spec, torus.lap, slice(3, 5))
+
+    def _deflation_adds_nothing(self, operator, form, count, cluster, monkeypatch):
         # a deflated search that finds none of the counted pairs must end in
         # an error, never in an incomplete Spectrum
-        vals, vecs, kept = self._drop_cluster_member(torus.con.matrix, 13)
+        vals, vecs, kept = self._drop_cluster_member(form, count, cluster)
         monkeypatch.setattr(spectral, "_arpack",
                             lambda _operator, **_kwargs: (vals[kept], vecs[:, kept]))
         monkeypatch.setattr(spectral, "_missed_pairs",
                             lambda _inverse, _delta, found, *_args:
-                            np.empty((found.shape[0], 0)))
-        with pytest.raises(EigensolverError,
-                           match="holds 11 of the 12 eigenvalues below .* adds none"):
-            tg.eigendecompose(torus.con, 12, method="lanczos", seed=0)
+                            np.empty((found.shape[0], 0), dtype=found.dtype))
+        tg.eigendecompose(operator, 12, method="lanczos", seed=0)
 
-    def test_count_below_ritz_values_raises(self, torus, monkeypatch):
+    def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):
+        hermitian, _ = spectral._hermitian_form(torus.con)
+        with pytest.raises(EigensolverError,
+                           match="complex Hermitian form holds 6 of the 7 "
+                                 "eigenvalues below .* adds none"):
+            self._deflation_adds_nothing(torus.con, hermitian, 7, [3, 4], monkeypatch)
+
+    def test_deflation_that_adds_nothing_raises_real_route(self, torus, monkeypatch):
+        with pytest.raises(EigensolverError,
+                           match="real operator holds 12 of the 13 "
+                                 "eigenvalues below .* adds none"):
+            self._deflation_adds_nothing(torus.lap, torus.lap.matrix, 13, [3, 4],
+                                         monkeypatch)
+
+    @staticmethod
+    def _count_one_short(operator, monkeypatch):
         count_below = spectral._count_below
         monkeypatch.setattr(spectral, "_count_below",
                             lambda mat, sigma: count_below(mat, sigma) - 1)
-        with pytest.raises(EigensolverError, match="12 Ritz values .* count is 11"):
-            tg.eigendecompose(torus.con, 12, method="lanczos", seed=1)
+        tg.eigendecompose(operator, 12, method="lanczos", seed=1)
+
+    def test_count_below_ritz_values_raises(self, torus, monkeypatch):
+        with pytest.raises(EigensolverError, match="complex Hermitian form holds "
+                                                   "6 Ritz values .* count is 5"):
+            self._count_one_short(torus.con, monkeypatch)
+
+    def test_count_below_ritz_values_raises_real_route(self, torus, monkeypatch):
+        with pytest.raises(EigensolverError, match="real operator holds "
+                                                   "11 Ritz values .* count is 10"):
+            self._count_one_short(torus.lap, monkeypatch)
 
     def test_pivoted_factorisation_voids_the_count(self):
         # a zero diagonal forces SuperLU off the diagonal pivots
@@ -258,6 +301,148 @@ class TestInertiaCount:
         con, dense = mesh_torus_con
         _assert_count_matches_dense(con.matrix, dense, fraction * dense[60])
 
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 40),
+           density=st.floats(0.05, 0.5), fraction=st.floats(-0.1, 1.1))
+    def test_random_complex_hermitian(self, seed, size, density, fraction):
+        rng = np.random.default_rng(seed)
+        upper = sparse.random(size, size, density=density, dtype=complex,
+                              random_state=rng,
+                              data_rvs=lambda count: rng.standard_normal(count)
+                              + 1j * rng.standard_normal(count))
+        diagonal = sparse.diags(rng.standard_normal(size) * 4)
+        mat = (upper + upper.conj().T + diagonal).tocsr()
+        dense = np.linalg.eigvalsh(mat.toarray())
+        _assert_count_matches_dense(mat, dense,
+                                    dense[0] + fraction * (dense[-1] - dense[0]))
+
+
+def mobius_strip(n_around=48, n_across=5, width=0.6):
+    """Triangulated Moebius strip of n_around * n_across vertices: the last
+    ring of quads closes up on the first with its cross-section reversed."""
+    u = 2 * np.pi * np.arange(n_around) / n_around
+    v = np.linspace(-width, width, n_across)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    ring = 1 + vv * np.cos(uu / 2)
+    points = np.stack([ring * np.cos(uu), ring * np.sin(uu), vv * np.sin(uu / 2)],
+                      axis=-1).reshape(-1, 3)
+    grid = np.arange(n_around * n_across).reshape(n_around, n_across)
+    ahead = np.roll(grid, -1, axis=0)
+    ahead[-1] = grid[0, ::-1]
+    a, b, c, d = grid[:, :-1], ahead[:, :-1], ahead[:, 1:], grid[:, 1:]
+    faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)])
+    return points, faces.reshape(-1, 3)
+
+
+def _regauged_connection(graph, frames, rng):
+    """The connection Laplacian after a random rotation or reflection of each
+    node's frame (a random sign for m = 1)."""
+    if frames.m == 1:
+        gauge = rng.choice([-1.0, 1.0], size=(frames.n, 1, 1))
+    else:
+        gauge = ortho_group.rvs(frames.m, size=frames.n, random_state=rng)
+    frames = tg.GaugeFrames(frames.frames @ gauge)
+    return tg.assemble_connection_laplacian(graph, frames,
+                                            tg.compute_transports(graph, frames))
+
+
+def _mesh_connection(points, faces, m=2):
+    cloud = tg.PointCloud(points)
+    graph = tg.build_mesh_graph(cloud, faces)
+    return graph, tg.estimate_tangent_frames(graph, cloud, m)
+
+
+class TestHermitianRoute:
+    """The Lanczos path solves orientable m = 2 connections on their complex
+    Hermitian form and every other operator on the real one; both match the
+    dense eigensolver, clusters included."""
+
+    @staticmethod
+    def _solve(operator, k, seed):
+        """Lanczos spectrum, and the dtype of each form the solver ran on."""
+        solved = []
+        lanczos = spectral._lanczos
+
+        def spy(mat, count, seed):
+            solved.append(mat.dtype)
+            return lanczos(mat, count, seed)
+
+        with mock.patch.object(spectral, "_lanczos", spy):
+            spec = tg.eigendecompose(operator, k, method="lanczos", seed=seed)
+        return spec, solved
+
+    @staticmethod
+    def _assert_matches_dense(operator, spec):
+        from scipy.linalg import subspace_angles
+        k = spec.k
+        vals, vecs = np.linalg.eigh(operator.matrix.toarray())
+        assert np.abs(spec.eigenvalues - np.clip(vals[:k], 0, None)).max() <= 1e-8
+        assert abs(spec.next_eigenvalue - vals[k]) <= 1e-8
+        for cluster in _eigenvalue_clusters(vals[:k + 1], tol=1e-6):
+            if cluster[-1] < k:  # whole clusters only
+                angles = subspace_angles(vecs[:, cluster], spec.eigenvectors[:, cluster])
+                assert angles.max() < 1e-6
+
+    def _check(self, operator, k, seed, dtype):
+        spec, solved = self._solve(operator, k, seed)
+        assert solved == [np.dtype(dtype)]
+        self._assert_matches_dense(operator, spec)
+        return spec
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(n_major=st.integers(16, 24), n_minor=st.integers(10, 14),
+           k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_jittered_torus_under_random_gauge(self, n_major, n_minor, k, seed):
+        rng = np.random.default_rng(seed)
+        points, faces = tio.generate_torus(2.0, 0.8, n_major, n_minor)
+        graph, frames = _mesh_connection(points + 0.02 * rng.standard_normal(points.shape),
+                                         faces)
+        con = _regauged_connection(graph, frames, rng)
+        spec = self._check(con, k, seed, complex)
+        # eigenvalues come in exact pairs, so an odd k cuts one
+        assert np.array_equal(spec.eigenvalues[0:k - 1:2], spec.eigenvalues[1:k:2])
+        if k % 2:
+            assert spec.next_eigenvalue == spec.eigenvalues[-1]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_icosphere_under_random_gauge(self, icosphere, k, seed):
+        rng = np.random.default_rng(seed)
+        con = _regauged_connection(icosphere.graph, icosphere.frames, rng)
+        self._check(con, k, seed, complex)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_mobius_strip_takes_real_route(self, k, seed):
+        rng = np.random.default_rng(seed)
+        con = _regauged_connection(*_mesh_connection(*mobius_strip()), rng)
+        assert spectral._hermitian_form(con) is None
+        self._check(con, k, seed, float)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([1, 3]), k=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_m_other_than_2_takes_real_route(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((120, m + 1))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)  # an m-sphere
+        cloud = tg.PointCloud(points)
+        graph = tg.build_knn_graph(cloud, 10)
+        frames = (scalar_frames(graph.n) if m == 1
+                  else tg.estimate_tangent_frames(graph, cloud, m))
+        con = _regauged_connection(graph, frames, rng)
+        self._check(con, k, seed, float)
+
+    def test_blocks_that_are_not_rotations_take_real_route(self, torus):
+        # any antilinear part in one block leaves the Hermitian form
+        mat = torus.con.matrix.tolil()
+        mat[0, 3] += 1e-6
+        mat[3, 0] += 1e-6
+        con = spectral.ConnectionLaplacian(mat.tocsr(), torus.con.n, 2)
+        assert spectral._hermitian_form(torus.con) is not None
+        assert spectral._hermitian_form(con) is None
+        self._check(con, 12, 0, float)
 
 class TestPositionalEncoding:
     def test_scalar_case_is_laplacian_eigenmap(self, torus):
