@@ -171,6 +171,9 @@ def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
     with run.stage("laplacians"):
         con = spectral.assemble_connection_laplacian(graph, frames, transports)
         lap = spectral.assemble_graph_laplacian(graph) if scalar else None
+    if con.m == 2 and con.hermitian is None:
+        log.info("the 2-D connection is not orientable; its eigensolve runs on "
+                 "the real %d-row form", con.size)
     with run.stage("spectrum"):
         spec = _spectrum_checked(con, k, seed)
         spec_s = _spectrum_checked(lap, min(k, graph.n - 2), seed) if scalar else None

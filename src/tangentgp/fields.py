@@ -168,8 +168,9 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
     raw = rng.standard_normal((anchors.shape[0], cloud.dim))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     coords0 = np.zeros((cloud.n, frames.m))
-    for a, i in enumerate(anchors):
-        coords0[i] = frames.frames[i].T @ raw[a]
+    # one stacked matmul rounds as the per-anchor T_i^T @ raw_a; einsum does not
+    seeded = np.swapaxes(frames.frames[anchors], 1, 2) @ raw[:, :, None]
+    coords0[anchors] = seeded[:, :, 0]
     result = vector_heat(connection, laplacian, TangentField(coords0, frames), tau)
     return GeneratedField(
         field=result.field,

@@ -603,7 +603,8 @@ class TransportMaps:
     ``ProximityGraph.edges``). ``maps`` is (E, m, m): ``maps[e]`` takes
     tangent coordinates at node ``edges[e, 1]`` into the frame at node
     ``edges[e, 0]``. The map of the reverse direction is the transpose;
-    :meth:`for_edges` is the one place that applies this rule.
+    :meth:`for_edges` is the one place that applies this rule. Every map is
+    orthogonal to ``ORTHO_TOL * 10``: a ValueError names the first that is not.
     """
 
     edges: np.ndarray
@@ -622,6 +623,11 @@ class TransportMaps:
         if np.any((nxt[:, 0] < prev[:, 0])
                   | ((nxt[:, 0] == prev[:, 0]) & (nxt[:, 1] <= prev[:, 1]))):
             raise ValueError("edges must be unique and in lexicographic order")
+        err = np.abs(np.einsum("eji,ejk->eik", maps, maps) - np.eye(maps.shape[1]))
+        bad = np.flatnonzero(err.max(axis=(1, 2), initial=0.0) > ORTHO_TOL * 10)
+        if bad.size:
+            i, j = edges[bad[0]]
+            raise ValueError(f"transport map of edge ({i}, {j}) is not orthogonal")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "maps", maps)
 
@@ -675,6 +681,27 @@ def compute_transports(graph: ProximityGraph, frames: GaugeFrames) -> TransportM
     """
     return TransportMaps(graph.edges,
                          _transport_stack(frames, graph.edges[:, 0], graph.edges[:, 1]))
+
+
+def _orientation(graph: ProximityGraph, transports: TransportMaps) -> np.ndarray | None:
+    """Per-node flips s_i = +-1 of each frame's second axis after which the
+    map of every edge of nonzero weight is a rotation; None when m != 2 or
+    the connection is not orientable. On the signed double cover (i+ is node
+    i, i- is i + n; an edge whose map has det < 0 joins the two copies) no i+
+    may reach its i-, and s_i = +1 where i+ has the lower component label.
+    """
+    maps = transports.for_edges(graph.edges)
+    if maps.shape[1] != 2:
+        return None
+    n, live = graph.n, graph.weights != 0
+    (i, j), maps = graph.edges[live].T, maps[live]
+    cross = np.where(maps[:, 0, 0] * maps[:, 1, 1] < maps[:, 0, 1] * maps[:, 1, 0], n, 0)
+    heads, tails = np.hstack([[i, j + cross], [i + n, j + n - cross]])
+    cover = sparse.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(2 * n, 2 * n))
+    _, labels = csgraph.connected_components(cover, directed=False)
+    if np.any(labels[:n] == labels[n:]):
+        return None
+    return np.where(labels[:n] < labels[n:], 1.0, -1.0)
 
 
 def mean_edge_length(graph: ProximityGraph, cloud: PointCloud) -> float:

@@ -63,6 +63,7 @@ class ParseError(ValueError):
     def __init__(self, path, line_no: int | None, message: str):
         loc = f"{path}:{line_no}" if line_no is not None else str(path)
         super().__init__(f"{loc}: {message}")
+        self.line_no = line_no
 
 
 class NonManifoldWarning(UserWarning):
@@ -89,16 +90,16 @@ def _write_text(path, *parts) -> None:
 
 def _parse_block(path, lines, line_nos, width, ids=False, split=str.split,
                  wrong_width="expected {width} columns, got {got}",
-                 bad_number="bad number: {exc}") -> list[np.ndarray]:
-    """[int64 ids,] float values of the ``width``-token rows ``lines[ln - 1]``
-    for the 1-based ``line_nos``; with ``ids`` the first column also comes
-    back as int64. Only a chunk of rows that fails to convert is rescanned,
-    row by row, to raise the ParseError of its first bad row; then the first
-    row holding a non-finite value raises one."""
+                 bad_number="bad number: {exc}", dtype=float) -> list[np.ndarray]:
+    """[int64 ids,] ``dtype`` values of the ``width``-token rows
+    ``lines[ln - 1]`` for the 1-based ``line_nos``; with ``ids`` the first
+    column also comes back as int64. Only a chunk of rows that fails to
+    convert is rescanned, row by row, to raise the ParseError of its first
+    bad row; then the first row holding a non-finite value raises one."""
 
     def convert(rows):
         head = [np.array([r[0] for r in rows], dtype=np.int64)] if ids else []
-        return (*head, np.array(rows, dtype=float).reshape(len(rows), width))
+        return (*head, np.array(rows, dtype=dtype).reshape(len(rows), width))
 
     parts = []  # one chunk even for no rows, so that the arrays exist
     for start in range(0, max(len(line_nos), 1), _CHUNK):
@@ -189,10 +190,46 @@ def _fan(indices: list[int], path, ln: int) -> list[list[int]]:
     return [[indices[0], indices[a], indices[a + 1]] for a in range(1, len(indices) - 1)]
 
 
+def _obj_face(path, line: str, ln: int, vertex_count: int) -> list[list[int]]:
+    """The triangles of one face line, fanned, with ``vertex_count`` vertices
+    declared before it: every form the OBJ format allows (``v/vt/vn``
+    corners, polygons), and the ParseError of a bad one."""
+    idx = []
+    for tok in line.split()[1:]:
+        try:
+            v = int(tok.split("/")[0])
+        except ValueError:
+            raise ParseError(path, ln, f"bad face index {tok!r}") from None
+        if v <= 0:
+            raise ParseError(path, ln, "face indices must be positive")
+        if v > vertex_count:
+            raise ParseError(path, ln, f"face index {v} out of range")
+        idx.append(v - 1)
+    return _fan(idx, path, ln)
+
+
+def _obj_faces(path, lines, rows, counts: np.ndarray) -> np.ndarray:
+    """The triangles of the face lines ``rows``, the i-th with ``counts[i]``
+    vertices declared before it: plain "f a b c" rows in one int64
+    conversion with the range checked on the array, any other chunk line by
+    line, which raises the first bad row's ParseError."""
+    try:
+        (tri,) = _parse_block(path, lines, rows, 3, split=lambda s: s.split()[1:],
+                              dtype=np.int64)
+    except ParseError:
+        pass  # a row of another form, or a bad one
+    else:
+        if not ((tri <= 0) | (tri > counts[:, None])).any():
+            return tri - 1
+    tris = [t for ln, count in zip(rows, counts.tolist())
+            for t in _obj_face(path, lines[ln - 1], ln, count)]
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)
+
+
 def _load_obj(path) -> tuple[np.ndarray, np.ndarray]:
     lines = Path(path).read_text().split("\n")
     vert_lines: list[int] = []
-    faces: list[list[int]] = []
+    face_lines: list[int] = []
     error = None
     for ln, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -200,32 +237,27 @@ def _load_obj(path) -> tuple[np.ndarray, np.ndarray]:
             continue
         if tokens[0] == "v":
             vert_lines.append(ln)
-            continue
-        try:
-            if tokens[0] != "f":
-                raise ParseError(path, ln, f"unknown element type {tokens[0]!r}")
-            idx = []
-            for tok in tokens[1:]:
-                try:
-                    v = int(tok.split("/")[0])
-                except ValueError:
-                    raise ParseError(path, ln, f"bad face index {tok!r}") from None
-                if v <= 0:
-                    raise ParseError(path, ln, "face indices must be positive")
-                if v > len(vert_lines):
-                    raise ParseError(path, ln, f"face index {v} out of range")
-                idx.append(v - 1)
-            faces.extend(_fan(idx, path, ln))
-        except ParseError as exc:
-            error = exc
+        elif tokens[0] == "f":
+            face_lines.append(ln)
+        else:
+            error = ParseError(path, ln, f"unknown element type {tokens[0]!r}")
             break
+    counts = np.searchsorted(vert_lines, face_lines)
+    faces = [np.empty((0, 3), dtype=np.int64)]
+    try:
+        for start in range(0, len(face_lines), _CHUNK):
+            faces.append(_obj_faces(path, lines, face_lines[start:start + _CHUNK],
+                                    counts[start:start + _CHUNK]))
+    except ParseError as exc:
+        error = exc  # every face line precedes the element that ended the scan
+        vert_lines = vert_lines[:int(np.searchsorted(vert_lines, exc.line_no))]
     # every vertex row precedes the error, so a bad one is the first error
     (verts,) = _parse_block(path, lines, vert_lines, 3, split=lambda s: s.split()[1:4],
                             wrong_width="vertex needs 3 coordinates",
                             bad_number="bad vertex coordinate")
     if error:
         raise error
-    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3)
+    return verts, np.concatenate(faces)
 
 
 def _load_ply(path) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,9 @@ the frame at i. With this sign convention parallel fields span its null
 space and its quadratic form is the vector Dirichlet energy.
 
 For m = 2 on an orientable connection the operator is C-linear, the real
-form of an n x n complex Hermitian one, and the Lanczos path of
-:func:`eigendecompose` solves that form instead; every other operator takes
-the real path. Eigenvalues then come in exact pairs.
+form of an n x n complex Hermitian one that assembly stores, and the Lanczos
+path of :func:`eigendecompose` solves that form instead; every other operator
+takes the real path. Eigenvalues then come in exact pairs.
 """
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .geometry import GaugeFrames, ProximityGraph, TransportMaps, _fix_column_signs
+from .geometry import GaugeFrames, ProximityGraph, TransportMaps, _fix_column_signs, \
+    _orientation
 
 __all__ = [
     "GraphLaplacian",
@@ -48,9 +48,6 @@ SHIFT_FRACTION = 1e-3
 # ARPACK's convergence tolerance, and its iteration budget per operator row
 LANCZOS_TOL = 1e-10
 LANCZOS_ITERATIONS_PER_ROW = 10
-# how far, relative to its own size, a 2x2 block may be from a scaled rotation
-# after the frame flip and still count as one: the rounding of Procrustes maps
-ROTATION_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -75,11 +72,17 @@ class GraphLaplacian:
 
 @dataclass(frozen=True)
 class ConnectionLaplacian:
-    """Sparse symmetric block operator on the tangent bundle, shape (nm, nm)."""
+    """Sparse symmetric block operator on the tangent bundle, shape (nm, nm).
+    For an orientable m = 2 connection, assembly also sets its n x n complex
+    ``hermitian`` form and the per-node frame ``flips`` that orient it; both
+    stay None otherwise and on a hand-built operator, which takes the real path.
+    """
 
     matrix: sparse.csr_matrix
     n: int
     m: int
+    hermitian: sparse.csr_matrix | None = None
+    flips: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -97,7 +100,9 @@ def assemble_connection_laplacian(graph: ProximityGraph, frames: GaugeFrames,
     """Block operator with D_ii * I on the diagonal and -w_ij * O_ij off it.
 
     Symmetry holds by construction because O_ji = O_ij^T. Raises ValueError
-    naming the first graph edge that has no transport map.
+    naming the first graph edge that has no transport map. Where
+    ``geometry._orientation`` orients an m = 2 connection, each flipped block
+    [[a, b], [c, d]] is a scaled rotation and H_ij = (a + d)/2 + i(c - b)/2.
     """
     n, m = graph.n, frames.m
     if frames.n != n:
@@ -115,7 +120,14 @@ def assemble_connection_laplacian(graph: ProximityGraph, frames: GaugeFrames,
                               (block_cols[:, None] * m + bcol).reshape(-1))),
         shape=(n * m, n * m),
     )
-    return ConnectionLaplacian(matrix=mat.tocsr(), n=n, m=m)
+    flips, hermitian = _orientation(graph, transports), None
+    if flips is not None:
+        (a, b), (c, d) = blocks[:, 0].T, blocks[:, 1].T
+        rows, cols = flips[block_rows], flips[block_cols]
+        b, c, d = b * cols, c * rows, d * rows * cols
+        hermitian = sparse.coo_matrix(((a + d) / 2 + 1j * ((c - b) / 2),
+                                       (block_rows, block_cols)), shape=(n, n)).tocsr()
+    return ConnectionLaplacian(mat.tocsr(), n, m, hermitian, flips)
 
 
 @dataclass(frozen=True)
@@ -283,45 +295,6 @@ def _lanczos(mat: sparse.csr_matrix, count: int,
     return vals[:count], vecs[:, :count]
 
 
-def _hermitian_form(operator: GraphLaplacian | ConnectionLaplacian
-                    ) -> tuple[sparse.csr_matrix, np.ndarray] | None:
-    """(H, s): the n x n complex Hermitian form of an m = 2 connection
-    Laplacian, and the per-node flips s_i = +-1 of each frame's second axis
-    after which every 2x2 block [[a, b], [c, d]] is a scaled rotation, entry
-    H_ij = (a + d)/2 + i(c - b)/2. None when there is no such form: m != 2,
-    a non-orientable connection, or a block that is not a scaled rotation.
-
-    The sign of det of an off-diagonal block is that of det(O_ij). On the
-    signed double cover (node i+ is i, i- is i + n; a reflecting block joins
-    the two copies) the connection is orientable iff no i+ is connected to
-    its i-. Then s_i = +1 where i+ has the lower component label, which
-    keeps the frame of each graph component's lowest node.
-    """
-    if not isinstance(operator, ConnectionLaplacian) or operator.m != 2:
-        return None
-    n = operator.n
-    bsr = operator.matrix.tobsr(blocksize=(2, 2))
-    rows = np.repeat(np.arange(n), np.diff(bsr.indptr))
-    cols = bsr.indices
-    (a, b), (c, d) = bsr.data[:, 0].T, bsr.data[:, 1].T
-    det = a * d - b * c
-    edge = (rows != cols) & (det != 0)
-    cross = np.where(det[edge] < 0, n, 0)
-    heads = np.concatenate([rows[edge], rows[edge] + n])
-    tails = np.concatenate([cols[edge] + cross, cols[edge] + n - cross])
-    cover = sparse.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(2 * n, 2 * n))
-    _, labels = csgraph.connected_components(cover, directed=False)
-    if np.any(labels[:n] == labels[n:]):
-        return None
-    signs = np.where(labels[:n] < labels[n:], 1.0, -1.0)
-    b, c, d = b * signs[cols], c * signs[rows], d * signs[rows] * signs[cols]
-    size = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
-    if np.any(np.abs(a - d) + np.abs(b + c) > ROTATION_TOL * size):
-        return None
-    entries = (a + d) / 2 + 1j * ((c - b) / 2)
-    return sparse.csr_matrix((entries, cols, bsr.indptr), shape=(n, n)), signs
-
-
 def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Each eigenvector z of the Hermitian form as the two real eigenvectors
     x = (Re z_i, s_i Im z_i) and Jx = (-Im z_i, s_i Re z_i) of L, in that
@@ -354,15 +327,15 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     values found, or a factorisation that pivots raises ``EigensolverError``
     rather than return an incomplete spectrum.
 
-    On an orientable m = 2 connection Laplacian, whose 2x2 blocks are scaled
-    rotations once each node's frame is flipped to a common orientation, L
-    is C-linear: the n x n complex Hermitian form H of the vector heat method
-    (Sharp et al. 2019). Each eigenvalue of H is an eigenvalue of L twice
-    over, so the Lanczos path solves H for ceil((k+1)/2) pairs and returns
-    each complex eigenvector as two real ones, x and its quarter turn Jx, in
-    the caller's gauge; an odd k always cuts such a pair. Every other
-    operator (m != 2, graph Laplacians, a Moebius strip, blocks that are not
-    rotations) takes the real path; the dense path is the same for all.
+    An orientable m = 2 connection Laplacian L is C-linear: assembly stores
+    its n x n complex Hermitian form H of the vector heat method (Sharp et
+    al. 2019) as ``operator.hermitian``. Each eigenvalue of H is one of L
+    twice over, so the Lanczos path solves H for ceil((k+1)/2) pairs and
+    returns each complex eigenvector as two real ones, x and its quarter turn
+    Jx, in the caller's gauge; an odd k always cuts such a pair. Every
+    operator without H (m != 2, graph Laplacians, a Moebius strip, a
+    hand-built ConnectionLaplacian) takes the real path; the dense path is
+    the same for all.
     The residual, PSD and sign conventions are applied to the real L either
     way. The start vectors are seeded: for a fixed seed and a fixed BLAS
     thread count, results are byte-identical across runs.
@@ -379,19 +352,18 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     k_req = min(k + 1, size)  # one extra pair to report the gap at the cut
     if method == "dense":
         vals, vecs = np.linalg.eigh(mat.toarray())
-        vals, vecs = vals[:k_req], vecs[:, :k_req]
     elif method == "lanczos":
         k_req = min(k_req, size - 2)
-        form = _hermitian_form(operator)
+        hermitian = getattr(operator, "hermitian", None)
         pairs = (k_req + 1) // 2
-        if form is not None and pairs <= operator.n - 2:
-            hermitian, signs = form
+        if hermitian is not None and pairs <= operator.n - 2:
             vals, z = _lanczos(hermitian, pairs, seed)
-            vals, vecs = np.repeat(vals, 2)[:k_req], _real_pairs(z, signs)[:, :k_req]
+            vals, vecs = np.repeat(vals, 2), _real_pairs(z, operator.flips)
         else:
             vals, vecs = _lanczos(mat, k_req, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
+    vals, vecs = vals[:k_req], vecs[:, :k_req]
 
     # residual gate, relative to the operator's Frobenius norm
     fro = _operator_fro_norm(mat)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -808,6 +809,26 @@ class TestSpectrumCommand:
             assert result.exit_code == 0, result.output
             hashes.append(output_hashes(workdir / f"spec_fn{size}"))
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("n_major, n_minor, logged", [(12, 8, 1), (14, 9, 0)])
+    def test_unoriented_connection_is_logged(self, workdir, caplog, n_major, n_minor,
+                                             logged):
+        # the 12x8 mesh torus has a non-orientable connection, the 14x9 one not
+        mesh = workdir / f"torus_{n_major}x{n_minor}.obj"
+        tio.write_obj(mesh, *tio.generate_torus(2.0, 0.8, n_major, n_minor))
+        cfg = write_config(workdir, f"spectrum_{n_major}x{n_minor}.json", {
+            "kind": "spectrum",
+            "input_mesh": str(mesh),
+            "graph": {"use_mesh_edges": True},
+            "num_eigenvectors": 10,
+            "output_dir": str(workdir / f"spec_{n_major}x{n_minor}"),
+        })
+        with caplog.at_level(logging.INFO, logger="tangentgp"):
+            result = run_cli(["spectrum", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        lines = [r.getMessage() for r in caplog.records if "orientable" in r.getMessage()]
+        assert lines == [f"the 2-D connection is not orientable; its eigensolve runs "
+                         f"on the real {2 * n_major * n_minor}-row form"] * logged
 
     def test_wrong_kind_rejected(self, workdir):
         cfg = write_config(workdir, "wrong.json", {

@@ -177,12 +177,89 @@ class TestObj:
         with pytest.raises(ParseError, match="nan.obj:2"):
             tio.load_mesh(path)
 
+    @pytest.mark.parametrize("kind", ["zero", "negative", "beyond", "token", "huge",
+                                      "short", "polygon", "slash", "unknown"])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), faces=st.integers(1, 9000),
+           at=st.lists(st.floats(0, 1, exclude_max=True), max_size=2))
+    def test_chunked_faces_match_line_by_line_reader(self, tmp_path_factory, kind, seed,
+                                                     faces, at):
+        # plain faces over up to three 4096-row chunks, vertices declared
+        # along the way, and rows of one other kind at the fractions ``at``
+        rng = np.random.default_rng(seed)
+        kinds = {int(frac * faces): kind for frac in at}
+        lines, declared = ["v 0 0 0", "v 1 0 0", "v 0 1 0"], 3
+        for row in range(faces):
+            if rng.random() < 0.2:
+                lines.append("v %r %r %r" % tuple(rng.random(3).tolist()))
+                declared += 1
+            kind = kinds.get(row)
+            corners = [str(c) for c in rng.integers(1, declared + 1, 3)]
+            last = {"zero": "0", "negative": "-1", "beyond": str(declared + 1),
+                    "token": "x", "huge": "9" * 20, "slash": corners[-1] + "/1/1"}
+            corners[-1] = last.get(kind, corners[-1])
+            if kind == "short":
+                corners = corners[:2]
+            if kind == "polygon":
+                corners += ["1", "2"]
+            lines.append("wompwomp" if kind == "unknown" else "f " + " ".join(corners))
+        path = tmp_path_factory.mktemp("obj") / "m.obj"
+        path.write_text("\n".join(lines))
+
+        def outcome(load):
+            try:
+                verts, tris = load(path)
+            except ParseError as exc:
+                return str(exc)
+            return verts.tobytes(), tris.tobytes()
+
+        assert outcome(tio._load_obj) == outcome(_line_by_line_obj)
+
     def test_nonmanifold_warns(self, tmp_path):
         path = tmp_path / "nm.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 1 1 1\n"
                         "f 1 2 3\nf 1 2 4\nf 1 2 5\n")
         with pytest.warns(NonManifoldWarning):
             tio.load_mesh(path)
+
+
+def _line_by_line_obj(path):
+    """Reference OBJ reader: every face line parsed on its own, in order,
+    stopping at the first bad line."""
+    lines = Path(path).read_text().split("\n")
+    vert_lines, faces, error = [], [], None
+    for ln, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#") or tokens[0] in tio._OBJ_SKIP:
+            continue
+        if tokens[0] == "v":
+            vert_lines.append(ln)
+            continue
+        try:
+            if tokens[0] != "f":
+                raise ParseError(path, ln, f"unknown element type {tokens[0]!r}")
+            idx = []
+            for tok in tokens[1:]:
+                try:
+                    v = int(tok.split("/")[0])
+                except ValueError:
+                    raise ParseError(path, ln, f"bad face index {tok!r}") from None
+                if v <= 0:
+                    raise ParseError(path, ln, "face indices must be positive")
+                if v > len(vert_lines):
+                    raise ParseError(path, ln, f"face index {v} out of range")
+                idx.append(v - 1)
+            faces.extend(tio._fan(idx, path, ln))
+        except ParseError as exc:
+            error = exc
+            break
+    (verts,) = tio._parse_block(path, lines, vert_lines, 3,
+                                split=lambda s: s.split()[1:4],
+                                wrong_width="vertex needs 3 coordinates",
+                                bad_number="bad vertex coordinate")
+    if error:
+        raise error
+    return verts, np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
 class TestPly:
@@ -770,9 +847,10 @@ class TestConfig:
             "output_inventory", root / "tools" / "output_inventory.py")
         inventory = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inventory)
-        runs = inventory.runs(tmp_path / "torus.obj", tmp_path / "mesh.obj", tmp_path)
+        runs = inventory.runs(tmp_path / "torus.obj", tmp_path / "mesh.obj",
+                              tmp_path / "mobius.obj", tmp_path)
         configs = [{"kind": command, "output_dir": str(tmp_path / name), **payload}
                    for name, command, payload in runs if command != "eval"]
-        assert len(configs) == 9
+        assert len(configs) == 10
         for config in configs:
             tio.check_config(config)

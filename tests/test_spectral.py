@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.stats import ortho_group
 
 import tangentgp as tg
@@ -166,8 +167,7 @@ class TestEigendecompose:
                                                                  monkeypatch):
         # the real fourfold 0.357 of this torus is the complex twofold of its
         # Hermitian form (columns 3, 4); k = 12 solves for 7 complex pairs
-        hermitian, _ = spectral._hermitian_form(torus.con)
-        spec = self._restore_missing_member(torus.con, hermitian, 7, [3, 4],
+        spec = self._restore_missing_member(torus.con, torus.con.hermitian, 7, [3, 4],
                                             monkeypatch)
         self._assert_matches_dense_at(spec, torus.con, slice(6, 10))
 
@@ -190,11 +190,11 @@ class TestEigendecompose:
         tg.eigendecompose(operator, 12, method="lanczos", seed=0)
 
     def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):
-        hermitian, _ = spectral._hermitian_form(torus.con)
         with pytest.raises(EigensolverError,
                            match="complex Hermitian form holds 6 of the 7 "
                                  "eigenvalues below .* adds none"):
-            self._deflation_adds_nothing(torus.con, hermitian, 7, [3, 4], monkeypatch)
+            self._deflation_adds_nothing(torus.con, torus.con.hermitian, 7, [3, 4],
+                                         monkeypatch)
 
     def test_deflation_that_adds_nothing_raises_real_route(self, torus, monkeypatch):
         with pytest.raises(EigensolverError,
@@ -417,7 +417,7 @@ class TestHermitianRoute:
     def test_mobius_strip_takes_real_route(self, k, seed):
         rng = np.random.default_rng(seed)
         con = _regauged_connection(*_mesh_connection(*mobius_strip()), rng)
-        assert spectral._hermitian_form(con) is None
+        assert con.hermitian is None and con.flips is None
         self._check(con, k, seed, float)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -434,15 +434,124 @@ class TestHermitianRoute:
         con = _regauged_connection(graph, frames, rng)
         self._check(con, k, seed, float)
 
-    def test_blocks_that_are_not_rotations_take_real_route(self, torus):
-        # any antilinear part in one block leaves the Hermitian form
+    def test_hand_built_operator_takes_real_route(self, torus):
+        # only assembly orients a connection; an operator built from a matrix
+        # alone, here one with an antilinear part in one block, has no form
         mat = torus.con.matrix.tolil()
         mat[0, 3] += 1e-6
         mat[3, 0] += 1e-6
         con = spectral.ConnectionLaplacian(mat.tocsr(), torus.con.n, 2)
-        assert spectral._hermitian_form(torus.con) is not None
-        assert spectral._hermitian_form(con) is None
+        assert torus.con.hermitian is not None
+        assert con.hermitian is None and con.flips is None
         self._check(con, 12, 0, float)
+
+    def test_non_orthogonal_transport_rejected(self, torus):
+        maps = torus.transports.maps.copy()
+        maps[5, 0, 1] += 1e-6
+        i, j = torus.transports.edges[5]
+        with pytest.raises(ValueError,
+                           match=rf"transport map of edge \({i}, {j}\) is not orthogonal"):
+            tg.TransportMaps(torus.transports.edges, maps)
+
+
+def _bsr_hermitian_form(operator):
+    """Reference: the Hermitian form and flips re-derived from the assembled
+    matrix alone (2x2 BSR blocks, block determinants, the signed double
+    cover and a scaled-rotation check), or None."""
+    if not isinstance(operator, spectral.ConnectionLaplacian) or operator.m != 2:
+        return None
+    n = operator.n
+    bsr = operator.matrix.tobsr(blocksize=(2, 2))
+    rows = np.repeat(np.arange(n), np.diff(bsr.indptr))
+    cols = bsr.indices
+    (a, b), (c, d) = bsr.data[:, 0].T, bsr.data[:, 1].T
+    det = a * d - b * c
+    edge = (rows != cols) & (det != 0)
+    cross = np.where(det[edge] < 0, n, 0)
+    heads = np.concatenate([rows[edge], rows[edge] + n])
+    tails = np.concatenate([cols[edge] + cross, cols[edge] + n - cross])
+    cover = sparse.coo_matrix((np.ones(heads.size), (heads, tails)), shape=(2 * n, 2 * n))
+    _, labels = csgraph.connected_components(cover, directed=False)
+    if np.any(labels[:n] == labels[n:]):
+        return None
+    signs = np.where(labels[:n] < labels[n:], 1.0, -1.0)
+    b, c, d = b * signs[cols], c * signs[rows], d * signs[rows] * signs[cols]
+    size = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
+    if np.any(np.abs(a - d) + np.abs(b + c) > 1e-12 * size):
+        return None
+    entries = (a + d) / 2 + 1j * ((c - b) / 2)
+    return sparse.csr_matrix((entries, cols, bsr.indptr), shape=(n, n)), signs
+
+
+def _assert_form_matches_reference(con):
+    """Assembly's form equals the BSR reference in structure and value (the
+    BSR copy stores exact zeros as +0.0, so values compare with ==)."""
+    hermitian, flips = _bsr_hermitian_form(con)
+    assert np.array_equal(con.hermitian.indptr, hermitian.indptr)
+    assert np.array_equal(con.hermitian.indices, hermitian.indices)
+    assert np.array_equal(con.hermitian.data, hermitian.data)
+    assert np.array_equal(con.flips, flips)
+
+
+class TestOrientation:
+    """``geometry._orientation`` decides orientability once, from the
+    transports; assembly's Hermitian form is the one the matrix implies."""
+
+    @staticmethod
+    def _gaussian_connection(points, faces, bandwidth, rng):
+        # frames from 12 neighbours, the unit-weight default on these meshes:
+        # "auto" scales with the weighted degree, which small bandwidths shrink
+        cloud = tg.PointCloud(points)
+        graph = tg.build_mesh_graph(cloud, faces, "gaussian", bandwidth)
+        frames = tg.estimate_tangent_frames(graph, cloud, 2, 12)
+        return _regauged_connection(graph, frames, rng)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(n_major=st.integers(16, 24), n_minor=st.integers(10, 14),
+           bandwidth=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_jittered_torus_form_matches_reference(self, n_major, n_minor, bandwidth,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        points, faces = tio.generate_torus(2.0, 0.8, n_major, n_minor)
+        points = points + 0.02 * rng.standard_normal(points.shape)
+        _assert_form_matches_reference(
+            self._gaussian_connection(points, faces, bandwidth, rng))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(bandwidth=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_icosphere_form_matches_reference(self, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        _assert_form_matches_reference(self._gaussian_connection(
+            *tio.generate_icosphere(2), bandwidth, rng))
+
+    @pytest.mark.parametrize("surface", ["mobius", "torus_12x8"])
+    def test_non_orientable_connection_has_no_form(self, surface):
+        # on the 12x8 mesh torus one estimated frame normal lies 90 degrees
+        # from the surface normal, which makes the connection reflecting
+        points, faces = (mobius_strip() if surface == "mobius"
+                         else tio.generate_torus(2.0, 0.8, 12, 8))
+        graph, frames = _mesh_connection(points, faces)
+        transports = tg.compute_transports(graph, frames)
+        assert tg.geometry._orientation(graph, transports) is None
+        con = tg.assemble_connection_laplacian(graph, frames, transports)
+        assert con.hermitian is None and con.flips is None
+        assert _bsr_hermitian_form(con) is None
+
+    @pytest.mark.parametrize("n_major, n_minor", [(14, 9), (16, 10)])
+    def test_finer_mesh_tori_orient(self, n_major, n_minor):
+        graph, frames = _mesh_connection(*tio.generate_torus(2.0, 0.8, n_major, n_minor))
+        con = tg.assemble_connection_laplacian(graph, frames,
+                                               tg.compute_transports(graph, frames))
+        assert con.flips is not None and np.isin(con.flips, [-1.0, 1.0]).all()
+        _assert_form_matches_reference(con)
+
+    def test_m_other_than_2_has_no_orientation(self, torus):
+        frames = scalar_frames(torus.graph.n)
+        transports = tg.compute_transports(torus.graph, frames)
+        assert tg.geometry._orientation(torus.graph, transports) is None
+        assert tg.assemble_connection_laplacian(torus.graph, frames,
+                                                transports).hermitian is None
+
 
 class TestPositionalEncoding:
     def test_scalar_case_is_laplacian_eigenmap(self, torus):

@@ -9,8 +9,12 @@ into a fresh directory under OUT_DIR (which must not exist):
   (k in {10, 25, 50}, searched hyperparameters), ``inpaint``, ``fit``,
   on-graph ``predict``, ``spectrum``, DTC ``superresolve``
   (``inducing_fraction``) and ``eval``;
-- on the 100x60 mesh torus (Lanczos eigensolve): ``generate`` and
-  ``superresolve``. Its OBJ is written by the checkout's ``io.write_obj``.
+- on the 100x60 mesh torus (Lanczos eigensolve on the Hermitian form):
+  ``generate`` and ``superresolve``;
+- on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
+  so Lanczos on the real form): ``spectrum``.
+
+Both OBJs are written by the checkout's ``io.write_obj``.
 
 Prints one ``command path sha256`` line per output file, ``manifest.json``
 (which holds wall times) excepted, so that ``diff`` of two inventories
@@ -31,9 +35,26 @@ FIXED_HP = {"sigma": 1.0, "kappa": 1.0, "nu": 1.5, "sigma_n": 0.01}
 KNN = {"k_neighbors": 6, "weighting": "unit"}
 MESH_OBJ = ("from tangentgp import io; "
             "io.write_obj(r'{path}', *io.generate_torus(2.0, 0.8, 100, 60))")
+# a strip of 120 x 10 vertices whose last ring of quads closes up on the
+# first with its cross-section reversed
+MOBIUS_OBJ = """
+import numpy as np
+from tangentgp import io
+uu, vv = np.meshgrid(2 * np.pi * np.arange(120) / 120, np.linspace(-0.6, 0.6, 10),
+                     indexing="ij")
+ring = 1 + vv * np.cos(uu / 2)
+points = np.stack([ring * np.cos(uu), ring * np.sin(uu), vv * np.sin(uu / 2)], -1)
+grid = np.arange(1200).reshape(120, 10)
+ahead = np.roll(grid, -1, axis=0)
+ahead[-1] = grid[0, ::-1]
+a, b, c, d = grid[:, :-1], ahead[:, :-1], ahead[:, 1:], grid[:, 1:]
+faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)])
+io.write_obj(r'{path}', points.reshape(-1, 3), faces.reshape(-1, 3))
+"""
 
 
-def runs(fixture: Path, mesh: Path, out: Path) -> list[tuple[str, str, dict | list]]:
+def runs(fixture: Path, mesh: Path, mobius: Path,
+         out: Path) -> list[tuple[str, str, dict | list]]:
     """(name, command, config or eval arguments) in execution order."""
     truth = str(out / "generate" / "field.csv")
     base = {"input_mesh": str(fixture), "graph": KNN, "manifold_dim": 2}
@@ -61,6 +82,8 @@ def runs(fixture: Path, mesh: Path, out: Path) -> list[tuple[str, str, dict | li
          {**mesh_base, "field": str(out / "mesh_generate" / "field.csv"),
           "num_eigenvectors": 50, "hyperparams": FIXED_HP, "split_fraction": 0.1,
           "seed": 7}),
+        ("mobius_spectrum", "spectrum", {**mesh_base, "input_mesh": str(mobius),
+                                         "num_eigenvectors": 50, "seed": 7}),
     ]
 
 
@@ -82,12 +105,14 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
-    mesh = out / "torus_100x60.obj"
-    run(env, [sys.executable, "-c", MESH_OBJ.format(path=mesh)], out / "mesh.log")
-    lines = [f"mesh {mesh.name} {sha256(mesh)}"]
+    lines = []
+    mesh, mobius = out / "torus_100x60.obj", out / "mobius_120x10.obj"
+    for path, code in ((mesh, MESH_OBJ), (mobius, MOBIUS_OBJ)):
+        run(env, [sys.executable, "-c", code.format(path=path)], out / f"{path.stem}.log")
+        lines.append(f"mesh {path.name} {sha256(path)}")
     cli = [sys.executable, "-m", "tangentgp.cli"]
     for name, command, spec in runs(checkout / "tests" / "fixtures" / "torus_400.obj",
-                                    mesh, out):
+                                    mesh, mobius, out):
         target = out / name
         if command == "eval":
             args = [*spec, "--out", str(target)]
