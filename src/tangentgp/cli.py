@@ -2,7 +2,10 @@
 
 Every command is a pure function of (config, input files, seed): rerunning
 with the same configuration and BLAS thread count reproduces all output files
-byte-identically.
+byte-identically. Spectra end between eigenvalue clusters (see
+``spectral.eigendecompose``), so with fixed hyperparameters the predictions
+of another thread count agree to 1e-10; ``superresolve`` records each
+requested ``k`` and the ``k_used`` it rounds up to.
 A run manifest records the config hash, per-stage wall times and a hashed
 inventory of the files the run wrote.
 """
@@ -123,17 +126,6 @@ def _build_graph(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
                                g.on_disconnected)
 
 
-def _spectrum_checked(operator, k: int, seed: int) -> spectral.Spectrum:
-    spec = spectral.eigendecompose(operator, k, seed=seed)
-    if spec.splits_degenerate_cluster():
-        log.warning(
-            "eigenvector cut at k=%d splits a degenerate cluster "
-            "(gap %.2e); kernels are basis-dependent across this cut",
-            k, (spec.next_eigenvalue or 0.0) - spec.eigenvalues[-1],
-        )
-    return spec
-
-
 def _check_mask(mask: dict | None, n: int) -> None:
     """Mask node indices: the schema bounds them below, the node count above."""
     mask = mask or {}
@@ -175,8 +167,9 @@ def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
         log.info("the 2-D connection is not orientable; its eigensolve runs on "
                  "the real %d-row form", con.size)
     with run.stage("spectrum"):
-        spec = _spectrum_checked(con, k, seed)
-        spec_s = _spectrum_checked(lap, min(k, graph.n - 2), seed) if scalar else None
+        spec = spectral.eigendecompose(con, k, seed=seed)
+        spec_s = (spectral.eigendecompose(lap, min(k, graph.n - 2), seed=seed)
+                  if scalar else None)
     return spec, spec_s
 
 
@@ -315,7 +308,7 @@ def _cmd_superresolve(run: Run):
         for metric in (fields.alignment_score(mean, truth[test]),
                        fields.angular_error(mean, truth[test])):
             rec = metric.to_dict()
-            rec["k"] = k
+            rec["k"], rec["k_used"] = k, spec.k
             metrics.append(rec)
     with run.stage("write_outputs"):
         io.write_metrics_json(run.path("metrics.json"), metrics)

@@ -410,12 +410,18 @@ def auto_frame_neighbors(degree: float | np.ndarray, m: int, n: int) -> np.ndarr
     return np.clip(2 * np.round(np.asarray(degree, dtype=float)), m, n - 1).astype(np.int64)
 
 
+def _neighbor_counts(graph: ProximityGraph) -> np.ndarray:
+    """Each node's number of graph neighbours, whatever the edge weights:
+    the degree that sizes "auto" neighbourhoods."""
+    return np.bincount(graph.edges.ravel(), minlength=graph.n)
+
+
 def _neighborhood_sizes(graph: ProximityGraph, m: int,
                         n_neighbors: int | str) -> np.ndarray:
     if isinstance(n_neighbors, str):
         if n_neighbors != "auto":
             raise ValueError(f"n_neighbors must be an int or 'auto', got {n_neighbors!r}")
-        return auto_frame_neighbors(graph.degrees, m, graph.n)
+        return auto_frame_neighbors(_neighbor_counts(graph), m, graph.n)
     if n_neighbors < m:
         raise ValueError(f"n_neighbors must be >= m={m}")
     # no neighbourhood outgrows n - 1 other nodes; clipping first keeps huge
@@ -507,9 +513,10 @@ def estimate_tangent_frames(graph: ProximityGraph, cloud: PointCloud, m: int,
     Edge vectors to the node's nearest graph neighbours are stacked
     column-wise; the left singular vectors of the m largest singular values
     give the frame. ``n_neighbors="auto"`` uses ``auto_frame_neighbors`` on
-    the node degree. Neighbourhoods are breadth-first rings, ordered within
-    a ring by distance then index. An error names the lowest-index node
-    whose neighbourhood is too small or spans fewer than m dimensions.
+    the node's neighbour count. Neighbourhoods are breadth-first rings,
+    ordered within a ring by distance then index. An error names the
+    lowest-index node whose neighbourhood is too small or spans fewer than m
+    dimensions.
     """
     d = cloud.dim
     n = cloud.n

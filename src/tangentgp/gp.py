@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
-    _frames_from_edge_vectors, _procrustes, _zero_singular_values
+    _frames_from_edge_vectors, _neighbor_counts, _procrustes, _zero_singular_values
 from .spectral import Spectrum, _eigencoordinates, positional_encodings
 
 __all__ = [
@@ -584,10 +584,10 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
         raise ValueError("new points have wrong ambient dimension")
     m, k = spectrum.m, spectrum.k
     if n_neighbors is None:
-        # one size for every query point: twice the rounded mean degree, at
-        # least m + 1 and at most n (frame estimation sizes each node by its
-        # own degree, within [m, n - 1])
-        n_neighbors = max(m + 1, 2 * int(round(float(np.mean(graph.degrees)))))
+        # one size for every query point: twice the rounded mean neighbour
+        # count, at least m + 1 and at most n (frame estimation sizes each
+        # node by its own count, within [m, n - 1])
+        n_neighbors = max(m + 1, 2 * int(round(float(np.mean(_neighbor_counts(graph))))))
     n_neighbors = min(n_neighbors, cloud.n)
     if n_neighbors < m:
         raise ValueError(f"query point 0: neighbourhood rank < {m}")

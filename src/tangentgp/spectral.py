@@ -7,13 +7,14 @@ the frame at i. With this sign convention parallel fields span its null
 space and its quadratic form is the vector Dirichlet energy.
 
 For m = 2 on an orientable connection the operator is C-linear, the real
-form of an n x n complex Hermitian one that assembly stores, and the Lanczos
-path of :func:`eigendecompose` solves that form instead; every other operator
-takes the real path. Eigenvalues then come in exact pairs.
+form of an n x n complex Hermitian one that assembly stores, and
+:func:`eigendecompose` solves that form instead; every other operator takes
+the real path. Eigenvalues then come in exact pairs. A spectrum ends only
+between eigenvalue clusters, whose eigenvectors rounding would otherwise pick.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +36,9 @@ __all__ = [
     "positional_encodings",
     "scalar_frames",
     "dirichlet_energy",
-    "DENSE_FALLBACK_SIZE",
     "LANCZOS_TOL",
 ]
 
-# dense eigendecomposition below this operator size
-DENSE_FALLBACK_SIZE = 2000
 RESIDUAL_TOL = 1e-8
 DEGENERATE_GAP = 1e-8
 # shift-invert pole at -SHIFT_FRACTION * mean diagonal, just below the spectrum
@@ -136,8 +134,8 @@ class Spectrum:
 
     Eigenvectors are columns of an orthonormal (size, k) matrix with the
     sign convention that each column's largest-magnitude entry is positive.
-    ``next_eigenvalue`` (the (k+1)-th, when available) lets callers detect a
-    cut through a degenerate eigenvalue cluster.
+    ``next_eigenvalue`` is the (k+1)-th, None at the end of the spectrum;
+    from :func:`eigendecompose` it lies a cluster gap above the k-th.
     """
 
     eigenvalues: np.ndarray
@@ -150,14 +148,23 @@ class Spectrum:
     def k(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def splits_degenerate_cluster(self, gap: float = DEGENERATE_GAP) -> bool:
+    def splits_degenerate_cluster(self, gap: float | None = None) -> bool:
         if self.next_eigenvalue is None or self.k == 0:
             return False
+        gap = _cluster_gap(self.next_eigenvalue) if gap is None else gap
         return (self.next_eigenvalue - self.eigenvalues[-1]) < gap
 
 
-def _operator_fro_norm(mat: sparse.csr_matrix) -> float:
-    return float(np.sqrt((mat.data**2).sum()))
+def _cluster_gap(value):
+    """Eigenvalues less than this below ``value`` share its cluster."""
+    return DEGENERATE_GAP * np.maximum(1.0, value)
+
+
+def _whole_cluster_count(vals: np.ndarray, k: int) -> int | None:
+    """The smallest k' >= k with vals[k'] a cluster gap above vals[k' - 1],
+    the witness; None when the ascending ``vals`` end inside the cluster."""
+    ends = np.diff(vals[k - 1:]) >= _cluster_gap(vals[k:])
+    return k + int(np.argmax(ends)) if ends.any() else None
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -253,12 +260,12 @@ def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
 def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Ritz pairs of L on ``basis``, grown until they hold every eigenvalue
-    below sigma = cut - DEGENERATE_GAP * max(1, cut), as counted by inertia.
+    below sigma = cut - _cluster_gap(cut), as counted by inertia.
 
     A pair within the gap of the cut extends the cluster at the cut, so
     sigma leaves it out of the count.
     """
-    sigma = cut - DEGENERATE_GAP * max(1.0, cut)
+    sigma = cut - _cluster_gap(cut)
     form = "complex Hermitian form" if np.iscomplexobj(mat) else "real operator"
     count = _count_below(mat, sigma)
     vals, vecs = _rayleigh_ritz(mat, basis)
@@ -282,17 +289,29 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
     return vals, vecs
 
 
-def _lanczos(mat: sparse.csr_matrix, count: int,
-             seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` smallest eigenpairs of the symmetric or Hermitian L:
-    shift-invert ARPACK, then the inertia-certified Rayleigh-Ritz step."""
+def _lanczos(mat: sparse.csr_matrix, count: int, seed: int, k: int,
+             copies: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``count`` smallest eigenpairs of the symmetric or Hermitian L by
+    shift-invert ARPACK and the inertia-certified Rayleigh-Ritz step, extended
+    (each time by as many pairs as the top cluster holds) until their values,
+    taken ``copies`` times, end a cluster at or past k; None if ARPACK cannot."""
     delta, inverse = _shift_invert(mat)
     rng = np.random.default_rng(seed)
     ritz, basis = _arpack(mat, k=count, sigma=-delta, which="LM", OPinv=inverse,
                           v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
     del inverse  # free the factor before the inertia count builds its own
     vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
-    return vals[:count], vecs[:, :count]
+    vals, vecs = vals[:count], vecs[:, :count]
+    while _whole_cluster_count(np.repeat(vals, copies), k) is None:
+        wanted = int(np.count_nonzero(vals >= vals[-1] - _cluster_gap(vals[-1])))
+        if vals.size + wanted > mat.shape[0] - 2:
+            return None
+        delta, inverse = _shift_invert(mat)
+        missed = _missed_pairs(inverse, delta, vecs, wanted, np.inf, rng)
+        del inverse
+        ritz, basis = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
+        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
+    return vals, vecs
 
 
 def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -310,63 +329,60 @@ def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
                    method: str = "auto", seed: int = 0) -> Spectrum:
-    """k smallest eigenpairs of a symmetric PSD Laplacian.
+    """The smallest eigenpairs of a symmetric PSD Laplacian, in whole clusters:
+    k rounds up to k', the end of the cluster that holds the k-th eigenvalue,
+    so the (k'+1)-th, ``next_eigenvalue``, lies a cluster gap (``DEGENERATE_GAP``
+    times max(1, value)) above the k'-th. A solve that ends inside a cluster
+    is extended, never restarted: a deflated search adds pairs orthogonal to
+    the certified basis until a cluster ends at or past k.
 
-    ``method`` is "dense", "lanczos", or "auto" (dense when the operator
-    size is at most ``DENSE_FALLBACK_SIZE``). The Lanczos path factorises
-    L + delta*I once with sparse LU and runs shift-invert ARPACK on it, to
-    relative accuracy ``LANCZOS_TOL`` within ``LANCZOS_ITERATIONS_PER_ROW``
-    iterations per operator row (more raises ``EigensolverError``). A
+    ``method`` "auto" factorises L + delta*I with sparse LU and runs
+    shift-invert ARPACK on it, to relative accuracy ``LANCZOS_TOL`` within
+    ``LANCZOS_ITERATIONS_PER_ROW`` iterations per operator row (more raises
+    ``EigensolverError``); "dense", the tests' oracle, and a request ARPACK
+    cannot serve (size - 1 pairs or more, extended), take numpy's eigh. A
     single-vector Krylov method can miss copies of a repeated eigenvalue, so
-    the result is certified: one unpivoted LU of L - sigma*I, sigma just
-    below the largest Ritz value, counts the eigenvalues below sigma by
-    Sylvester's law of inertia (Ericsson & Ruhe 1980). When the Ritz values
-    below sigma fall short of that count, a deflated shift-invert search on
-    the complement of the basis asks for exactly the missing pairs and
-    Rayleigh-Ritz is rerun; a search that adds none, a count below the Ritz
-    values found, or a factorisation that pivots raises ``EigensolverError``
-    rather than return an incomplete spectrum.
+    the result is certified: one unpivoted LU of L - sigma*I, sigma a cluster
+    gap below the largest Ritz value, counts the eigenvalues below sigma by
+    Sylvester's law of inertia (Ericsson & Ruhe 1980), which also certifies
+    the witness. When the Ritz values below sigma fall short of that count, a
+    deflated shift-invert search on the complement of the basis asks for
+    exactly the missing pairs and Rayleigh-Ritz is rerun; a search that adds
+    none, a count below the Ritz values found, or a factorisation that pivots
+    raises ``EigensolverError`` rather than return an incomplete spectrum.
 
     An orientable m = 2 connection Laplacian L is C-linear: assembly stores
     its n x n complex Hermitian form H of the vector heat method (Sharp et
     al. 2019) as ``operator.hermitian``. Each eigenvalue of H is one of L
-    twice over, so the Lanczos path solves H for ceil((k+1)/2) pairs and
-    returns each complex eigenvector as two real ones, x and its quarter turn
-    Jx, in the caller's gauge; an odd k always cuts such a pair. Every
+    twice over, so Lanczos solves H for the ceil(k/2) pairs that hold the
+    first k and one more, and returns each complex eigenvector as two real
+    ones, x and its quarter turn Jx, in the caller's gauge; k' is even. Every
     operator without H (m != 2, graph Laplacians, a Moebius strip, a
     hand-built ConnectionLaplacian) takes the real path; the dense path is
-    the same for all.
-    The residual, PSD and sign conventions are applied to the real L either
-    way. The start vectors are seeded: for a fixed seed and a fixed BLAS
-    thread count, results are byte-identical across runs.
+    the same for all. The residual, PSD and sign conventions are applied to
+    the real L either way. The start vectors are seeded: for a fixed seed and
+    a fixed BLAS thread count, results are byte-identical across runs, and
+    the eigenspaces kept do not depend on the route or the thread count.
     """
     mat = operator.matrix
     size = mat.shape[0]
     if not 1 <= k <= size:
         raise ValueError(f"k must be in [1, {size}], got {k}")
-    if method == "auto":
-        method = "dense" if size <= DENSE_FALLBACK_SIZE else "lanczos"
-    if method == "lanczos" and k > size - 2:
-        method = "dense"  # ARPACK needs k < size - 1
-
-    k_req = min(k + 1, size)  # one extra pair to report the gap at the cut
-    if method == "dense":
-        vals, vecs = np.linalg.eigh(mat.toarray())
-    elif method == "lanczos":
-        k_req = min(k_req, size - 2)
-        hermitian = getattr(operator, "hermitian", None)
-        pairs = (k_req + 1) // 2
-        if hermitian is not None and pairs <= operator.n - 2:
-            vals, z = _lanczos(hermitian, pairs, seed)
-            vals, vecs = np.repeat(vals, 2), _real_pairs(z, operator.flips)
-        else:
-            vals, vecs = _lanczos(mat, k_req, seed)
-    else:
+    if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    vals, vecs = vals[:k_req], vecs[:, :k_req]
+    hermitian, pairs = getattr(operator, "hermitian", None), None
+    if method == "auto" and hermitian is not None and (k + 1) // 2 + 1 <= operator.n - 2:
+        pairs = _lanczos(hermitian, (k + 1) // 2 + 1, seed, k, copies=2)
+        if pairs is not None:
+            pairs = np.repeat(pairs[0], 2), _real_pairs(pairs[1], operator.flips)
+    elif method == "auto" and k + 1 <= size - 2:
+        pairs = _lanczos(mat, k + 1, seed, k)
+    vals, vecs = np.linalg.eigh(mat.toarray()) if pairs is None else pairs
+    k = _whole_cluster_count(vals, k) or size
+    vals = vals[:k + 1]
 
     # residual gate, relative to the operator's Frobenius norm
-    fro = _operator_fro_norm(mat)
+    fro = float(np.sqrt((mat.data**2).sum()))
     resid = np.linalg.norm(mat @ vecs[:, :k] - vecs[:, :k] * vals[:k], axis=0)
     worst = float(resid.max())
     if worst > RESIDUAL_TOL * max(fro, 1e-300):
@@ -382,30 +398,21 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
             f"operator is not PSD: eigenvalue {vals.min():.3e} below tolerance"
         )
     vals = np.clip(vals, 0.0, None)
-
-    next_val = float(vals[k]) if vals.shape[0] > k else None
-    return Spectrum(
-        eigenvalues=vals[:k],
-        eigenvectors=_fix_column_signs(vecs[:, :k]),
-        n=operator.n,
-        m=operator.m,
-        next_eigenvalue=next_val,
-    )
+    return Spectrum(vals[:k], _fix_column_signs(vecs[:, :k]), operator.n, operator.m,
+                    float(vals[k]) if vals.shape[0] > k else None)
 
 
 def truncate(spectrum: Spectrum, k: int) -> Spectrum:
-    """Restrict a spectrum to its k lowest pairs (for eigenvector-count sweeps)."""
+    """The lowest pairs of ``spectrum`` for an eigenvector-count sweep, k
+    rounded up to a cluster end as in :func:`eigendecompose`."""
     if not 1 <= k <= spectrum.k:
         raise ValueError(f"k must be in [1, {spectrum.k}], got {k}")
-    next_val = (float(spectrum.eigenvalues[k]) if k < spectrum.k
-                else spectrum.next_eigenvalue)
-    return Spectrum(
-        eigenvalues=spectrum.eigenvalues[:k],
-        eigenvectors=spectrum.eigenvectors[:, :k],
-        n=spectrum.n,
-        m=spectrum.m,
-        next_eigenvalue=next_val,
-    )
+    vals = np.append(spectrum.eigenvalues, [] if spectrum.next_eigenvalue is None
+                     else spectrum.next_eigenvalue)
+    k = _whole_cluster_count(vals, k) or spectrum.k
+    return replace(spectrum, eigenvalues=vals[:k],
+                   eigenvectors=spectrum.eigenvectors[:, :k],
+                   next_eigenvalue=float(vals[k]) if k < vals.size else None)
 
 
 def scalar_frames(n: int) -> GaugeFrames:

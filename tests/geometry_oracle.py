@@ -57,7 +57,7 @@ def tangent_frames(graph, cloud, m, n_neighbors="auto"):
     frames = np.empty((cloud.n, cloud.dim, m))
     for i in range(cloud.n):
         if n_neighbors == "auto":
-            size = int(auto_frame_neighbors(graph.degrees[i], m, cloud.n))
+            size = int(auto_frame_neighbors(len(nbr_lists[i]), m, cloud.n))
         else:
             size = int(n_neighbors)
         nbrs = graph_neighborhood(i, size, nbr_lists, points)

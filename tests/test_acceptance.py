@@ -122,7 +122,7 @@ def test_criterion_2_eigensolver_matches_dense_oracle():
             assert con.size <= 600
             k = 30
             dense = tg.eigendecompose(con, k, method="dense")
-            lanczos = tg.eigendecompose(con, k, method="lanczos", seed=1)
+            lanczos = tg.eigendecompose(con, k, seed=1)
             assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() <= 1e-8
             for cluster in _clusters(dense.eigenvalues):
                 if cluster[-1] == k - 1 and dense.splits_degenerate_cluster(1e-6):

@@ -139,6 +139,8 @@ class TestSuperresolve:
         metrics = json.loads((out / "metrics.json").read_text())["metrics"]
         ks = sorted({m["k"] for m in metrics})
         assert ks == [10, 25, 50]
+        # k = 25 splits the fourfold cluster at columns 22-25 and rounds up
+        assert {m["k"]: m["k_used"] for m in metrics} == {10: 10, 25: 26, 50: 50}
         for k in ks:
             assert (out / f"predictions_k{k}.csv").exists()
         by_key = {(m["k"], m["metric"]): m["value"] for m in metrics}
@@ -178,6 +180,36 @@ class TestSuperresolve:
                           str(workdir / "super_rerun")])
         assert result.exit_code == 0, result.output
         assert output_hashes(out) == output_hashes(workdir / "super_rerun")
+
+    def test_predictions_agree_across_blas_thread_counts(self, superresolved, workdir):
+        # whole eigenvalue clusters make the kernel independent of the basis
+        # that rounding picks inside a cluster, so one and two BLAS threads
+        # agree to 1e-10 (bytes agree only at a fixed thread count); fixed
+        # hyperparameters keep a last-bit change from moving a searched one
+        _, cfg = superresolved
+        raw = json.loads(Path(cfg).read_text())
+        fixed = write_config(workdir, "super_threads.json", {
+            **raw, "hyperparams": {"sigma": 1.0, "kappa": 1.0, "nu": 1.5,
+                                   "sigma_n": 0.01}})
+        src = str(Path(tg.__file__).parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            out = workdir / f"super_threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "tangentgp.cli", "superresolve",
+                            "--config", str(fixed), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+            runs.append((out, {m["k"]: m["k_used"] for m in metrics}))
+        (one, used_one), (two, used_two) = runs
+        assert used_one == used_two
+        for k in (10, 25, 50):
+            ids_one, _, pred_one = tio.read_vector_csv(one / f"predictions_k{k}.csv")
+            ids_two, _, pred_two = tio.read_vector_csv(two / f"predictions_k{k}.csv")
+            assert np.array_equal(ids_one, ids_two)
+            assert np.abs(pred_one - pred_two).max() <= 1e-10, k
 
     def test_metrics_match_direct_library_calls(self, superresolved, generated):
         out, _ = superresolved
@@ -790,7 +822,9 @@ class TestSpectrumCommand:
         result = run_cli(["spectrum", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         loaded = tio.load_spectrum(workdir / "spec" / "spectrum")
-        assert loaded.k == 20 and loaded.n == 400 and loaded.m == 2
+        # k = 20 rounds up to the end of the fourfold cluster at columns 18-21
+        assert loaded.k == 22 and loaded.n == 400 and loaded.m == 2
+        assert not loaded.splits_degenerate_cluster()
 
     def test_frame_neighbors_beyond_int64_same_as_all_nodes(self, workdir):
         # a frame neighbourhood never holds more than the n - 1 other nodes

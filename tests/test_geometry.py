@@ -265,12 +265,28 @@ class TestTangentFrames:
 
     def test_auto_uses_twice_degree(self, torus):
         # same result as passing 2*round(degree) explicitly on a
-        # constant-degree subgraph check per node
+        # constant-degree subgraph check per node; the degree is the
+        # neighbour count
         frames_auto = tg.estimate_tangent_frames(torus.graph, torus.cloud, 2, "auto")
         i = 0
-        n_i = auto_frame_neighbors(torus.graph.degrees[i], 2, torus.cloud.n)
+        n_i = auto_frame_neighbors(np.count_nonzero(torus.graph.edges == i), 2,
+                                   torus.cloud.n)
         frames_exp = tg.estimate_tangent_frames(torus.graph, torus.cloud, 2, n_i)
         assert np.allclose(frames_auto.frames[i], frames_exp.frames[i], atol=1e-12)
+
+    @pytest.mark.parametrize("n_major, n_minor", [(16, 10), (20, 12)])
+    def test_auto_sizes_ignore_edge_weights(self, n_major, n_minor):
+        # Gaussian weights at bandwidth 0.5 shrink the weighted degree below
+        # the neighbour count; "auto" neighbourhoods count neighbours, so the
+        # frames equal the unit-weight ones and the transports exist
+        points, faces = tio.generate_torus(2.0, 0.8, n_major, n_minor)
+        cloud = tg.PointCloud(points)
+        frames = []
+        for weighting in ("unit", "gaussian"):
+            graph = tg.build_mesh_graph(cloud, faces, weighting, 0.5)
+            frames.append(tg.estimate_tangent_frames(graph, cloud, 2))
+            tg.compute_transports(graph, frames[-1])
+        assert np.array_equal(frames[0].frames, frames[1].frames)
 
     def test_orthonormality_invariant(self, torus, icosphere):
         for setup in (torus, icosphere):

@@ -1,7 +1,8 @@
-"""Operators above the dense eigensolver cutoff (auto-dispatch to Lanczos, and
-a heat flow that stays exact and deterministic there), and the memory of the
-GP on a training set too large for a dense Gram matrix."""
+"""A 3200-row operator (the default eigensolve runs Lanczos on its Hermitian
+form, and a heat flow stays exact and deterministic there), and the memory of
+the GP on a training set too large for a dense Gram matrix."""
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ import pytest
 import tangentgp as tg
 from tangentgp import fields as tf
 from tangentgp import io as tio
+from tangentgp import spectral
 from tangentgp.gp import _features
-from tangentgp.spectral import DENSE_FALLBACK_SIZE
 
 from conftest import build_setup, svd_lml
 
@@ -28,17 +29,27 @@ def big_setup():
 
 def test_large_operator_uses_lanczos_and_exact_heat():
     cloud, graph, frames, con, lap = big_setup()
-    assert con.size > DENSE_FALLBACK_SIZE
+    assert con.hermitian is not None
 
     # the 0.02525 eigenvalue has multiplicity 4: every copy must come back
-    oracle = np.linalg.eigvalsh(con.matrix.toarray())[:13]
-    # auto -> lanczos
-    specs = [tg.eigendecompose(con, 12, seed=seed) for seed in range(5)]
+    oracle = np.linalg.eigvalsh(con.matrix.toarray())
+    # auto -> Lanczos on the Hermitian form; k = 12 splits the fourfold
+    # 0.07958 (columns 10-13), so each seed extends its one solve to 14
+    solved = []
+    lanczos = spectral._lanczos
+
+    def spy(mat, *args, **kwargs):
+        solved.append(mat.dtype)
+        return lanczos(mat, *args, **kwargs)
+
+    with mock.patch.object(spectral, "_lanczos", spy):
+        specs = [tg.eigendecompose(con, 12, seed=seed) for seed in range(5)]
+    assert solved == [np.dtype(complex)] * 5
     for spec in specs:
-        assert np.abs(spec.eigenvalues - oracle[:12]).max() <= 1e-8
-        assert abs(spec.next_eigenvalue - oracle[12]) <= 1e-8
+        assert np.abs(spec.eigenvalues - oracle[:spec.k]).max() <= 1e-8
+        assert abs(spec.next_eigenvalue - oracle[spec.k]) <= 1e-8
     spec = specs[0]
-    assert spec.k == 12
+    assert spec.k == 14 and not spec.splits_degenerate_cluster()
     assert spec.eigenvalues[0] >= 0.0
     assert np.all(np.diff(spec.eigenvalues) >= 0)
     rerun = tg.eigendecompose(con, 12, seed=0)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
@@ -117,7 +117,7 @@ class TestEigendecompose:
         dense = tg.eigendecompose(torus.con, k, method="dense")
         clusters = _eigenvalue_clusters(dense.eigenvalues, tol=1e-6)
         for seed in range(5):
-            lanczos = tg.eigendecompose(torus.con, k, method="lanczos", seed=seed)
+            lanczos = tg.eigendecompose(torus.con, k, seed=seed)
             assert np.abs(dense.eigenvalues - lanczos.eigenvalues).max() <= 1e-8
             assert abs(dense.next_eigenvalue - lanczos.next_eigenvalue) <= 1e-8
             # subspace agreement per eigenvalue cluster (degeneracy-safe)
@@ -138,9 +138,10 @@ class TestEigendecompose:
         kept = np.delete(np.arange(count + 1), cluster[-1])
         return vals, vecs, kept
 
-    def _restore_missing_member(self, operator, form, count, cluster, monkeypatch):
+    def _restore_missing_member(self, operator, form, k, count, cluster, monkeypatch):
         # ARPACK hands back a basis missing one copy of a repeated eigenvalue:
-        # the inertia count sees the shortfall and the deflated search adds it
+        # the inertia count sees the shortfall and the deflated search adds it;
+        # k ends on a cluster boundary, so nothing else is solved
         vals, vecs, kept = self._drop_cluster_member(form, count, cluster)
         arpack = spectral._arpack
         asked = []
@@ -152,31 +153,60 @@ class TestEigendecompose:
             return arpack(solved, **kwargs)
 
         monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
-        spec = tg.eigendecompose(operator, 12, method="lanczos", seed=0)
+        spec = tg.eigendecompose(operator, k, seed=0)
         assert asked == [count, 1]  # the deflated search asks for the one missing pair
+        assert spec.k == k
         return spec
 
     def _assert_matches_dense_at(self, spec, operator, columns):
         from scipy.linalg import subspace_angles
         vals, vecs = np.linalg.eigh(operator.matrix.toarray())
-        assert np.abs(spec.eigenvalues - np.clip(vals[:12], 0, None)).max() <= 1e-8
-        assert abs(spec.next_eigenvalue - vals[12]) <= 1e-8
+        assert np.abs(spec.eigenvalues - np.clip(vals[:spec.k], 0, None)).max() <= 1e-8
+        assert abs(spec.next_eigenvalue - vals[spec.k]) <= 1e-8
         assert subspace_angles(vecs[:, columns], spec.eigenvectors[:, columns]).max() < 1e-6
 
     def test_count_and_deflation_restore_missing_cluster_member(self, torus,
                                                                  monkeypatch):
         # the real fourfold 0.357 of this torus is the complex twofold of its
         # Hermitian form (columns 3, 4); k = 12 solves for 7 complex pairs
-        spec = self._restore_missing_member(torus.con, torus.con.hermitian, 7, [3, 4],
-                                            monkeypatch)
+        spec = self._restore_missing_member(torus.con, torus.con.hermitian, 12, 7,
+                                            [3, 4], monkeypatch)
         self._assert_matches_dense_at(spec, torus.con, slice(6, 10))
 
     def test_count_and_deflation_restore_missing_cluster_member_real_route(
             self, torus, monkeypatch):
-        # the graph Laplacian (m = 1) has the twofold 0.427 at columns 3, 4
-        spec = self._restore_missing_member(torus.lap, torus.lap.matrix, 13, [3, 4],
-                                            monkeypatch)
+        # the graph Laplacian (m = 1) has the twofold 0.427 at columns 3, 4;
+        # k = 13 ends on a boundary, where 12 would split the twofold 0.822
+        spec = self._restore_missing_member(torus.lap, torus.lap.matrix, 13, 14,
+                                            [3, 4], monkeypatch)
         self._assert_matches_dense_at(spec, torus.lap, slice(3, 5))
+
+    def test_solve_inside_a_cluster_extends_its_basis(self, torus, monkeypatch):
+        # k = 12 ends between the two copies of 0.822 (columns 11, 12): the
+        # first solve's 13 pairs are kept and a deflated search adds the top
+        # cluster's count, 2, instead of a second shift-invert solve
+        arpack = spectral._arpack
+        asked = []
+
+        def spy(solved, **kwargs):
+            asked.append((kwargs["k"], "sigma" in kwargs))
+            return arpack(solved, **kwargs)
+
+        monkeypatch.setattr(spectral, "_arpack", spy)
+        spec = tg.eigendecompose(torus.lap, 12)
+        assert asked == [(13, True), (2, False)]
+        assert spec.k == 13 and not spec.splits_degenerate_cluster()
+        self._assert_matches_dense_at(spec, torus.lap, slice(11, 13))
+
+    def test_extension_past_arpack_limit_takes_dense(self):
+        # the 8-cycle's twofold 2 sits at columns 3, 4: k = 4 solves 5 pairs,
+        # and the 2 more the top cluster asks for pass ARPACK's size - 2
+        graph = tg.ProximityGraph(n=8, edges=[[i, i + 1] for i in range(7)] + [[0, 7]],
+                                  weights=[1.0] * 8)
+        lap = tg.assemble_graph_laplacian(graph)
+        spec, dense = tg.eigendecompose(lap, 4), tg.eigendecompose(lap, 4, method="dense")
+        assert spec.k == 5 and spec.next_eigenvalue == dense.next_eigenvalue
+        assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
 
     def _deflation_adds_nothing(self, operator, form, count, cluster, monkeypatch):
         # a deflated search that finds none of the counted pairs must end in
@@ -187,7 +217,7 @@ class TestEigendecompose:
         monkeypatch.setattr(spectral, "_missed_pairs",
                             lambda _inverse, _delta, found, *_args:
                             np.empty((found.shape[0], 0), dtype=found.dtype))
-        tg.eigendecompose(operator, 12, method="lanczos", seed=0)
+        tg.eigendecompose(operator, 12, seed=0)
 
     def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):
         with pytest.raises(EigensolverError,
@@ -208,7 +238,7 @@ class TestEigendecompose:
         count_below = spectral._count_below
         monkeypatch.setattr(spectral, "_count_below",
                             lambda mat, sigma: count_below(mat, sigma) - 1)
-        tg.eigendecompose(operator, 12, method="lanczos", seed=1)
+        tg.eigendecompose(operator, 12, seed=1)
 
     def test_count_below_ritz_values_raises(self, torus, monkeypatch):
         with pytest.raises(EigensolverError, match="complex Hermitian form holds "
@@ -234,8 +264,8 @@ class TestEigendecompose:
         assert np.abs(u0 - u0.mean()).max() <= 1e-8
 
     def test_deterministic_given_seed(self, torus):
-        a = tg.eigendecompose(torus.con, 8, method="lanczos", seed=3)
-        b = tg.eigendecompose(torus.con, 8, method="lanczos", seed=3)
+        a = tg.eigendecompose(torus.con, 8, seed=3)
+        b = tg.eigendecompose(torus.con, 8, seed=3)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
@@ -273,6 +303,46 @@ def _eigenvalue_clusters(values, tol):
         else:
             clusters.append([idx])
     return clusters
+
+
+def _whole_cluster_oracle(vals, k):
+    """The smallest k' >= k that ends a cluster of the dense eigenvalues
+    (clusters at 1e-6, far from both the rounding and the gaps here)."""
+    ends = np.cumsum([len(c) for c in _eigenvalue_clusters(vals, tol=1e-6)])
+    return int(ends[ends >= k][0])
+
+
+class TestWholeClusters:
+    """``eigendecompose`` and ``truncate`` return the smallest whole-cluster
+    k' >= k, the same by every route: on the fixture (twofold and fourfold
+    clusters), the icosphere mesh (6, 10 and 8) and a Moebius strip (simple
+    eigenvalues, real route)."""
+
+    @pytest.fixture(scope="class")
+    def surfaces(self, torus):
+        operators = {"fixture": torus.con}
+        for name, (points, faces) in (("icosphere", tio.generate_icosphere(3)),
+                                      ("mobius", mobius_strip())):
+            graph, frames = _mesh_connection(points, faces)
+            operators[name] = tg.assemble_connection_laplacian(
+                graph, frames, tg.compute_transports(graph, frames))
+        return {name: (op, np.linalg.eigvalsh(op.matrix.toarray()),
+                       tg.eigendecompose(op, 60))
+                for name, op in operators.items()}
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(surface=st.sampled_from(["fixture", "icosphere", "mobius"]),
+           k=st.integers(1, 60))
+    @example(surface="fixture", k=25)  # 0.863913 x4 at columns 22-25: 26
+    def test_k_rounds_up_to_a_cluster_end(self, surfaces, surface, k):
+        operator, vals, full = surfaces[surface]
+        expected = _whole_cluster_oracle(vals, k)
+        for spec in (tg.eigendecompose(operator, k, method="dense"),
+                     tg.eigendecompose(operator, k),
+                     truncate(full, k)):
+            assert spec.k == expected
+            assert not spec.splits_degenerate_cluster()
+            assert abs(spec.next_eigenvalue - vals[expected]) <= 1e-8
 
 
 def _assert_count_matches_dense(mat, dense, sigma):
@@ -364,12 +434,12 @@ class TestHermitianRoute:
         solved = []
         lanczos = spectral._lanczos
 
-        def spy(mat, count, seed):
+        def spy(mat, *args, **kwargs):
             solved.append(mat.dtype)
-            return lanczos(mat, count, seed)
+            return lanczos(mat, *args, **kwargs)
 
         with mock.patch.object(spectral, "_lanczos", spy):
-            spec = tg.eigendecompose(operator, k, method="lanczos", seed=seed)
+            spec = tg.eigendecompose(operator, k, seed=seed)
         return spec, solved
 
     @staticmethod
@@ -400,10 +470,10 @@ class TestHermitianRoute:
                                          faces)
         con = _regauged_connection(graph, frames, rng)
         spec = self._check(con, k, seed, complex)
-        # eigenvalues come in exact pairs, so an odd k cuts one
-        assert np.array_equal(spec.eigenvalues[0:k - 1:2], spec.eigenvalues[1:k:2])
-        if k % 2:
-            assert spec.next_eigenvalue == spec.eigenvalues[-1]
+        # eigenvalues come in exact pairs, so an odd k rounds up to its pair's end
+        assert spec.k % 2 == 0 and spec.k >= k
+        assert np.array_equal(spec.eigenvalues[0::2], spec.eigenvalues[1::2])
+        assert spec.next_eigenvalue > spec.eigenvalues[-1]
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
@@ -499,11 +569,9 @@ class TestOrientation:
 
     @staticmethod
     def _gaussian_connection(points, faces, bandwidth, rng):
-        # frames from 12 neighbours, the unit-weight default on these meshes:
-        # "auto" scales with the weighted degree, which small bandwidths shrink
         cloud = tg.PointCloud(points)
         graph = tg.build_mesh_graph(cloud, faces, "gaussian", bandwidth)
-        frames = tg.estimate_tangent_frames(graph, cloud, 2, 12)
+        frames = tg.estimate_tangent_frames(graph, cloud, 2)
         return _regauged_connection(graph, frames, rng)
 
     @settings(max_examples=10, deadline=None, derandomize=True)

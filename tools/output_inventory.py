@@ -6,21 +6,26 @@ Runs the tangentgp CLI of ``CHECKOUT/src`` at one BLAS thread, each command
 into a fresh directory under OUT_DIR (which must not exist):
 
 - on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
-  (k in {10, 25, 50}, searched hyperparameters), ``inpaint``, ``fit``,
-  on-graph ``predict``, ``spectrum``, DTC ``superresolve``
+  (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
+  the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
+  pairs), on-graph ``predict``, ``spectrum``, DTC ``superresolve``
   (``inducing_fraction``) and ``eval``;
-- on the 100x60 mesh torus (Lanczos eigensolve on the Hermitian form):
-  ``generate`` and ``superresolve``;
+- on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``.
 
 Both OBJs are written by the checkout's ``io.write_obj``.
 
+Every connection Laplacian here but the Moebius one is solved by Lanczos on
+its Hermitian form, and the fixture's graph Laplacian (inpaint's baseline)
+by Lanczos on the real form.
+
 Prints one ``command path sha256`` line per output file, ``manifest.json``
 (which holds wall times) excepted, so that ``diff`` of two inventories
 compares the outputs of two checkouts. Outputs are byte-identical only at a
-fixed BLAS thread count, hence the pinning. Only the standard library is
-imported here; the checkout runs in child processes.
+fixed BLAS thread count, hence the pinning; at another one, predictions from
+fixed hyperparameters agree to 1e-10 but the hashes differ. Only the
+standard library is imported here; the checkout runs in child processes.
 """
 from __future__ import annotations
 
