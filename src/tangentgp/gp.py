@@ -26,7 +26,8 @@ Since rank(R diag(s)) = rank(R), R decides once per fit or search whether
 W = I; only rank-deficient training sets (fewer than k/m nodes) pay an SVD
 of B per setting. That costs one O(N*d*k^2) QR per fit or search, then
 O(k^3) per LML evaluation whatever N*d is, and O(q*d*k^2) per prediction of
-q nodes; no (N*d)^2 matrix is built. Target columns that share the kernel
+q nodes, which runs in blocks of B nodes in O(B*d*k) working memory; no
+(N*d)^2 matrix is built. Target columns that share the kernel
 (the channel-wise baseline) share Q. Jitter is added only when sigma_n = 0,
 climbing the multiplicative ladder from 1e-10 times the mean prior variance
 trace(A^T A)/(N*d) as the dense Gram path does; for sigma_n > 0 a failed
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+_PREDICT_BLOCK = 512  # query nodes per prediction block
 
 
 class GramConditioningError(RuntimeError):
@@ -369,26 +371,52 @@ def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
                       train_nodes, targets)
 
 
-def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean vectors A_q w and per-node d x d covariance blocks of
-    s^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T."""
-    q, d, k = query_encodings.shape
-    feats = model.features(query_encodings)
+def _block_posterior(model: VectorFieldGP, block: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior of :func:`predict_at_encodings` at one block of query
+    encodings (b, d, k); its temporaries are freed on return."""
+    b, d, k = block.shape
+    feats = model.features(block)
     inside = feats if model.basis is None else feats @ model.basis
-    half = solve_triangular(model.chol, inside.T, lower=True).reshape(-1, q, d)
+    half = solve_triangular(model.chol, inside.T, lower=True).reshape(-1, b, d)
     covs = model.noise * np.einsum("kqd,kqe->qde", half, half)
     if model.basis is not None:
-        outside = (feats - inside @ model.basis.T).reshape(q, d, k)
+        outside = (feats - inside @ model.basis.T).reshape(b, d, k)
         covs += np.einsum("qdk,qek->qde", outside, outside)
-    return (feats @ model.alpha).reshape(q, d), (covs + covs.transpose(0, 2, 1)) / 2.0
+    return (feats @ model.alpha).reshape(b, d), (covs + covs.transpose(0, 2, 1)) / 2.0
+
+
+def _predict_blocks(model: VectorFieldGP, encodings: np.ndarray, nodes: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_block_posterior` at ``encodings[nodes]``, gathering
+    ``_PREDICT_BLOCK`` nodes at a time into preallocated (q, d) and
+    (q, d, d) outputs."""
+    q, d = nodes.shape[0], encodings.shape[1]
+    mean, covs = np.empty((q, d)), np.empty((q, d, d))
+    for start in range(0, q, _PREDICT_BLOCK):
+        rows = slice(start, start + _PREDICT_BLOCK)
+        mean[rows], covs[rows] = _block_posterior(model, encodings[nodes[rows]])
+    return mean, covs
+
+
+def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean vectors A_q w, shape (q, d), and per-node d x d
+    covariance blocks of s^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T,
+    shape (q, d, d), at query encodings of shape (q, d, k). Queries are
+    independent given the k x k posterior, so they run in fixed blocks of
+    B = ``_PREDICT_BLOCK`` nodes: the working memory is O(B*d*k) whatever q
+    is."""
+    return _predict_blocks(model, query_encodings, np.arange(query_encodings.shape[0]))
 
 
 def predict(model: VectorFieldGP, query_nodes: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance blocks at graph nodes."""
+    """Posterior mean, shape (q, d), and covariance blocks, shape (q, d, d),
+    at graph nodes (any order, repeats allowed, none at all). Each block of
+    nodes gathers its own encodings, as in :func:`predict_at_encodings`."""
     query_nodes = _validate_query(query_nodes, model.encodings.shape[0])
-    return predict_at_encodings(model, model.encodings[query_nodes])
+    return _predict_blocks(model, model.encodings, query_nodes)
 
 
 def log_marginal_likelihood(model: VectorFieldGP) -> float:

@@ -31,6 +31,19 @@ def build_setup(points, faces, k_neighbors=6, m=2):
     return ManifoldSetup(cloud, faces, graph, frames, transports, lap, con)
 
 
+def big_setup():
+    """The 40 x 40 mesh torus (1600 nodes): cloud, graph, frames and both
+    Laplacians."""
+    points, faces = tio.generate_torus(2.0, 0.8, 40, 40)
+    cloud = tg.PointCloud(points)
+    graph = tg.build_mesh_graph(cloud, faces)
+    frames = tg.estimate_tangent_frames(graph, cloud, 2)
+    transports = tg.compute_transports(graph, frames)
+    con = tg.assemble_connection_laplacian(graph, frames, transports)
+    lap = tg.assemble_graph_laplacian(graph)
+    return cloud, graph, frames, con, lap
+
+
 def svd_lml(feats, y, noise):
     """Reference LML of y under K = A A^T + noise I from the thin SVD
     A = U S V^T, with the part of y outside the range of U computed directly."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm, ortho_group
 
 import tangentgp as tg
@@ -21,7 +21,7 @@ from tangentgp.gp import (
 )
 from tangentgp.spectral import scalar_frames, truncate
 
-from conftest import build_setup, dtc_oracle, svd_lml
+from conftest import big_setup, build_setup, dtc_oracle, svd_lml
 
 
 class TestSpectralFilter:
@@ -225,6 +225,16 @@ class TestFitPredict:
             assert np.array_equal(cov, cov.T)
             vals = np.linalg.eigvalsh(cov)
             assert vals.min() >= -1e-8 * max(vals.max(), 1e-30)
+
+    def test_empty_query_gives_empty_arrays(self, small_torus):
+        spec = tg.eigendecompose(small_torus.con, 10)
+        train, y, hp = np.arange(30), np.zeros((30, 3)), tg.MaternHyperparams()
+        model = tg.fit(train, y, spec, small_torus.frames, hp)
+        for mean, covs in (tg.predict(model, []),
+                           tg.predict_at_encodings(model, np.empty((0, 3, spec.k))),
+                           tg.inducing_point_predict(train, y, train[:5], spec,
+                                                     small_torus.frames, hp, [])):
+            assert mean.shape == (0, 3) and covs.shape == (0, 3, 3)
 
     def test_variance_grows_away_from_training(self):
         # oracle: dense GP formulas on a 8-node path graph
@@ -813,6 +823,82 @@ class TestReductions:
         mean_p, _ = tg.predict(tg.fit(where[train], truth[train], truncate(spec_p, k),
                                       relabelled.frames, hp), where)
         assert np.abs(mean_p - mean).max() <= 1e-10 * np.abs(truth).max()
+
+
+def _whole_array_predict(model, query_encodings):
+    """Reference: the posterior at every query at once, on (q*d) x k arrays,
+    as prediction ran before it was split into blocks of nodes."""
+    q, d, k = query_encodings.shape
+    feats = model.features(query_encodings)
+    inside = feats if model.basis is None else feats @ model.basis
+    half = solve_triangular(model.chol, inside.T, lower=True).reshape(-1, q, d)
+    covs = model.noise * np.einsum("kqd,kqe->qde", half, half)
+    if model.basis is not None:
+        outside = (feats - inside @ model.basis.T).reshape(q, d, k)
+        covs += np.einsum("qdk,qek->qde", outside, outside)
+    return (feats @ model.alpha).reshape(q, d), (covs + covs.transpose(0, 2, 1)) / 2.0
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """Prediction routes on the 1600-node mesh torus at k = 50, each as
+    (predict(nodes), its model, the encodings it reads): fits with W = I and
+    with W != I (10 training nodes span 20 of the 50 feature directions),
+    DTC through 10 inducing nodes, and encodings from extend_encodings."""
+    cloud, graph, frames, con, _ = big_setup()
+    spec = tg.eigendecompose(con, 50, seed=0)
+    rng = np.random.default_rng(21)
+    truth = frames.to_ambient(rng.standard_normal((cloud.n, 2)))
+    hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
+    train, few = rng.choice(cloud.n, 300, replace=False), np.arange(0, cloud.n, 160)
+    full_rank = tg.fit(train, truth[train], spec, frames, hp)
+    deficient = tg.fit(few, truth[few], spec, frames, hp)
+    dtc = gp._condition(full_rank.encodings, spec, hp, train, truth[train], few)
+    extended, _ = tg.extend_encodings(cloud.points * 1.001, cloud, graph, frames, spec)
+    assert full_rank.basis is None and deficient.basis is not None
+    assert dtc.basis is not None
+    return {
+        "fit, W = I": (lambda nodes: tg.predict(full_rank, nodes), full_rank,
+                       full_rank.encodings),
+        "fit, W != I": (lambda nodes: tg.predict(deficient, nodes), deficient,
+                        deficient.encodings),
+        "DTC, W != I": (lambda nodes: tg.inducing_point_predict(
+            train, truth[train], few, spec, frames, hp, nodes), dtc, dtc.encodings),
+        "extended, W = I": (lambda nodes: tg.predict_at_encodings(full_rank,
+                                                                  extended[nodes]),
+                            full_rank, extended),
+    }
+
+
+class TestBlockedPrediction:
+    B = gp._PREDICT_BLOCK
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(["fit, W = I", "fit, W != I", "DTC, W != I",
+                                 "extended, W = I"]),
+           length=st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1, 1600]),
+           repeats=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_the_whole_array_posterior(self, block_cases, case, length,
+                                                    repeats, seed):
+        # rows are independent given the k x k posterior; with W = I every
+        # BLAS call works row by row, so blocks change no bit. With W != I,
+        # the product with W rounds a row differently with the number of
+        # rows in the call (OpenBLAS dgemm), so the blocked and whole-array
+        # covariances differ in the last bit, as two whole-array calls of
+        # different lengths do
+        predict, model, encodings = block_cases[case]
+        nodes = np.random.default_rng(seed).choice(1600, length, replace=repeats)
+        mean, covs = predict(nodes)
+        assert mean.shape == (length, 3) and covs.shape == (length, 3, 3)
+        if not length:
+            return
+        oracle_mean, oracle_covs = _whole_array_predict(model, encodings[nodes])
+        if model.basis is None:
+            assert np.array_equal(mean, oracle_mean)
+            assert np.array_equal(covs, oracle_covs)
+        else:
+            for got, want in ((mean, oracle_mean), (covs, oracle_covs)):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestOutOfGraphExtension:

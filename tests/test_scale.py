@@ -9,22 +9,12 @@ import pytest
 
 import tangentgp as tg
 from tangentgp import fields as tf
+from tangentgp import gp
 from tangentgp import io as tio
 from tangentgp import spectral
 from tangentgp.gp import _features
 
-from conftest import build_setup, svd_lml
-
-
-def big_setup():
-    points, faces = tio.generate_torus(2.0, 0.8, 40, 40)
-    cloud = tg.PointCloud(points)
-    graph = tg.build_mesh_graph(cloud, faces)
-    frames = tg.estimate_tangent_frames(graph, cloud, 2)
-    transports = tg.compute_transports(graph, frames)
-    con = tg.assemble_connection_laplacian(graph, frames, transports)
-    lap = tg.assemble_graph_laplacian(graph)
-    return cloud, graph, frames, con, lap
+from conftest import big_setup, svd_lml
 
 
 def test_large_operator_uses_lanczos_and_exact_heat():
@@ -130,6 +120,35 @@ def test_gp_cost_stays_in_k_dimensions():
     feats = _features(model.encodings, model.filter_values, hp.sigma, model.c_norm)
     oracle = svd_lml(feats, targets.reshape(-1), hp.sigma_n**2)
     assert abs(lml - oracle) <= 1e-10 * abs(oracle)
+
+
+def test_prediction_memory_stays_at_one_block():
+    # prediction runs in blocks of nodes, so predicting all 1600 nodes
+    # (q*d = 4800 rows, k = 50) needs the memory of one block plus the
+    # outputs; three whole (q*d) x k temporaries would add about 4 MB
+    cloud, graph, frames, con, lap = big_setup()
+    spec = tg.eigendecompose(con, 50, seed=0)
+    rng = np.random.default_rng(3)
+    train = np.arange(0, cloud.n, 4)
+    targets = frames.to_ambient(rng.standard_normal((cloud.n, 2)))[train]
+    hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=1e-2)
+    model = tg.fit(train, targets, spec, frames, hp)
+
+    def traced_predict(nodes):
+        tracemalloc.start()
+        try:
+            mean, covs = tg.predict(model, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, mean.nbytes + covs.nbytes
+
+    nodes = np.arange(cloud.n)
+    one_block, _ = traced_predict(nodes[:gp._PREDICT_BLOCK])
+    peak, outputs = traced_predict(nodes)
+    assert cloud.n > 3 * gp._PREDICT_BLOCK
+    assert peak <= one_block + outputs, \
+        f"traced peak {peak / 1e6:.2f} MB, one block {one_block / 1e6:.2f} MB"
 
 
 def test_dtc_cost_stays_in_k_dimensions():
