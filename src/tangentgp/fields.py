@@ -213,7 +213,7 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     reduced = gp._reduce(encodings, train_nodes, train_vectors)
     # one target column per channel
     model = gp.VectorFieldGP(spectrum, encodings, hp, train_nodes, train_vectors,
-                             **gp._posterior(reduced, spectrum, hp))
+                             **gp._posterior(reduced, spectrum, hp)[0])
     return model.features(encodings[query_nodes]) @ model.alpha
 
 

@@ -359,7 +359,7 @@ class GaugeFrames:
             raise ValueError(f"need 1 <= m <= d, got m={m}, d={d}")
         gram = np.einsum("ndm,ndk->nmk", frames, frames)
         err = np.abs(gram - np.eye(m)).max(axis=(1, 2))
-        if err.max() > ORTHO_TOL * 10:
+        if err.max(initial=0.0) > ORTHO_TOL * 10:
             i = int(np.argmax(err))
             raise ValueError(f"frame at node {i} is not orthonormal (err={err[i]:.2e})")
         object.__setattr__(self, "frames", frames)

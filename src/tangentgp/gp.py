@@ -21,6 +21,7 @@ posterior is the p x p system M = s_n^2 I_p + (B W)^T B W, with noise
 variance s_n^2 = sigma_n^2 + jitter: one Cholesky factor of M, the weight
 mean w = W M^-1 (B W)^T z, the residual |y - A w|^2 = |z - B w|^2 + o, mean
 A_q w and covariance s_n^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T.
+The log marginal likelihood comes from the same B, factor and weight mean.
 Exact fits take W from the training features, DTC from the inducing ones.
 Since rank(R diag(s)) = rank(R), R decides once per fit or search whether
 W = I; only rank-deficient training sets (fewer than k/m nodes) pay an SVD
@@ -209,13 +210,16 @@ def _reduce(encodings: np.ndarray, train_nodes: np.ndarray,
 
 
 def _posterior(reduced: _Reduced, spectrum: Spectrum, hyperparams: MaternHyperparams,
-               inducing_r: np.ndarray | None = None) -> dict:
+               inducing_r: np.ndarray | None = None) -> tuple[dict, float]:
     """The weight posterior on the row space of the training features, or of
     the features whose reduced rows are ``inducing_r``, as the posterior
-    fields of :class:`VectorFieldGP`: the filter, c_norm, W (None for I), the
-    Cholesky factor of M, the weight mean and the jitter. R decides whether
-    W = I, as rank(R diag(s)) = rank(R); see the module docstring for M and
-    the jitter."""
+    fields of :class:`VectorFieldGP` (the filter, c_norm, W (None for I), the
+    Cholesky factor of M, the weight mean and the jitter), and the log
+    marginal likelihood of the ``reduced`` targets summed over their columns,
+    per column -1/2 ((|z - B w|^2 + o) / s^2 + |w|^2) - 1/2 ((N - p) log s^2
+    + log det M) - (N/2) log 2 pi with N = N*d rows. R decides whether W = I,
+    as rank(R diag(s)) = rank(R); see the module docstring for M and the
+    jitter."""
     filter_values = spectral_filter(spectrum.eigenvalues, hyperparams)
     c_norm = _c_norm(reduced.traces, filter_values, spectrum.m)
     b = _features(reduced.r, filter_values, hyperparams.sigma, c_norm)
@@ -228,36 +232,24 @@ def _posterior(reduced: _Reduced, spectrum: Spectrum, hyperparams: MaternHyperpa
     bw = b if basis is None else b @ basis
     gram = bw.T @ bw
     gram = (gram + gram.T) / 2.0
-    sigma_n = hyperparams.sigma_n
-    if sigma_n > 0:
-        # one try at level 0; the scale only labels a failure
-        chol, jitter = _cholesky_with_jitter(gram + sigma_n**2 * np.eye(gram.shape[0]),
-                                             sigma_n**2, levels=(0.0,))
-    else:
-        # level 0 would leave zero noise and a possibly singular M
-        chol, jitter = _cholesky_with_jitter(gram, float(np.trace(gram)) / reduced.rows,
-                                             JITTER_LADDER[1:])
+    noise = hyperparams.sigma_n**2
+    # sigma_n > 0: one try at level 0, where the scale only labels a failure;
+    # sigma_n = 0: level 0 would leave zero noise and a possibly singular M
+    scale, levels = ((noise, (0.0,)) if hyperparams.sigma_n > 0
+                     else (float(np.trace(gram)) / reduced.rows, JITTER_LADDER[1:]))
+    chol, jitter = _cholesky_with_jitter(gram + noise * np.eye(gram.shape[0]), scale, levels)
+    noise += jitter
     weights = cho_solve((chol, True), bw.T @ reduced.z)
-    return dict(filter_values=filter_values, c_norm=c_norm, basis=basis, chol=chol,
-                alpha=weights if basis is None else basis @ weights, jitter=jitter)
-
-
-def _weight_lml(model: VectorFieldGP, reduced: _Reduced) -> float:
-    """Log marginal likelihood of ``model`` on its ``reduced`` training data,
-    summed over the target columns.
-
-    Per column: -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - p) log s^2
-    + log det M) - (N/2) log 2 pi, with N = N*d rows, M the p x p matrix
-    factored by ``model.chol`` and |y - A w|^2 = |z - B w|^2 + o.
-    """
-    chol, weights, noise, rows = model.chol, model.alpha, model.noise, reduced.rows
-    columns = 1 if reduced.z.ndim == 1 else reduced.z.shape[1]
-    resid = reduced.z - model.features(reduced.r) @ weights
+    alpha = weights if basis is None else basis @ weights
+    resid = reduced.z - b @ alpha
     quad = ((float(np.sum(resid * resid)) + reduced.outside) / noise
-            + float(np.sum(weights * weights)))
-    logdet = ((rows - chol.shape[0]) * math.log(noise)
+            + float(np.sum(alpha * alpha)))
+    logdet = ((reduced.rows - chol.shape[0]) * math.log(noise)
               + 2.0 * float(np.sum(np.log(np.diag(chol)))))
-    return -0.5 * quad - 0.5 * columns * (logdet + rows * math.log(2 * math.pi))
+    columns = 1 if reduced.z.ndim == 1 else reduced.z.shape[1]
+    lml = -0.5 * quad - 0.5 * columns * (logdet + reduced.rows * math.log(2 * math.pi))
+    return dict(filter_values=filter_values, c_norm=c_norm, basis=basis, chol=chol,
+                alpha=alpha, jitter=jitter), lml
 
 
 def assemble_gram(encodings: np.ndarray, filter_values: np.ndarray, sigma: float,
@@ -359,7 +351,7 @@ def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyp
     reduced = _reduce(encodings, train_nodes, targets.reshape(-1))
     return VectorFieldGP(spectrum=spectrum, encodings=encodings, hyperparams=hyperparams,
                          train_nodes=train_nodes, targets=targets,
-                         **_posterior(reduced, spectrum, hyperparams, r_u))
+                         **_posterior(reduced, spectrum, hyperparams, r_u)[0])
 
 
 def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
@@ -420,15 +412,13 @@ def predict(model: VectorFieldGP, query_nodes: np.ndarray
 
 
 def log_marginal_likelihood(model: VectorFieldGP) -> float:
-    """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram.
-
-    Evaluated on the reduced p x p system in residual form,
-    -1/2 (|y - A w|^2 / s^2 + |w|^2) - 1/2 ((N - p) log s^2 + log det M)
-    - (N/2) log 2 pi, which needs no subtraction of nearly equal terms and
-    holds for N = N*d rows above or below k.
+    """-1/2 y^T K^-1 y - 1/2 log det K - (N/2) log 2 pi with K the noisy Gram,
+    from :func:`_posterior` on the model's training data (W from the training
+    features, as in :func:`fit`): in residual form on the p x p system, with
+    no subtraction of nearly equal terms, for N = N*d rows above or below k.
     """
-    return _weight_lml(model, _reduce(model.encodings, model.train_nodes,
-                                      model.targets.reshape(-1)))
+    return _posterior(_reduce(model.encodings, model.train_nodes, model.targets.reshape(-1)),
+                      model.spectrum, model.hyperparams)[1]
 
 
 @dataclass(frozen=True)
@@ -517,16 +507,15 @@ def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
     (one column per independent output, or a vector) at the training nodes,
     with (sigma, kappa, sigma_n) = exp(theta) and nu fixed.
 
-    :func:`_reduce` runs here once, so each evaluation works on k x k arrays
-    only. Failed factorizations and invalid hyperparameters score -inf.
+    :func:`_reduce` runs here once, so each evaluation is one
+    :func:`_posterior` on k x k arrays. Failed factorizations and invalid
+    hyperparameters score -inf.
     """
     reduced = _reduce(encodings, train_nodes, targets)
 
     def objective(theta: np.ndarray) -> float:
         try:
-            hp = _hyperparams_at(theta, nu)
-            value = _weight_lml(VectorFieldGP(spectrum, encodings, hp, train_nodes, targets,
-                                              **_posterior(reduced, spectrum, hp)), reduced)
+            value = _posterior(reduced, spectrum, _hyperparams_at(theta, nu))[1]
         except (GramConditioningError, np.linalg.LinAlgError, ValueError,
                 FloatingPointError, OverflowError):
             return -np.inf

@@ -289,12 +289,12 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
     return vals, vecs
 
 
-def _lanczos(mat: sparse.csr_matrix, count: int, seed: int, k: int,
-             copies: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+def _lanczos(mat: sparse.csr_matrix, count: int, seed: int, k: int
+             ) -> tuple[np.ndarray, np.ndarray] | None:
     """The ``count`` smallest eigenpairs of the symmetric or Hermitian L by
     shift-invert ARPACK and the inertia-certified Rayleigh-Ritz step, extended
-    (each time by as many pairs as the top cluster holds) until their values,
-    taken ``copies`` times, end a cluster at or past k; None if ARPACK cannot."""
+    (each time by as many pairs as the top cluster holds) until their values
+    end a cluster at or past k; None if ARPACK cannot."""
     delta, inverse = _shift_invert(mat)
     rng = np.random.default_rng(seed)
     ritz, basis = _arpack(mat, k=count, sigma=-delta, which="LM", OPinv=inverse,
@@ -302,7 +302,7 @@ def _lanczos(mat: sparse.csr_matrix, count: int, seed: int, k: int,
     del inverse  # free the factor before the inertia count builds its own
     vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
     vals, vecs = vals[:count], vecs[:, :count]
-    while _whole_cluster_count(np.repeat(vals, copies), k) is None:
+    while _whole_cluster_count(vals, k) is None:
         wanted = int(np.count_nonzero(vals >= vals[-1] - _cluster_gap(vals[-1])))
         if vals.size + wanted > mat.shape[0] - 2:
             return None
@@ -372,7 +372,7 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
         raise ValueError(f"unknown method {method!r}")
     hermitian, pairs = getattr(operator, "hermitian", None), None
     if method == "auto" and hermitian is not None and (k + 1) // 2 + 1 <= operator.n - 2:
-        pairs = _lanczos(hermitian, (k + 1) // 2 + 1, seed, k, copies=2)
+        pairs = _lanczos(hermitian, (k + 1) // 2 + 1, seed, (k + 1) // 2)
         if pairs is not None:
             pairs = np.repeat(pairs[0], 2), _real_pairs(pairs[1], operator.flips)
     elif method == "auto" and k + 1 <= size - 2:

@@ -341,20 +341,26 @@ class TestFitPredict:
                                                        "predict", "write_outputs"]
 
     def test_empty_query_writes_header_only_files(self, workdir):
-        # the schema allows "query": []; the round trip above wrote the model
-        cfg = write_config(workdir, "predict_none.json", {
-            "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
-            "input_mesh": str(TORUS_OBJ),
-            "query": [],
-            "seed": 2,
-            "output_dir": str(workdir / "pred_none"),
-        })
-        result = run_cli(["predict", "--config", str(cfg)])
-        assert result.exit_code == 0, result.output
-        out = workdir / "pred_none"
-        assert (out / "predictions.csv").read_text() == "id,x0,x1,x2,v0,v1,v2\n"
-        assert (out / "variances.csv").read_text() == "id,variance_trace\n"
+        # the schema allows "query": [], and a query_points CSV may hold only
+        # its header; the round trip above wrote the model
+        qcsv = workdir / "queries_none.csv"
+        tio.write_vector_csv(qcsv, np.empty((0, 3)))
+        off_graph = {"graph": {"k_neighbors": 6}, "query_points": str(qcsv),
+                     "allow_out_of_graph": True}
+        for name, query in (("pred_none", {"query": []}), ("pred_off_none", off_graph)):
+            cfg = write_config(workdir, f"{name}.json", {
+                "kind": "predict",
+                "model_dir": str(workdir / "fit" / "model"),
+                "input_mesh": str(TORUS_OBJ),
+                **query,
+                "seed": 2,
+                "output_dir": str(workdir / name),
+            })
+            result = run_cli(["predict", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            out = workdir / name
+            assert (out / "predictions.csv").read_text() == "id,x0,x1,x2,v0,v1,v2\n"
+            assert (out / "variances.csv").read_text() == "id,variance_trace\n"
 
     def test_off_graph_queries_need_flag(self, workdir, generated):
         gen_out, _ = generated

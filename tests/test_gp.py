@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -230,8 +231,12 @@ class TestFitPredict:
         spec = tg.eigendecompose(small_torus.con, 10)
         train, y, hp = np.arange(30), np.zeros((30, 3)), tg.MaternHyperparams()
         model = tg.fit(train, y, spec, small_torus.frames, hp)
+        off_graph, frames = tg.extend_encodings(np.empty((0, 3)), small_torus.cloud,
+                                                small_torus.graph, small_torus.frames, spec)
+        assert off_graph.shape == (0, 3, spec.k) and frames.frames.shape == (0, 3, 2)
         for mean, covs in (tg.predict(model, []),
                            tg.predict_at_encodings(model, np.empty((0, 3, spec.k))),
+                           tg.predict_at_encodings(model, off_graph),
                            tg.inducing_point_predict(train, y, train[:5], spec,
                                                      small_torus.frames, hp, [])):
             assert mean.shape == (0, 3) and covs.shape == (0, 3, 3)
@@ -507,6 +512,23 @@ class TestFitHyperparameters:
         assert len(set(seen)) == len(seen)
         best = seen[int(np.argmax(values))]
         assert (hp.sigma, hp.kappa, hp.sigma_n) == tuple(math.exp(v) for v in best)
+
+    def test_searches_build_no_model(self, torus, torus_spectrum, torus_scalar_spectrum,
+                                     torus_truth, monkeypatch):
+        # each evaluation is one k x k posterior: neither search builds a
+        # VectorFieldGP per theta, while fit builds its one
+        spy = mock.Mock(wraps=gp.VectorFieldGP)
+        monkeypatch.setattr(gp, "VectorFieldGP", spy)
+        truth = torus_truth.field.ambient()
+        train = np.arange(0, 400, 4)
+        search = SearchConfig(n_starts=2, n_sweeps=2, grid_points=4)
+        spec = truncate(torus_spectrum, 10)
+        hp = tg.fit_hyperparameters(train, truth[train], spec, torus.frames, search=search)
+        tfields.fit_baseline_hyperparameters(truncate(torus_scalar_spectrum, 10), train,
+                                             truth[train], search=search)
+        assert spy.call_count == 0
+        tg.fit(train, truth[train], spec, torus.frames, hp)
+        assert spy.call_count == 1
 
     def test_invalid_training_inputs_rejected(self, small_torus):
         # the errors fit raises; a negative node must not wrap to node n - 1

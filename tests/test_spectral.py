@@ -312,6 +312,14 @@ def _whole_cluster_oracle(vals, k):
     return int(ends[ends >= k][0])
 
 
+@pytest.fixture(scope="module")
+def icosphere3():
+    """The ``generate_icosphere(3)`` mesh connection Laplacian (642 nodes,
+    default frames) and its dense eigenvalues."""
+    con = _mesh_laplacian(*tio.generate_icosphere(3))
+    return con, np.linalg.eigvalsh(con.matrix.toarray())
+
+
 class TestWholeClusters:
     """``eigendecompose`` and ``truncate`` return the smallest whole-cluster
     k' >= k, the same by every route: on the fixture (twofold and fourfold
@@ -319,16 +327,13 @@ class TestWholeClusters:
     eigenvalues, real route)."""
 
     @pytest.fixture(scope="class")
-    def surfaces(self, torus):
-        operators = {"fixture": torus.con}
-        for name, (points, faces) in (("icosphere", tio.generate_icosphere(3)),
-                                      ("mobius", mobius_strip())):
-            graph, frames = _mesh_connection(points, faces)
-            operators[name] = tg.assemble_connection_laplacian(
-                graph, frames, tg.compute_transports(graph, frames))
-        return {name: (op, np.linalg.eigvalsh(op.matrix.toarray()),
-                       tg.eigendecompose(op, 60))
-                for name, op in operators.items()}
+    def surfaces(self, torus, icosphere3):
+        mobius = _mesh_laplacian(*mobius_strip())
+        dense = {"fixture": (torus.con, np.linalg.eigvalsh(torus.con.matrix.toarray())),
+                 "icosphere": icosphere3,
+                 "mobius": (mobius, np.linalg.eigvalsh(mobius.matrix.toarray()))}
+        return {name: (op, vals, tg.eigendecompose(op, 60))
+                for name, (op, vals) in dense.items()}
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(surface=st.sampled_from(["fixture", "icosphere", "mobius"]),
@@ -421,6 +426,61 @@ def _mesh_connection(points, faces, m=2):
     cloud = tg.PointCloud(points)
     graph = tg.build_mesh_graph(cloud, faces)
     return graph, tg.estimate_tangent_frames(graph, cloud, m)
+
+
+def _mesh_laplacian(points, faces):
+    """The connection Laplacian of a mesh graph with default frames."""
+    graph, frames = _mesh_connection(points, faces)
+    return tg.assemble_connection_laplacian(graph, frames,
+                                            tg.compute_transports(graph, frames))
+
+
+def _clifford_torus(n):
+    """The connection Laplacian of an n x n grid on the Clifford torus
+    S1 x S1 in R^4: k-NN (k = 8, unit weights), d = 4, m = 2, no mesh."""
+    u = 2 * np.pi * np.arange(n) / n
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    points = np.stack([np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)], axis=-1)
+    return build_setup(points.reshape(-1, 4), None, k_neighbors=8).con
+
+
+class TestContinuumOracles:
+    """The discrete connection Laplacian against the exact spectra of the
+    connection (Bochner) Laplacian on tangent fields of the continuum
+    manifold, compared as ratios to the mean of the first nonzero cluster
+    (unit weights fix no scale), with error falling under refinement."""
+
+    @staticmethod
+    def _ratio_error(vals, first, exact):
+        return float(np.abs(vals / first.mean() / exact - 1.0).max())
+
+    def test_unit_sphere(self, icosphere3):
+        # l(l + 1) - 1 = 1, 5, 11, 19 with multiplicities 2(2l + 1) = 6, 10,
+        # 14, 18 (Weitzenboeck, Ric = 1); icosahedral symmetry splits the 14-
+        # and 18-fold clusters into 8 + 6 and 10 + 8. At s = 2 the sixfold
+        # cluster splits into three pairs, so only s = 3 is checked for ends.
+        _, fine = icosphere3
+        ends = np.cumsum([len(c) for c in _eigenvalue_clusters(fine[:60], tol=1e-6)])
+        assert ends[:7].tolist() == [6, 16, 24, 30, 40, 48, 54]
+        coarse = np.linalg.eigvalsh(_mesh_laplacian(*tio.generate_icosphere(2))
+                                    .matrix.toarray())
+        exact = np.repeat([1.0, 5.0], [6, 10])
+        errors = [self._ratio_error(vals[:16], vals[:6], exact) for vals in (coarse, fine)]
+        assert errors[1] <= 1e-2
+        assert errors[0] >= 3 * errors[1]
+
+    def test_clifford_torus(self):
+        # a flat connection: a^2 + b^2, each with twice its scalar
+        # multiplicity, so 0 x2, then 1, 2 and 4 x8 and 5 x16
+        exact = np.repeat([1.0, 2.0, 4.0, 5.0], [8, 8, 8, 16])
+        errors = []
+        for n, bound in ((40, 2.5e-2), (60, 1e-2)):
+            con = _clifford_torus(n)
+            assert con.hermitian is not None  # orientable: the H route
+            vals = tg.eigendecompose(con, 42).eigenvalues
+            errors.append(self._ratio_error(vals[2:42], vals[2:10], exact))
+            assert errors[-1] <= bound
+        assert errors[0] >= 2 * errors[1]
 
 
 class TestHermitianRoute:

@@ -8,13 +8,15 @@ into a fresh directory under OUT_DIR (which must not exist):
 - on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
   (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
-  pairs), on-graph ``predict``, ``spectrum``, DTC ``superresolve``
-  (``inducing_fraction``) and ``eval``;
+  pairs), on-graph ``predict``, off-graph ``predict`` (``allow_out_of_graph``)
+  at the midpoints of the first edges of the first 25 faces, ``spectrum``,
+  DTC ``superresolve`` (``inducing_fraction``) and ``eval``;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``.
 
-Both OBJs are written by the checkout's ``io.write_obj``.
+Both OBJs are written by the checkout's ``io.write_obj``, and the off-graph
+query points by its ``io.write_vector_csv``.
 
 Every connection Laplacian here but the Moebius one is solved by Lanczos on
 its Hermitian form, and the fixture's graph Laplacian (inpaint's baseline)
@@ -56,6 +58,12 @@ a, b, c, d = grid[:, :-1], ahead[:, :-1], ahead[:, 1:], grid[:, 1:]
 faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)])
 io.write_obj(r'{path}', points.reshape(-1, 3), faces.reshape(-1, 3))
 """
+QUERIES = "queries_25.csv"  # under OUT_DIR
+QUERY_CSV = """
+from tangentgp import io
+cloud, faces = io.load_mesh(r'{fixture}')
+io.write_vector_csv(r'{path}', (cloud.points[faces[:25, 0]] + cloud.points[faces[:25, 1]]) / 2)
+"""
 
 
 def runs(fixture: Path, mesh: Path, mobius: Path,
@@ -75,6 +83,10 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
         ("fit", "fit", {**searched, "num_eigenvectors": 25, "seed": 5}),
         ("predict", "predict", {"input_mesh": str(fixture), "seed": 5,
                                 "model_dir": str(out / "fit" / "model")}),
+        ("predict_off_graph", "predict", {"input_mesh": str(fixture), "graph": KNN,
+                                          "seed": 5, "model_dir": str(out / "fit" / "model"),
+                                          "query_points": str(out / QUERIES),
+                                          "allow_out_of_graph": True}),
         ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
         ("dtc", "superresolve", {**searched, "num_eigenvectors": [10, 50],
                                  "split_fraction": 0.5, "inducing_fraction": 0.3,
@@ -111,13 +123,14 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(checkout / "src"))
     lines = []
+    fixture = checkout / "tests" / "fixtures" / "torus_400.obj"
     mesh, mobius = out / "torus_100x60.obj", out / "mobius_120x10.obj"
-    for path, code in ((mesh, MESH_OBJ), (mobius, MOBIUS_OBJ)):
-        run(env, [sys.executable, "-c", code.format(path=path)], out / f"{path.stem}.log")
-        lines.append(f"mesh {path.name} {sha256(path)}")
+    for path, code in ((mesh, MESH_OBJ), (mobius, MOBIUS_OBJ), (out / QUERIES, QUERY_CSV)):
+        run(env, [sys.executable, "-c", code.format(path=path, fixture=fixture)],
+            out / f"{path.stem}.log")
+        lines.append(f"input {path.name} {sha256(path)}")
     cli = [sys.executable, "-m", "tangentgp.cli"]
-    for name, command, spec in runs(checkout / "tests" / "fixtures" / "torus_400.obj",
-                                    mesh, mobius, out):
+    for name, command, spec in runs(fixture, mesh, mobius, out):
         target = out / name
         if command == "eval":
             args = [*spec, "--out", str(target)]
