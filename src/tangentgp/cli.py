@@ -105,11 +105,18 @@ def _load_config(config_path: str, expected_kind: str, out_override: str | None,
     return cfg
 
 
+def _check_ids(path, ids: np.ndarray, n: int) -> None:
+    """Node ids of a CSV that lists every node: 0..n-1, in order."""
+    if not np.array_equal(ids, np.arange(n)):
+        raise CommandError(f"{path}: ids must be 0..{n - 1} in order")
+
+
 def _load_cloud(cfg: io.ExperimentConfig) -> tuple[geo.PointCloud, np.ndarray | None]:
     if cfg.input_mesh:
         return io.load_mesh(cfg.input_mesh)
     if cfg.input_cloud:
-        cloud, _ = io.load_point_cloud(cfg.input_cloud)
+        cloud, ids = io.load_point_cloud(cfg.input_cloud)
+        _check_ids(cfg.input_cloud, ids, cloud.n)
         return cloud, None
     raise CommandError("config needs input_mesh or input_cloud")
 
@@ -164,8 +171,9 @@ def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
         con = spectral.assemble_connection_laplacian(graph, frames, transports)
         lap = spectral.assemble_graph_laplacian(graph) if scalar else None
     if con.m == 2 and con.hermitian is None:
-        log.info("the 2-D connection is not orientable; its eigensolve runs on "
-                 "the real %d-row form", con.size)
+        log.warning("the 2-D connection is not orientable; its eigensolve runs on "
+                    "the real %d-row form. On a closed orientable surface this means "
+                    "tangent frames flipped on a mesh too coarse for them", con.size)
     with run.stage("spectrum"):
         spec = spectral.eigendecompose(con, k, seed=seed)
         spec_s = (spectral.eigendecompose(lap, min(k, graph.n - 2), seed=seed)
@@ -179,8 +187,7 @@ def _load_field(run: Run, cloud: geo.PointCloud) -> np.ndarray:
         ids, pts, vecs = io.read_vector_csv(path)
     if vecs is None:
         raise CommandError(f"{path}: no vector columns")
-    if not np.array_equal(ids, np.arange(cloud.n)):
-        raise CommandError(f"{path}: ids must be 0..{cloud.n - 1} in order")
+    _check_ids(path, ids, cloud.n)
     if not np.array_equal(pts, cloud.points):
         raise CommandError(f"{path}: positions disagree with the input geometry")
     return vecs
@@ -193,7 +200,7 @@ def _resolve_hyperparams(run: Run, train_nodes, targets, spectrum, frames, graph
         return cfg.hyperparams
     with run.stage("fit_hyperparameters"):
         hp = gp.fit_hyperparameters(train_nodes, targets, spectrum, frames,
-                                    nu=cfg.fit.nu, search=cfg.fit.search, seed=cfg.seed,
+                                    nu=cfg.fit.nu, seed=cfg.seed,
                                     initial=_search_start(graph, cloud, cfg.fit.nu))
     log.info("fitted hyperparams: sigma=%.4g kappa=%.4g nu=%s sigma_n=%.4g",
              hp.sigma, hp.kappa, hp.nu, hp.sigma_n)
@@ -255,13 +262,13 @@ def _cmd_generate(run: Run):
     with run.stage("diffuse"):
         gen = fields.generate_experiment_field(cloud, frames, con, lap,
                                                anchor_count, cfg.seed, tau=cfg.tau)
+        coherence = fields.direction_coherence(graph, transports, gen.field.coords)
     ambient = gen.field.ambient()
     with run.stage("write_outputs"):
         io.write_vector_csv(run.path("field.csv"), cloud.points, ambient)
         if cloud.dim in (2, 3):
             io.write_vtk(run.path("field.vtk"), cloud.points, ambient, name="field",
                          faces=faces)
-        coherence = fields.direction_coherence(graph, transports, gen.field.coords)
         io.write_json_atomic(run.path("field_meta.json"), {
             "tau": cfg.tau,
             "seed": int(cfg.seed),
@@ -365,7 +372,7 @@ def _cmd_inpaint(run: Run):
     if hp_base is None:
         with run.stage("fit_baseline_hyperparameters"):
             hp_base = fields.fit_baseline_hyperparameters(
-                spec_s, train, truth[train], cfg.fit.search, seed=cfg.seed,
+                spec_s, train, truth[train], seed=cfg.seed,
                 initial=_search_start(graph, cloud, math.inf))
     with run.stage("fit_predict_baseline"):
         mean_base = fields.baseline_scalar_rbf_predict(spec_s, train, truth[train],
@@ -410,15 +417,12 @@ def _cmd_predict(run: Run):
     cfg = run.cfg
     if not cfg.model_dir:
         raise CommandError("config needs model_dir")
-    if cfg.query_points is not None and not cfg.allow_out_of_graph:
-        raise CommandError(
-            "query_points given but allow_out_of_graph is false; off-graph "
-            "prediction is an extension beyond the core method"
-        )
     with run.stage("load_model"):
         model, frames = io.load_model(cfg.model_dir)
 
     if cfg.query_points is not None:
+        log.warning("query_points are encoded by gp.extend_encodings, an off-graph "
+                    "extension beyond the core method")
         # the model's frames encode the queries, so only the graph is rebuilt
         with run.stage("load_input"):
             cloud, faces = _load_cloud(cfg)

@@ -19,8 +19,7 @@ from scipy.sparse.linalg import expm_multiply
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
     _row_norms, furthest_point_sample
-from .spectral import ConnectionLaplacian, GraphLaplacian, Spectrum, \
-    positional_encodings, scalar_frames
+from .spectral import ConnectionLaplacian, Spectrum, positional_encodings, scalar_frames
 
 __all__ = [
     "TangentField",
@@ -90,7 +89,7 @@ def _heat_apply(matrix: sparse.csr_matrix, state: np.ndarray, tau: float) -> np.
         np.random.set_state(rng_state)
 
 
-def scalar_heat(laplacian: GraphLaplacian, u0: np.ndarray, tau: float) -> np.ndarray:
+def scalar_heat(laplacian: ConnectionLaplacian, u0: np.ndarray, tau: float) -> np.ndarray:
     """Scalar heat flow u(tau) = exp(-L tau) u0, exact to rounding at any size;
     it preserves total mass and contracts the Dirichlet seminorm."""
     u0 = np.asarray(u0, dtype=float).reshape(-1)
@@ -118,7 +117,7 @@ class VectorHeatResult:
     singular: np.ndarray  # bool mask of singularity candidates
 
 
-def vector_heat(connection: ConnectionLaplacian, laplacian: GraphLaplacian,
+def vector_heat(connection: ConnectionLaplacian, laplacian: ConnectionLaplacian,
                 field0: TangentField, tau: float) -> VectorHeatResult:
     """Vector heat method: diffused directions with scalar-diffused magnitudes.
 
@@ -156,7 +155,7 @@ class GeneratedField:
 
 def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
                               connection: ConnectionLaplacian,
-                              laplacian: GraphLaplacian, anchor_count: int,
+                              laplacian: ConnectionLaplacian, anchor_count: int,
                               seed: int, tau: float = 100.0) -> GeneratedField:
     """Smooth random ground-truth field: furthest-point anchors seeded with
     uniform unit vectors, projected to tangent spaces and diffused to tau.

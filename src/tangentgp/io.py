@@ -577,10 +577,10 @@ class GraphConfig:
 
 @dataclass
 class FitConfig:
-    """The ``fit`` block: smoothness and budget of every search of a run."""
+    """The ``fit`` block: the smoothness of every vector search of a run,
+    each on the default ``gp.SearchConfig`` budget."""
 
     nu: float = 1.5
-    search: gp_mod.SearchConfig = dataclasses.field(default_factory=gp_mod.SearchConfig)
 
 
 @dataclass
@@ -607,7 +607,6 @@ class ExperimentConfig:
     mask: dict | None = None
     query: str | list = "all"
     query_points: str | None = None
-    allow_out_of_graph: bool = False
     model_dir: str | None = None
     inducing_fraction: float | None = None
     raw: dict = dataclasses.field(default_factory=dict, repr=False)
@@ -638,9 +637,7 @@ def _hp_from_dict(raw: dict | None) -> gp_mod.MaternHyperparams | None:
 
 
 def _fit_from_dict(raw: dict | None) -> FitConfig:
-    budget = dict(raw or {})
-    smoothness = {"nu": _parse_nu(budget.pop("nu"))} if "nu" in budget else {}
-    return FitConfig(**smoothness, search=gp_mod.SearchConfig(**budget))
+    return FitConfig(**{key: _parse_nu(v) for key, v in (raw or {}).items()})
 
 
 # config blocks parsed into objects when the config is loaded

@@ -4,7 +4,9 @@ The connection Laplacian acts on the discrete tangent bundle: an nm x nm
 block operator with diagonal blocks D_ii * I and off-diagonal blocks
 -w_ij * O_ij for adjacent nodes, where O_ij transports coordinates at j into
 the frame at i. With this sign convention parallel fields span its null
-space and its quadratic form is the vector Dirichlet energy.
+space and its quadratic form is the vector Dirichlet energy. With m = 1
+and every transport 1 it is the graph Laplacian D - W, so one operator type
+serves both; ``GraphLaplacian`` is another name for it.
 
 For m = 2 on an orientable connection the operator is C-linear, the real
 form of an n x n complex Hermitian one that assembly stores, and
@@ -53,22 +55,6 @@ class EigensolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GraphLaplacian:
-    """Sparse symmetric L = D - W over graph nodes."""
-
-    matrix: sparse.csr_matrix
-    n: int
-
-    @property
-    def m(self) -> int:
-        return 1
-
-    @property
-    def size(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
 class ConnectionLaplacian:
     """Sparse symmetric block operator on the tangent bundle, shape (nm, nm).
     For an orientable m = 2 connection, assembly also sets its n x n complex
@@ -87,10 +73,14 @@ class ConnectionLaplacian:
         return self.n * self.m
 
 
-def assemble_graph_laplacian(graph: ProximityGraph) -> GraphLaplacian:
-    """L = diag(W 1) - W."""
+# the graph Laplacian is the connection Laplacian of the trivial line bundle
+GraphLaplacian = ConnectionLaplacian
+
+
+def assemble_graph_laplacian(graph: ProximityGraph) -> ConnectionLaplacian:
+    """L = diag(W 1) - W: the m = 1 connection Laplacian, every transport 1."""
     lap = sparse.diags(graph.degrees) - graph.weight_matrix()
-    return GraphLaplacian(matrix=lap.tocsr(), n=graph.n)
+    return ConnectionLaplacian(lap.tocsr(), graph.n, 1)
 
 
 def assemble_connection_laplacian(graph: ProximityGraph, frames: GaugeFrames,
@@ -289,19 +279,20 @@ def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
     return vals, vecs
 
 
-def _lanczos(mat: sparse.csr_matrix, count: int, seed: int, k: int
+def _lanczos(mat: sparse.csr_matrix, k: int, seed: int
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``count`` smallest eigenpairs of the symmetric or Hermitian L by
-    shift-invert ARPACK and the inertia-certified Rayleigh-Ritz step, extended
-    (each time by as many pairs as the top cluster holds) until their values
-    end a cluster at or past k; None if ARPACK cannot."""
+    """The k + 1 smallest eigenpairs of the symmetric or Hermitian L, the
+    (k+1)-th to witness the cut, by shift-invert ARPACK and the
+    inertia-certified Rayleigh-Ritz step, extended (each time by as many
+    pairs as the top cluster holds) until their values end a cluster at or
+    past k; None if ARPACK cannot."""
     delta, inverse = _shift_invert(mat)
     rng = np.random.default_rng(seed)
-    ritz, basis = _arpack(mat, k=count, sigma=-delta, which="LM", OPinv=inverse,
+    ritz, basis = _arpack(mat, k=k + 1, sigma=-delta, which="LM", OPinv=inverse,
                           v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
     del inverse  # free the factor before the inertia count builds its own
     vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
-    vals, vecs = vals[:count], vecs[:, :count]
+    vals, vecs = vals[:k + 1], vecs[:, :k + 1]
     while _whole_cluster_count(vals, k) is None:
         wanted = int(np.count_nonzero(vals >= vals[-1] - _cluster_gap(vals[-1])))
         if vals.size + wanted > mat.shape[0] - 2:
@@ -327,7 +318,7 @@ def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return pairs.reshape(2 * n, 2 * count)
 
 
-def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
+def eigendecompose(operator: ConnectionLaplacian, k: int,
                    method: str = "auto", seed: int = 0) -> Spectrum:
     """The smallest eigenpairs of a symmetric PSD Laplacian, in whole clusters:
     k rounds up to k', the end of the cluster that holds the k-th eigenvalue,
@@ -357,12 +348,13 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
     twice over, so Lanczos solves H for the ceil(k/2) pairs that hold the
     first k and one more, and returns each complex eigenvector as two real
     ones, x and its quarter turn Jx, in the caller's gauge; k' is even. Every
-    operator without H (m != 2, graph Laplacians, a Moebius strip, a
-    hand-built ConnectionLaplacian) takes the real path; the dense path is
-    the same for all. The residual, PSD and sign conventions are applied to
-    the real L either way. The start vectors are seeded: for a fixed seed and
-    a fixed BLAS thread count, results are byte-identical across runs, and
-    the eigenspaces kept do not depend on the route or the thread count.
+    operator without H (the m = 1 graph Laplacian, m > 2, a Moebius strip, a
+    hand-built operator) takes the real path for its k + 1 smallest pairs;
+    the dense path is the same for all. The residual, PSD and sign
+    conventions are applied to the real L either way. The start vectors are
+    seeded: for a fixed seed and a fixed BLAS thread count, results are
+    byte-identical across runs, and the eigenspaces kept do not depend on
+    the route or the thread count.
     """
     mat = operator.matrix
     size = mat.shape[0]
@@ -370,13 +362,13 @@ def eigendecompose(operator: GraphLaplacian | ConnectionLaplacian, k: int,
         raise ValueError(f"k must be in [1, {size}], got {k}")
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    hermitian, pairs = getattr(operator, "hermitian", None), None
+    hermitian, pairs = operator.hermitian, None
     if method == "auto" and hermitian is not None and (k + 1) // 2 + 1 <= operator.n - 2:
-        pairs = _lanczos(hermitian, (k + 1) // 2 + 1, seed, (k + 1) // 2)
+        pairs = _lanczos(hermitian, (k + 1) // 2, seed)
         if pairs is not None:
             pairs = np.repeat(pairs[0], 2), _real_pairs(pairs[1], operator.flips)
     elif method == "auto" and k + 1 <= size - 2:
-        pairs = _lanczos(mat, k + 1, seed, k)
+        pairs = _lanczos(mat, k, seed)
     vals, vecs = np.linalg.eigh(mat.toarray()) if pairs is None else pairs
     k = _whole_cluster_count(vals, k) or size
     vals = vals[:k + 1]

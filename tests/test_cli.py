@@ -101,6 +101,25 @@ class TestGenerate:
         assert isinstance(meta["singular_candidates"], list)
         assert 0 <= meta["min_coherence_node"] < 162
 
+    def test_coherence_is_computed_in_the_diffuse_stage(self, generated, workdir,
+                                                        monkeypatch, caplog):
+        # field_meta's min_coherence_node is compute: file output is not charged
+        _, cfg = generated
+        coherence, active = tfields.direction_coherence, []
+
+        def spy(*args):
+            active.append(next(r.getMessage() for r in reversed(caplog.records)
+                               if r.getMessage().startswith("stage ")))
+            return coherence(*args)
+
+        monkeypatch.setattr(tfields, "direction_coherence", spy)
+        with caplog.at_level(logging.INFO, logger="tangentgp"):
+            result = run_cli(["generate", "--config", str(cfg), "--out",
+                              str(workdir / "gen_stages")])
+        assert result.exit_code == 0, result.output
+        assert active == ["stage diffuse"]
+        assert output_hashes(workdir / "gen_stages") == output_hashes(generated[0])
+
     def test_manifest_hash_stable_under_key_reordering(self, generated, workdir):
         out, cfg = generated
         raw = json.loads(Path(cfg).read_text())
@@ -131,6 +150,50 @@ def superresolved(workdir, generated):
     result = run_cli(["superresolve", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     return workdir / "super", cfg
+
+
+class TestPointCloudInput:
+    """The latent-manifold setting: a bare point-cloud CSV and a k-NN graph."""
+
+    def test_generate_then_superresolve(self, workdir, generated, superresolved):
+        # the fixture's vertices give the mesh runs' k-NN graph, so every
+        # output but the VTK files, which draw the mesh faces, is the same
+        vertices = workdir / "torus_400.csv"
+        tio.write_vector_csv(vertices, tio.load_mesh(TORUS_OBJ)[0].points)
+        for name, (mesh_out, cfg) in (("cloud_gen", generated),
+                                      ("cloud_super", superresolved)):
+            payload = {**json.loads(Path(cfg).read_text()), "input_cloud": str(vertices),
+                       "output_dir": str(workdir / name)}
+            del payload["input_mesh"]
+            if "field" in payload:
+                payload["field"] = str(workdir / "cloud_gen" / "field.csv")
+            result = run_cli([payload["kind"], "--config",
+                              str(write_config(workdir, f"{name}.json", payload))])
+            assert result.exit_code == 0, result.output
+            hashes = output_hashes(workdir / name)
+            expected = {path: digest for path, digest in output_hashes(mesh_out).items()
+                        if not path.endswith(".vtk")}
+            assert {path: hashes[path] for path in expected} == expected, name
+        ids, _, _ = tio.read_vector_csv(workdir / "cloud_gen" / "field.csv")
+        assert np.array_equal(ids, np.arange(400))
+
+    @pytest.mark.parametrize("role", ["input_cloud", "field"])
+    def test_shifted_ids_rejected(self, workdir, generated, role):
+        # row i of a cloud, as of a field, is node i; other ids name the file
+        field = generated[0] / "field.csv"
+        _, points, vectors = tio.read_vector_csv(field)
+        shifted = (workdir / f"shifted_{role}.csv").resolve()
+        tio.write_vector_csv(shifted, points, vectors if role == "field" else None,
+                             ids=7 + 10 * np.arange(400))
+        inputs = {"input_cloud": {"input_cloud": str(shifted), "field": str(field)},
+                  "field": {"input_mesh": str(TORUS_OBJ), "field": str(shifted)}}[role]
+        cfg = write_config(workdir, f"shifted_{role}.json", {
+            "kind": "superresolve", **inputs, "graph": {"k_neighbors": 6},
+            "hyperparams": HYPERPARAMS, "output_dir": str(workdir / f"shifted_{role}")})
+        result = run_cli(["superresolve", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert f"{shifted}: ids must be 0..399 in order" in result.output
+        assert not (workdir / f"shifted_{role}").exists()
 
 
 class TestSuperresolve:
@@ -257,17 +320,16 @@ class TestInpaint:
         assert len(mask_nodes) == 60  # 15% of 400
 
     def test_both_searches_get_the_fit_budget(self, workdir, generated, monkeypatch):
-        # the vector and the baseline search run on the budget in "fit";
+        # the vector and the baseline search run on the one default budget;
         # the field read and every prediction write run inside a stage
         gen_out, _ = generated
-        budget = {"n_starts": 1, "n_sweeps": 1, "grid_points": 3}
         cfg = write_config(workdir, "inpaint_budget.json", {
             "kind": "inpaint",
             "input_mesh": str(TORUS_OBJ),
             "field": str(gen_out / "field.csv"),
             "graph": {"k_neighbors": 6},
             "num_eigenvectors": 10,
-            "fit": {"nu": 1.5, **budget},
+            "fit": {"nu": 1.5},
             "seed": 3,
             "mask": {"center_node": "auto", "fraction": 0.15},
             "output_dir": str(workdir / "inpaint_budget"),
@@ -282,7 +344,7 @@ class TestInpaint:
         monkeypatch.setattr(gp, "coordinate_search", recording_search)
         result = run_cli(["inpaint", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
-        assert received == [gp.SearchConfig(**budget)] * 2
+        assert received == [gp.SearchConfig()] * 2
         manifest = json.loads((workdir / "inpaint_budget" / "manifest.json").read_text())
         names = [stage["name"] for stage in manifest["stages"]]
         assert names.count("load_input") == 2  # the mesh, then the field
@@ -345,8 +407,7 @@ class TestFitPredict:
         # its header; the round trip above wrote the model
         qcsv = workdir / "queries_none.csv"
         tio.write_vector_csv(qcsv, np.empty((0, 3)))
-        off_graph = {"graph": {"k_neighbors": 6}, "query_points": str(qcsv),
-                     "allow_out_of_graph": True}
+        off_graph = {"graph": {"k_neighbors": 6}, "query_points": str(qcsv)}
         for name, query in (("pred_none", {"query": []}), ("pred_off_none", off_graph)):
             cfg = write_config(workdir, f"{name}.json", {
                 "kind": "predict",
@@ -362,34 +423,24 @@ class TestFitPredict:
             assert (out / "predictions.csv").read_text() == "id,x0,x1,x2,v0,v1,v2\n"
             assert (out / "variances.csv").read_text() == "id,variance_trace\n"
 
-    def test_off_graph_queries_need_flag(self, workdir, generated):
-        gen_out, _ = generated
+    def test_off_graph_queries_are_extended_with_a_warning(self, workdir, caplog):
         qcsv = workdir / "queries.csv"
         tio.write_vector_csv(qcsv, np.array([[2.8, 0.0, 0.1], [0.0, 2.8, 0.2]]))
         cfg = write_config(workdir, "predict_off.json", {
             "kind": "predict",
             "model_dir": str(workdir / "fit" / "model"),
             "input_mesh": str(TORUS_OBJ),
-            "query_points": str(qcsv),
-            "seed": 2,
-            "output_dir": str(workdir / "pred_off"),
-        })
-        result = run_cli(["predict", "--config", str(cfg)])
-        assert result.exit_code != 0
-        assert "allow_out_of_graph" in result.output
-
-        cfg2 = write_config(workdir, "predict_off2.json", {
-            "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
-            "input_mesh": str(TORUS_OBJ),
             "graph": {"k_neighbors": 6},
             "query_points": str(qcsv),
-            "allow_out_of_graph": True,
             "seed": 2,
             "output_dir": str(workdir / "pred_off"),
         })
-        result = run_cli(["predict", "--config", str(cfg2)])
+        with caplog.at_level(logging.WARNING, logger="tangentgp"):
+            result = run_cli(["predict", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
+        assert [r.getMessage() for r in caplog.records] == [
+            "query_points are encoded by gp.extend_encodings, an off-graph "
+            "extension beyond the core method"]
         ids, _, vecs = tio.read_vector_csv(workdir / "pred_off" / "predictions.csv")
         assert vecs.shape == (2, 3)
         assert np.isfinite(vecs).all()
@@ -431,7 +482,7 @@ class TestConfigValues:
         ("hyperparams", {"sigma": -1}),
         ("baseline_hyperparams", {"sigma": -1}),
         ("baseline_hyperparams", {"nu": "abc"}),
-        ("fit", {"n_starts": 0}),
+        ("fit", {"nu": 0}),
         ("fit", {"nu": -2}),
     ])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, generated,
@@ -459,7 +510,6 @@ class TestConfigValues:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, fragment", [
-        ("allow_out_of_graph", '"allow_out_of_graph": "false"'),
         ("num_eigenvectors", '"num_eigenvectors": 2.5'),
         ("num_eigenvectors[1]", '"num_eigenvectors": [10, 2.5]'),
         ("num_eigenvectors", '"num_eigenvectors": true'),
@@ -473,7 +523,6 @@ class TestConfigValues:
         ("hyperparams.sigma", '"hyperparams": {"sigma": true}'),
         ("query", '"query": "some"'),
         ("query[0]", '"query": [1.5]'),
-        ("fit.n_starts", '"fit": {"n_starts": 2.0}'),
         ("fit.nu", '"fit": {"nu": "1.5"}'),
         # values Python's json reads but the schema's numbers exclude
         ("tau", '"tau": Infinity'),
@@ -869,7 +918,9 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("n_major, n_minor, logged", [(12, 8, 1), (14, 9, 0)])
     def test_unoriented_connection_is_logged(self, workdir, caplog, n_major, n_minor,
                                              logged):
-        # the 12x8 mesh torus has a non-orientable connection, the 14x9 one not
+        # the 12x8 mesh torus has a non-orientable connection, the 14x9 one
+        # not: its frames flip where the mesh is too coarse for them, which a
+        # run at the default log level must show
         mesh = workdir / f"torus_{n_major}x{n_minor}.obj"
         tio.write_obj(mesh, *tio.generate_torus(2.0, 0.8, n_major, n_minor))
         cfg = write_config(workdir, f"spectrum_{n_major}x{n_minor}.json", {
@@ -879,12 +930,14 @@ class TestSpectrumCommand:
             "num_eigenvectors": 10,
             "output_dir": str(workdir / f"spec_{n_major}x{n_minor}"),
         })
-        with caplog.at_level(logging.INFO, logger="tangentgp"):
+        with caplog.at_level(logging.WARNING, logger="tangentgp"):
             result = run_cli(["spectrum", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
-        lines = [r.getMessage() for r in caplog.records if "orientable" in r.getMessage()]
+        lines = [r.getMessage() for r in caplog.records]
         assert lines == [f"the 2-D connection is not orientable; its eigensolve runs "
-                         f"on the real {2 * n_major * n_minor}-row form"] * logged
+                         f"on the real {2 * n_major * n_minor}-row form. On a closed "
+                         f"orientable surface this means tangent frames flipped on a "
+                         f"mesh too coarse for them"] * logged
 
     def test_wrong_kind_rejected(self, workdir):
         cfg = write_config(workdir, "wrong.json", {

@@ -708,15 +708,14 @@ class TestConfig:
             "kind": "inpaint", "output_dir": "out",
             "hyperparams": {"sigma": 2.0, "nu": 2.5},
             "baseline_hyperparams": {"nu": "inf"},
-            "fit": {"nu": "inf", "n_starts": 1, "grid_points": 3}}))
+            "fit": {"nu": "inf"}}))
         assert cfg.hyperparams == tg.MaternHyperparams(sigma=2.0, nu=2.5)
         assert cfg.baseline_hyperparams == tg.MaternHyperparams(nu=math.inf)
-        assert cfg.fit == tio.FitConfig(math.inf, tg.SearchConfig(n_starts=1,
-                                                                  grid_points=3))
+        assert cfg.fit == tio.FitConfig(math.inf)
         default = tio.load_config(self.write(tmp_path, {
             "kind": "inpaint", "output_dir": "out", "hyperparams": None, "fit": None}))
         assert default.hyperparams is None and default.baseline_hyperparams is None
-        assert default.fit == tio.FitConfig(1.5, tg.SearchConfig())
+        assert default.fit == tio.FitConfig(1.5)
 
     @pytest.mark.parametrize("name, block, message", [
         ("hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
@@ -724,22 +723,16 @@ class TestConfig:
         ("baseline_hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
         ("baseline_hyperparams", {"nu": "abc"},
          ".nu: must be a finite number or 'inf', got 'abc'"),
-        ("fit", {"n_starts": 0}, ".n_starts: must be >= 1, got 0"),
         ("fit", {"nu": -2}, ".nu: must be > 0, got -2"),
         ("fit", {"nu": [1]}, ".nu: must be a finite number or 'inf', got [1]"),
         ("graph", [], ": must be an object, got []"),
-        ("fit", {"n_starts": 2.9}, ".n_starts: must be an integer, got 2.9"),
-        ("fit", {"grid_points": True}, ".grid_points: must be an integer, got True"),
     ], ids=["hyperparams-block0-sigma must be positive",
             "hyperparams-block1-could not convert",
             "baseline_hyperparams-block2-sigma must be positive",
             "baseline_hyperparams-block3-nu must be a positive number",
-            "fit-block4-n_starts must be >= 1",
             "fit-block5-nu must be a positive number",
             "fit-block6-nu must be a positive number",
-            "graph-block7-must be a mapping",
-            "fit-block8-n_starts must be an integer",
-            "fit-block9-grid_points must be an integer"])
+            "graph-block7-must be a mapping"])
     def test_bad_block_values_rejected(self, tmp_path, name, block, message):
         with pytest.raises(ParseError, match=re.escape(name + message)):
             tio.load_config(self.write(tmp_path, {
@@ -791,7 +784,7 @@ class TestConfig:
         hyperparams = set(tg.MaternHyperparams.__dataclass_fields__)
         nested = {"graph": set(tio.GraphConfig.__dataclass_fields__),
                   "hyperparams": hyperparams, "baseline_hyperparams": hyperparams,
-                  "fit": {"nu", "n_starts", "n_sweeps", "grid_points"}}
+                  "fit": set(tio.FitConfig.__dataclass_fields__)}
         for name, keys in nested.items():
             assert set(schema["properties"][name]["properties"]) == keys, name
         for name, block in [("config", schema), *schema["properties"].items()]:
@@ -808,7 +801,7 @@ class TestConfig:
                       if "default" in spec}
         documented.update({("graph", name): spec["default"] for name, spec in
                            schema["graph"]["properties"].items() if "default" in spec})
-        assert len(documented) == 11
+        assert len(documented) == 10
         for key, default in documented.items():
             field = fields[key]
             value = (field.default_factory() if field.default is dataclasses.MISSING

@@ -47,6 +47,24 @@ class TestGraphLaplacian:
         sums = np.asarray(lap.matrix.sum(axis=1)).ravel()
         assert np.abs(sums).max() <= 1e-12
 
+    def test_is_the_m1_connection_laplacian(self, torus):
+        # one operator type: the trivial line bundle has no Hermitian form,
+        # so Lanczos runs on the real matrix for the k + 1 smallest pairs
+        assert tg.GraphLaplacian is tg.ConnectionLaplacian
+        lap = tg.assemble_graph_laplacian(torus.graph)
+        assert (lap.n, lap.m, lap.size) == (400, 1, 400)
+        assert lap.hermitian is None and lap.flips is None
+        lanczos, solved = spectral._lanczos, []
+
+        def spy(mat, k, seed):
+            pairs = lanczos(mat, k, seed)
+            solved.append((mat.dtype, k, pairs[0].size > k))
+            return pairs
+
+        with mock.patch.object(spectral, "_lanczos", spy):
+            tg.eigendecompose(lap, 10)
+        assert solved == [(np.dtype(float), 10, True)]
+
 
 class TestConnectionLaplacian:
     def test_trivial_line_bundle_on_one_edge(self):

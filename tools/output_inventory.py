@@ -8,8 +8,8 @@ into a fresh directory under OUT_DIR (which must not exist):
 - on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
   (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
-  pairs), on-graph ``predict``, off-graph ``predict`` (``allow_out_of_graph``)
-  at the midpoints of the first edges of the first 25 faces, ``spectrum``,
+  pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``) at
+  the midpoints of the first edges of the first 25 faces, ``spectrum``,
   DTC ``superresolve`` (``inducing_fraction``) and ``eval``;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
@@ -85,8 +85,7 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
                                 "model_dir": str(out / "fit" / "model")}),
         ("predict_off_graph", "predict", {"input_mesh": str(fixture), "graph": KNN,
                                           "seed": 5, "model_dir": str(out / "fit" / "model"),
-                                          "query_points": str(out / QUERIES),
-                                          "allow_out_of_graph": True}),
+                                          "query_points": str(out / QUERIES)}),
         ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
         ("dtc", "superresolve", {**searched, "num_eigenvectors": [10, 50],
                                  "split_fraction": 0.5, "inducing_fraction": 0.3,
