@@ -114,11 +114,9 @@ def _check_ids(path, ids: np.ndarray, n: int) -> None:
 def _load_cloud(cfg: io.ExperimentConfig) -> tuple[geo.PointCloud, np.ndarray | None]:
     if cfg.input_mesh:
         return io.load_mesh(cfg.input_mesh)
-    if cfg.input_cloud:
-        cloud, ids = io.load_point_cloud(cfg.input_cloud)
-        _check_ids(cfg.input_cloud, ids, cloud.n)
-        return cloud, None
-    raise CommandError("config needs input_mesh or input_cloud")
+    cloud, ids = io.load_point_cloud(cfg.input_cloud)
+    _check_ids(cfg.input_cloud, ids, cloud.n)
+    return cloud, None
 
 
 def _build_graph(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
@@ -302,15 +300,8 @@ def _cmd_superresolve(run: Run):
         spec = spectral.truncate(spec_full, k)
         hp = _resolve_hyperparams(run, train, truth[train], spec, frames, graph, cloud)
         with run.stage(f"fit_predict_k{k}"):
-            if cfg.inducing_fraction:
-                n_ind = max(1, int(round(cfg.inducing_fraction * len(train))))
-                ind_sel, _ = geo.furthest_point_sample(cloud.points[train], n_ind)
-                mean, _ = gp.inducing_point_predict(train, truth[train],
-                                                    train[ind_sel], spec, frames,
-                                                    hp, test)
-            else:
-                model = gp.fit(train, truth[train], spec, frames, hp)
-                mean, _ = gp.predict(model, test)
+            model = gp.fit(train, truth[train], spec, frames, hp)
+            mean, _ = gp.predict(model, test)
         _write_predictions(run, f"predictions_k{k}", cloud, test, mean, faces)
         for metric in (fields.alignment_score(mean, truth[test]),
                        fields.angular_error(mean, truth[test])):
@@ -413,44 +404,45 @@ def _cmd_fit(run: Run):
 
 
 def _cmd_predict(run: Run):
-    """Predict vectors at query nodes from a persisted model."""
+    """Predict vectors at query nodes from a persisted model and its geometry."""
     cfg = run.cfg
     if not cfg.model_dir:
         raise CommandError("config needs model_dir")
     with run.stage("load_model"):
         model, frames = io.load_model(cfg.model_dir)
+    with run.stage("load_input"):
+        cloud, faces = _load_cloud(cfg)
+        if cfg.query_points is not None:
+            ids, positions, _ = io.read_vector_csv(cfg.query_points)
+    if (cloud.n, cloud.dim) != (frames.n, frames.dim):
+        raise CommandError(f"the configured geometry has {cloud.n} points in "
+                           f"{cloud.dim}-D, the model {frames.n} in {frames.dim}-D")
 
     if cfg.query_points is not None:
         log.warning("query_points are encoded by gp.extend_encodings, an off-graph "
                     "extension beyond the core method")
-        # the model's frames encode the queries, so only the graph is rebuilt
-        with run.stage("load_input"):
-            cloud, faces = _load_cloud(cfg)
-            ids, positions, _ = io.read_vector_csv(cfg.query_points)
         with run.stage("build_graph"):
             graph = _build_graph(cfg, cloud, faces)
+        # the rebuilt graph sizes each query's neighbourhood, so it must be the
+        # model's: its frames must span the model's tangent spaces (compared as
+        # projectors, since a near-isotropic SVD may turn a frame in its plane)
+        with run.stage("tangent_frames"):
+            rebuilt = geo.estimate_tangent_frames(graph, cloud, frames.m,
+                                                  cfg.frame_neighbors).frames
+        projectors = [np.einsum("ndm,nem->nde", f, f) for f in (rebuilt, frames.frames)]
+        if np.abs(projectors[0] - projectors[1]).max(initial=0.0) > 1e-8:
+            raise CommandError("the configured geometry or graph is not the one "
+                               "the model was fitted on: their tangent frames differ")
         with run.stage("extend_encodings"):
             enc, _ = gp.extend_encodings(positions, cloud, graph, frames, model.spectrum)
         with run.stage("predict"):
             mean, covs = gp.predict_at_encodings(model, enc)
     else:
-        n = model.encodings.shape[0]
-        if cfg.query == "all":
-            ids = np.arange(n)
-        else:
-            if any(i >= n for i in cfg.query):
-                raise CommandError("query node out of range")
-            ids = np.asarray(cfg.query, dtype=np.int64)
-        # node positions are not stored in the model; pull them from the
-        # configured geometry when available, else write zeros
-        if cfg.input_mesh or cfg.input_cloud:
-            with run.stage("load_input"):
-                cloud, _ = _load_cloud(cfg)
-            if cloud.n <= int(ids.max(initial=0)):
-                raise CommandError("query node out of range for the given geometry")
-            positions = cloud.points[ids]
-        else:
-            positions = np.zeros((len(ids), frames.dim))
+        # Python ints, so that ids beyond int64 never reach numpy
+        if cfg.query != "all" and any(i >= cloud.n for i in cfg.query):
+            raise CommandError("query node out of range")
+        ids = np.arange(cloud.n) if cfg.query == "all" else np.asarray(cfg.query, np.int64)
+        positions = cloud.points[ids]
         with run.stage("predict"):
             mean, covs = gp.predict(model, ids)
     with run.stage("write_outputs"):
@@ -467,10 +459,13 @@ def _cmd_spectrum(run: Run):
 
 
 def _config_command(kind: str, body) -> None:
-    """Register ``body`` as the ``kind`` command over a config of that kind;
-    its docstring is the command's help."""
+    """Register ``body`` as the ``kind`` command over a config of that kind,
+    which must name its geometry; its docstring is the command's help."""
     def command(config_path, out_override, seed_override):
-        _execute(body, _load_config(config_path, kind, out_override, seed_override))
+        cfg = _load_config(config_path, kind, out_override, seed_override)
+        if not (cfg.input_mesh or cfg.input_cloud):
+            raise CommandError("config needs input_mesh or input_cloud")
+        _execute(body, cfg)
     main.command(name=kind, help=body.__doc__)(common_options(command))
 
 

@@ -570,7 +570,9 @@ def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,
     A W W^T A^T for K = A A^T and W an orthonormal basis of the row space of
     the inducing features A_u. So DTC is the posterior of :func:`fit` with W
     taken from A_u instead of the training features: exact for any inducing
-    set, and equal to :func:`fit` when the inducing set is the training set.
+    set. For inducing training nodes whose A_u has full column rank (at
+    least k/m of them), W = I as in :func:`fit`, and DTC equals
+    ``predict(fit(...))`` bit for bit; only sets of lower rank differ.
     """
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)

@@ -608,7 +608,6 @@ class ExperimentConfig:
     query: str | list = "all"
     query_points: str | None = None
     model_dir: str | None = None
-    inducing_fraction: float | None = None
     raw: dict = dataclasses.field(default_factory=dict, repr=False)
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ from tangentgp import fields as tfields
 from tangentgp import geometry as geo
 from tangentgp import gp
 from tangentgp import io as tio
-from tangentgp.cli import main
+from tangentgp.cli import Run, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TORUS_OBJ = FIXTURES / "torus_400.obj"
@@ -365,26 +365,32 @@ class TestInpaint:
         assert "train" in result.output
 
 
-class TestFitPredict:
-    def test_fit_then_predict_round_trip(self, workdir, generated):
-        gen_out, _ = generated
-        fit_cfg = write_config(workdir, "fit.json", {
-            "kind": "fit",
-            "input_mesh": str(TORUS_OBJ),
-            "field": str(gen_out / "field.csv"),
-            "graph": {"k_neighbors": 6},
-            "num_eigenvectors": 50,
-            "hyperparams": HYPERPARAMS,
-            "seed": 2,
-            "output_dir": str(workdir / "fit"),
-        })
-        result = run_cli(["fit", "--config", str(fit_cfg)])
-        assert result.exit_code == 0, result.output
-        assert (workdir / "fit" / "model" / "model.json").exists()
+@pytest.fixture(scope="module")
+def fitted(workdir, generated):
+    """The model directory of a fit on the fixture (k-NN graph, k = 6)."""
+    gen_out, _ = generated
+    fit_cfg = write_config(workdir, "fit.json", {
+        "kind": "fit",
+        "input_mesh": str(TORUS_OBJ),
+        "field": str(gen_out / "field.csv"),
+        "graph": {"k_neighbors": 6},
+        "num_eigenvectors": 50,
+        "hyperparams": HYPERPARAMS,
+        "seed": 2,
+        "output_dir": str(workdir / "fit"),
+    })
+    result = run_cli(["fit", "--config", str(fit_cfg)])
+    assert result.exit_code == 0, result.output
+    assert (workdir / "fit" / "model" / "model.json").exists()
+    return workdir / "fit" / "model"
 
+
+class TestFitPredict:
+    def test_fit_then_predict_round_trip(self, workdir, generated, fitted):
+        gen_out, _ = generated
         pred_cfg = write_config(workdir, "predict.json", {
             "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
+            "model_dir": str(fitted),
             "input_mesh": str(TORUS_OBJ),
             "query": "all",
             "seed": 2,
@@ -402,16 +408,16 @@ class TestFitPredict:
         assert [stage["name"] for stage in stages] == ["load_model", "load_input",
                                                        "predict", "write_outputs"]
 
-    def test_empty_query_writes_header_only_files(self, workdir):
+    def test_empty_query_writes_header_only_files(self, workdir, fitted):
         # the schema allows "query": [], and a query_points CSV may hold only
-        # its header; the round trip above wrote the model
+        # its header
         qcsv = workdir / "queries_none.csv"
         tio.write_vector_csv(qcsv, np.empty((0, 3)))
         off_graph = {"graph": {"k_neighbors": 6}, "query_points": str(qcsv)}
         for name, query in (("pred_none", {"query": []}), ("pred_off_none", off_graph)):
             cfg = write_config(workdir, f"{name}.json", {
                 "kind": "predict",
-                "model_dir": str(workdir / "fit" / "model"),
+                "model_dir": str(fitted),
                 "input_mesh": str(TORUS_OBJ),
                 **query,
                 "seed": 2,
@@ -423,12 +429,13 @@ class TestFitPredict:
             assert (out / "predictions.csv").read_text() == "id,x0,x1,x2,v0,v1,v2\n"
             assert (out / "variances.csv").read_text() == "id,variance_trace\n"
 
-    def test_off_graph_queries_are_extended_with_a_warning(self, workdir, caplog):
+    def test_off_graph_queries_are_extended_with_a_warning(self, workdir, fitted,
+                                                           caplog):
         qcsv = workdir / "queries.csv"
         tio.write_vector_csv(qcsv, np.array([[2.8, 0.0, 0.1], [0.0, 2.8, 0.2]]))
         cfg = write_config(workdir, "predict_off.json", {
             "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
+            "model_dir": str(fitted),
             "input_mesh": str(TORUS_OBJ),
             "graph": {"k_neighbors": 6},
             "query_points": str(qcsv),
@@ -445,12 +452,42 @@ class TestFitPredict:
         assert vecs.shape == (2, 3)
         assert np.isfinite(vecs).all()
         # the model's frames encode the queries: both inputs are read in one
-        # stage and only the graph is rebuilt
+        # stage, and the graph and frames are rebuilt only to check them
         stages = json.loads((workdir / "pred_off" / "manifest.json").read_text())["stages"]
         assert [stage["name"] for stage in stages] == [
-            "load_model", "load_input", "build_graph", "extend_encodings", "predict",
-            "write_outputs"]
+            "load_model", "load_input", "build_graph", "tangent_frames",
+            "extend_encodings", "predict", "write_outputs"]
 
+    @pytest.mark.parametrize("graph", [{}, {"graph": {"k_neighbors": 10}}])
+    def test_off_graph_queries_on_another_graph_fail(self, workdir, fitted, graph):
+        # the model was fitted on a k = 6 graph; without a graph block the
+        # default k = 5 would size the query neighbourhoods
+        qcsv = workdir / "queries_other_graph.csv"
+        tio.write_vector_csv(qcsv, np.array([[2.8, 0.0, 0.1], [0.0, 2.8, 0.2]]))
+        cfg = write_config(workdir, "predict_other_graph.json", {
+            "kind": "predict", "model_dir": str(fitted), "input_mesh": str(TORUS_OBJ),
+            **graph, "query_points": str(qcsv),
+            "output_dir": str(workdir / "pred_other_graph")})
+        result = run_cli(["predict", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "not the one the model was fitted on" in result.output
+        assert not (workdir / "pred_other_graph").exists()
+
+    @pytest.mark.parametrize("off_graph", [False, True])
+    def test_geometry_of_another_size_fails(self, workdir, fitted, off_graph):
+        # a 12 x 8 torus has 96 nodes, the model 400
+        points, faces = tio.generate_torus(2.0, 0.8, 12, 8)
+        tio.write_obj(workdir / "torus_96.obj", points, faces)
+        qcsv = workdir / "queries_96.csv"
+        tio.write_vector_csv(qcsv, points[:1])
+        cfg = write_config(workdir, "predict_96.json", {
+            "kind": "predict", "model_dir": str(fitted),
+            "input_mesh": str(workdir / "torus_96.obj"),
+            **({"query_points": str(qcsv)} if off_graph else {}),
+            "output_dir": str(workdir / "pred_96")})
+        result = run_cli(["predict", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "has 96 points in 3-D, the model 400 in 3-D" in result.output
 
 class TestManifest:
     def test_lists_only_the_files_of_this_run(self, workdir, generated):
@@ -604,7 +641,6 @@ class TestConfigValues:
         ("manifold_dim", {"manifold_dim": 0}),
         ("mask.fraction", {"mask": {"fraction": "x"}}),
         ("anchor_fraction", {"anchor_fraction": 5}),
-        ("inducing_fraction", {"inducing_fraction": 3}),
         ("frame_neighbors", {"frame_neighbors": 0}),
     ])
     def test_out_of_bound_values_fail_before_any_stage(self, tmp_path, generated,
@@ -637,6 +673,24 @@ class TestConfigValues:
         result = run_cli([kind, "--config", str(cfg)])
         assert result.exit_code == 1
         assert "config needs a 'field' CSV" in result.output
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("kind", ["generate", "superresolve", "inpaint", "fit",
+                                      "predict", "spectrum"])
+    def test_missing_geometry_fails_before_any_stage(self, tmp_path, fitted,
+                                                     monkeypatch, kind):
+        # predict needs it too: the model stores no node positions
+        cfg = write_config(tmp_path, f"{kind}.json", {
+            "kind": kind, "model_dir": str(fitted), "output_dir": str(tmp_path / "out")})
+
+        def no_stage(*_args):
+            raise AssertionError("a stage ran before the geometry was checked")
+
+        monkeypatch.setattr(Run, "stage", no_stage)
+        result = run_cli([kind, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "config needs input_mesh or input_cloud" in result.output
         assert not (tmp_path / "out").exists()
 
 
@@ -820,10 +874,10 @@ class TestConfigVariants:
         dists = np.linalg.norm(pts - pts[0], axis=1)
         assert sorted(mask_nodes) == sorted(np.nonzero(dists <= 1.0)[0].tolist())
 
-    def test_query_subset_predictions(self, workdir, generated):
+    def test_query_subset_predictions(self, workdir, fitted):
         cfg = write_config(workdir, "predict_subset.json", {
             "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
+            "model_dir": str(fitted),
             "input_mesh": str(TORUS_OBJ),
             "query": [5, 17, 200],
             "seed": 2,
@@ -836,37 +890,18 @@ class TestConfigVariants:
         assert ids.tolist() == [5, 17, 200]
         assert vecs.shape == (3, 3)
 
-    def test_query_beyond_the_model_fails(self, workdir, generated):
+    def test_query_beyond_the_model_fails(self, workdir, fitted):
         # an index past int64 is a valid JSON integer, so it must not reach numpy
         cfg = write_config(workdir, "predict_far.json", {
             "kind": "predict",
-            "model_dir": str(workdir / "fit" / "model"),
+            "model_dir": str(fitted),
+            "input_mesh": str(TORUS_OBJ),
             "query": [5, 2**70],
             "output_dir": str(workdir / "pred_far"),
         })
         result = run_cli(["predict", "--config", str(cfg)])
         assert result.exit_code == 1
         assert "query node out of range" in result.output
-
-    def test_superresolve_with_inducing_compression(self, workdir, generated):
-        gen_out, _ = generated
-        cfg = write_config(workdir, "super_inducing.json", {
-            "kind": "superresolve",
-            "input_mesh": str(TORUS_OBJ),
-            "field": str(gen_out / "field.csv"),
-            "graph": {"k_neighbors": 6},
-            "num_eigenvectors": 25,
-            "hyperparams": HYPERPARAMS,
-            "inducing_fraction": 0.5,
-            "seed": 11,
-            "output_dir": str(workdir / "super_inducing"),
-        })
-        result = run_cli(["superresolve", "--config", str(cfg)])
-        assert result.exit_code == 0, result.output
-        metrics = json.loads(
-            (workdir / "super_inducing" / "metrics.json").read_text())["metrics"]
-        by = {m["metric"]: m["value"] for m in metrics}
-        assert by["alignment"] > 0.9
 
 
 def test_import_defers_kdtree():

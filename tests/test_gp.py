@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, solve_triangular
 from scipy.stats import norm, ortho_group
@@ -591,6 +591,49 @@ class TestInducingPoints:
                                                            np.arange(60))
             assert np.array_equal(dtc_mean, exact_mean)
             assert np.array_equal(dtc_covs, exact_covs)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([10, 20, 50]),
+           theta=st.tuples(*(st.floats(lo, hi) for lo, hi in SearchConfig().bounds)),
+           n_train=st.integers(30, 300), share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_rank_inducing_sets_equal_the_exact_fit(
+            self, torus, torus_spectrum, torus_truth, k, theta, n_train, share, seed):
+        # at least k/m inducing training nodes whose features have full
+        # column rank: W = I for DTC as for the exact fit
+        spec = truncate(torus_spectrum, k)
+        rng = np.random.default_rng(seed)
+        train = rng.choice(400, n_train, replace=False)
+        fewest = -(-spec.k // spec.m)
+        inducing = rng.choice(train, fewest + round(share * (n_train - fewest)),
+                              replace=False)
+        query = rng.choice(400, 40, replace=False)
+        hp = tg.MaternHyperparams(sigma=math.exp(theta[0]), kappa=math.exp(theta[1]),
+                                  nu=1.5, sigma_n=math.exp(theta[2]))
+        truth = torus_truth.field.ambient()
+        assume(tg.fit(inducing, truth[inducing], spec, torus.frames, hp).basis is None)
+        exact_mean, exact_covs = tg.predict(
+            tg.fit(train, truth[train], spec, torus.frames, hp), query)
+        dtc_mean, dtc_covs = tg.inducing_point_predict(train, truth[train], inducing,
+                                                       spec, torus.frames, hp, query)
+        assert np.array_equal(dtc_mean, exact_mean)
+        assert np.array_equal(dtc_covs, exact_covs)
+
+    def test_fewer_than_k_over_m_inducing_nodes_change_the_posterior(
+            self, torus, torus_spectrum, torus_truth):
+        # 4 nodes span at most 8 of the k = 10 feature directions
+        spec = truncate(torus_spectrum, 10)
+        perm = np.random.default_rng(14).permutation(400)
+        train, test = perm[:200], perm[200:]
+        truth = torus_truth.field.ambient()
+        hp = tg.MaternHyperparams(sigma=1.0, kappa=1.0, nu=1.5, sigma_n=0.01)
+        exact_mean, _ = tg.predict(tg.fit(train, truth[train], spec, torus.frames, hp),
+                                   test)
+        dtc_mean, _ = tg.inducing_point_predict(train, truth[train], train[:4], spec,
+                                                torus.frames, hp, test)
+        exact_err, dtc_err = (tfields.angular_error(mean, truth[test]).value
+                              for mean in (exact_mean, dtc_mean))
+        assert dtc_err > 10 * exact_err
 
     def test_half_inducing_alignment_close(self, torus, torus_spectrum, torus_truth):
         spec = truncate(torus_spectrum, 50)

@@ -9,8 +9,8 @@ into a fresh directory under OUT_DIR (which must not exist):
   (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
   pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``) at
-  the midpoints of the first edges of the first 25 faces, ``spectrum``,
-  DTC ``superresolve`` (``inducing_fraction``) and ``eval``;
+  the midpoints of the first edges of the first 25 faces, ``spectrum`` and
+  ``eval``;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``.
@@ -87,9 +87,6 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
                                           "seed": 5, "model_dir": str(out / "fit" / "model"),
                                           "query_points": str(out / QUERIES)}),
         ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
-        ("dtc", "superresolve", {**searched, "num_eigenvectors": [10, 50],
-                                 "split_fraction": 0.5, "inducing_fraction": 0.3,
-                                 "seed": 13}),
         ("eval", "eval", ["--pred", str(out / "superresolve" / "predictions_k50.csv"),
                           "--truth", truth]),
         ("mesh_generate", "generate", {**mesh_base, "seed": 7, "tau": 10.0,
