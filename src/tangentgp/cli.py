@@ -400,39 +400,28 @@ def _cmd_fit(run: Run):
     with run.stage("fit_model"):
         model = gp.fit(train, truth, spec, frames, hp)
     with run.stage("write_outputs"):
-        io.save_model(run.path("model"), model, frames)
+        io.save_model(run.path("model"), model, frames, cloud, graph)
 
 
 def _cmd_predict(run: Run):
-    """Predict vectors at query nodes from a persisted model and its geometry."""
+    """Predict vectors at query nodes, or at off-graph points through the
+    model's graph, from a model fitted on exactly the configured points."""
     cfg = run.cfg
     if not cfg.model_dir:
         raise CommandError("config needs model_dir")
     with run.stage("load_model"):
-        model, frames = io.load_model(cfg.model_dir)
+        model, frames, cloud, graph = io.load_model(cfg.model_dir)
     with run.stage("load_input"):
-        cloud, faces = _load_cloud(cfg)
+        configured, _ = _load_cloud(cfg)
         if cfg.query_points is not None:
             ids, positions, _ = io.read_vector_csv(cfg.query_points)
-    if (cloud.n, cloud.dim) != (frames.n, frames.dim):
-        raise CommandError(f"the configured geometry has {cloud.n} points in "
-                           f"{cloud.dim}-D, the model {frames.n} in {frames.dim}-D")
+    if not np.array_equal(configured.points, cloud.points):
+        raise CommandError("the configured geometry is not the one the model was "
+                           "fitted on: its points differ from the model's")
 
     if cfg.query_points is not None:
         log.warning("query_points are encoded by gp.extend_encodings, an off-graph "
                     "extension beyond the core method")
-        with run.stage("build_graph"):
-            graph = _build_graph(cfg, cloud, faces)
-        # the rebuilt graph sizes each query's neighbourhood, so it must be the
-        # model's: its frames must span the model's tangent spaces (compared as
-        # projectors, since a near-isotropic SVD may turn a frame in its plane)
-        with run.stage("tangent_frames"):
-            rebuilt = geo.estimate_tangent_frames(graph, cloud, frames.m,
-                                                  cfg.frame_neighbors).frames
-        projectors = [np.einsum("ndm,nem->nde", f, f) for f in (rebuilt, frames.frames)]
-        if np.abs(projectors[0] - projectors[1]).max(initial=0.0) > 1e-8:
-            raise CommandError("the configured geometry or graph is not the one "
-                               "the model was fitted on: their tangent frames differ")
         with run.stage("extend_encodings"):
             enc, _ = gp.extend_encodings(positions, cloud, graph, frames, model.spectrum)
         with run.stage("predict"):

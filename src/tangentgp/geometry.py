@@ -131,12 +131,13 @@ class ProximityGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        raw = np.asarray(self.edges).reshape(-1, 2)
+        edges = raw.astype(np.int64)
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if edges.shape[0] != weights.shape[0]:
             raise ValueError("edges and weights length mismatch")
-        if edges.size and (edges.min() < 0 or edges.max() >= self.n):
-            raise ValueError("edge endpoint out of range")
+        if edges.size and (edges.min() < 0 or edges.max() >= self.n or (edges != raw).any()):
+            raise ValueError("edge endpoint out of range or not an integer")
         if np.any(edges[:, 0] >= edges[:, 1]):
             raise ValueError("edges must satisfy i < j (no self-loops)")
         if np.any(weights < 0) or not np.isfinite(weights).all():

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gp as gp_mod
-from .geometry import GaugeFrames, PointCloud, _unique_edges
+from .geometry import GaugeFrames, PointCloud, ProximityGraph, _unique_edges
 from .spectral import LANCZOS_TOL, Spectrum
 
 __all__ = [
@@ -512,54 +512,62 @@ def load_spectrum(directory) -> Spectrum:
 # Model persistence: JSON manifest + CSV matrices, no binary formats
 # ---------------------------------------------------------------------------
 
-def save_model(directory, model: gp_mod.VectorFieldGP, frames: GaugeFrames) -> Path:
-    """Persist a fitted model as spectrum dir + frames/targets CSV + manifest.
-
-    The k x k weight-space factor and weight mean are recomputed on load
-    (deterministically, O(N*d*k^2)) rather than serialized; the load checks
-    the recomputed c_norm against the stored one.
+def save_model(directory, model: gp_mod.VectorFieldGP, frames: GaugeFrames,
+               cloud: PointCloud, graph: ProximityGraph) -> Path:
+    """Persist a fitted model and the geometry it was fitted on: a spectrum
+    dir, ``points.csv``, ``graph.csv`` (``i,j,w`` per edge), ``frames.csv``,
+    ``targets.csv`` and, last so that a partial directory never loads,
+    ``model.json``. The load recomputes the k x k weight-space factor and
+    weight mean (deterministically, O(N*d*k^2)) and checks the stored c_norm.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_spectrum(directory / "spectrum", model.spectrum)
-    n, d, m = frames.frames.shape
-    _write_matrix_csv(directory / "frames.csv", frames.frames.reshape(n, d * m))
-    _write_matrix_csv(directory / "targets.csv", model.targets)
+    csvs = {"points": cloud.points, "graph": np.column_stack([graph.edges, graph.weights]),
+            "frames": frames.frames.reshape(frames.n, -1), "targets": model.targets}
+    for key, matrix in csvs.items():
+        _write_matrix_csv(directory / f"{key}.csv", matrix)
     hp = model.hyperparams
     write_json_atomic(directory / "model.json", {
-        "format": "tangentgp-model/1",
+        "format": "tangentgp-model/2",
         "hyperparams": {"sigma": hp.sigma, "kappa": hp.kappa,
                         "nu": "inf" if math.isinf(hp.nu) else hp.nu,
                         "sigma_n": hp.sigma_n},
         "c_norm": model.c_norm,
         "train_nodes": [int(i) for i in model.train_nodes],
-        "frame_shape": [n, d, m],
+        "frame_shape": list(frames.frames.shape),
         "spectrum": "spectrum",
-        "frames_csv": "frames.csv",
-        "targets_csv": "targets.csv",
+        **{f"{key}_csv": f"{key}.csv" for key in csvs},
     })
     return directory / "model.json"
 
 
-def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames]:
+def load_model(directory) -> tuple[gp_mod.VectorFieldGP, GaugeFrames, PointCloud,
+                                   ProximityGraph]:
+    """The model, frames, points and graph of ``save_model``, each validated."""
     directory = Path(directory)
-    manifest = json.loads((directory / "model.json").read_text())
-    if manifest.get("format") != "tangentgp-model/1":
-        raise ParseError(directory / "model.json", None, "unknown model format")
+    path = directory / "model.json"
+    manifest = json.loads(path.read_text())
+    if manifest.get("format") != "tangentgp-model/2":
+        raise ParseError(path, None, f"model format {manifest.get('format')!r} is not "
+                                     "'tangentgp-model/2': refit the model")
     spectrum = load_spectrum(directory / manifest["spectrum"])
     n, d, m = manifest["frame_shape"]
-    frames = GaugeFrames(_read_matrix_csv(directory / manifest["frames_csv"])
-                         .reshape(n, d, m))
-    targets = _read_matrix_csv(directory / manifest["targets_csv"]).reshape(-1, d)
     train_nodes = np.array(manifest["train_nodes"], dtype=np.int64)
+    points, ijw, flat, targets = (_read_matrix_csv(directory / manifest[f"{key}_csv"])
+                                  for key in ("points", "graph", "frames", "targets"))
+    shapes = [a.shape for a in (points, flat, targets)] + [ijw.shape[1:]]
+    if shapes != [(n, d), (n, d * m), (train_nodes.size, d), (3,)]:
+        raise ParseError(path, None, f"shapes {shapes} of its CSV files disagree")
+    frames = GaugeFrames(flat.reshape(n, d, m))
     model = gp_mod.fit(train_nodes, targets, spectrum, frames,
                        _hp_from_dict(manifest["hyperparams"]))
     # the stored c_norm catches CSVs that are not the ones the model was fit on
     if not math.isclose(model.c_norm, manifest["c_norm"], rel_tol=1e-12):
-        raise ParseError(directory / "model.json", None,
+        raise ParseError(path, None,
                          f"stored c_norm {manifest['c_norm']!r} disagrees with "
                          f"{model.c_norm!r} from the model's CSV files")
-    return model, frames
+    return model, frames, PointCloud(points), ProximityGraph(n, ijw[:, :2], ijw[:, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -451,27 +451,88 @@ class TestFitPredict:
         ids, _, vecs = tio.read_vector_csv(workdir / "pred_off" / "predictions.csv")
         assert vecs.shape == (2, 3)
         assert np.isfinite(vecs).all()
-        # the model's frames encode the queries: both inputs are read in one
-        # stage, and the graph and frames are rebuilt only to check them
+        # the model's graph and frames encode the queries: both inputs are
+        # read in one stage, and nothing is rebuilt
         stages = json.loads((workdir / "pred_off" / "manifest.json").read_text())["stages"]
         assert [stage["name"] for stage in stages] == [
-            "load_model", "load_input", "build_graph", "tangent_frames",
-            "extend_encodings", "predict", "write_outputs"]
+            "load_model", "load_input", "extend_encodings", "predict", "write_outputs"]
 
-    @pytest.mark.parametrize("graph", [{}, {"graph": {"k_neighbors": 10}}])
-    def test_off_graph_queries_on_another_graph_fail(self, workdir, fitted, graph):
-        # the model was fitted on a k = 6 graph; without a graph block the
-        # default k = 5 would size the query neighbourhoods
+    @pytest.mark.parametrize("keys", [
+        {}, {"graph": {"k_neighbors": 10}},
+        {"graph": {"k_neighbors": 10}, "frame_neighbors": 5}],
+        ids=["no_graph", "k10", "k10_frames5"])
+    def test_off_graph_predictions_use_the_model_graph(self, workdir, fitted, keys):
+        # the model was fitted on a k = 6 graph; the config's graph and frame
+        # keys change nothing
         qcsv = workdir / "queries_other_graph.csv"
         tio.write_vector_csv(qcsv, np.array([[2.8, 0.0, 0.1], [0.0, 2.8, 0.2]]))
-        cfg = write_config(workdir, "predict_other_graph.json", {
-            "kind": "predict", "model_dir": str(fitted), "input_mesh": str(TORUS_OBJ),
-            **graph, "query_points": str(qcsv),
-            "output_dir": str(workdir / "pred_other_graph")})
+        outputs = []
+        for name, extra in (("own", {"graph": {"k_neighbors": 6}}), ("other", keys)):
+            out = workdir / f"pred_graph_{name}"
+            cfg = write_config(workdir, f"pred_graph_{name}.json", {
+                "kind": "predict", "model_dir": str(fitted),
+                "input_mesh": str(TORUS_OBJ), **extra, "query_points": str(qcsv),
+                "output_dir": str(out)})
+            result = run_cli(["predict", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            outputs.append([(out / f).read_bytes()
+                            for f in ("predictions.csv", "variances.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_off_graph_predictions_of_a_mesh_edge_model(self, workdir, generated):
+        # no graph block: the default k-NN graph would be another graph
+        gen_out, _ = generated
+        base = {"input_mesh": str(TORUS_OBJ), "seed": 2}
+        fit_cfg = write_config(workdir, "fit_mesh.json", {
+            **base, "kind": "fit", "field": str(gen_out / "field.csv"),
+            "graph": {"use_mesh_edges": True}, "num_eigenvectors": 50,
+            "hyperparams": HYPERPARAMS, "output_dir": str(workdir / "fit_mesh")})
+        assert run_cli(["fit", "--config", str(fit_cfg)]).exit_code == 0
+        queries = np.array([[2.8, 0.0, 0.1], [0.0, 2.8, 0.2]])
+        tio.write_vector_csv(workdir / "queries_mesh.csv", queries)
+        cfg = write_config(workdir, "pred_mesh.json", {
+            **base, "kind": "predict", "model_dir": str(workdir / "fit_mesh" / "model"),
+            "query_points": str(workdir / "queries_mesh.csv"),
+            "output_dir": str(workdir / "pred_mesh")})
         result = run_cli(["predict", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+
+        model, frames, cloud, graph = tio.load_model(workdir / "fit_mesh" / "model")
+        mesh_graph = geo.build_mesh_graph(*tio.load_mesh(TORUS_OBJ))
+        assert np.array_equal(graph.edges, mesh_graph.edges)
+        enc, _ = gp.extend_encodings(queries, cloud, mesh_graph, frames, model.spectrum)
+        mean, _ = gp.predict_at_encodings(model, enc)
+        _, _, vecs = tio.read_vector_csv(workdir / "pred_mesh" / "predictions.csv")
+        assert np.array_equal(vecs, mean)
+
+    @pytest.mark.parametrize("probe", ["shuffled", "other_torus", "scaled",
+                                       "scaled_off_graph", "k_neighbors_10"])
+    def test_only_the_model_geometry_predicts(self, workdir, fitted, probe):
+        # each geometry but the last differs from the fixture the model was
+        # fitted on; a graph block is ignored, so the last one predicts
+        cloud, faces = tio.load_mesh(TORUS_OBJ)
+        points = {"shuffled": np.random.default_rng(0).permutation(cloud.points),
+                  "other_torus": tio.generate_torus(2.0, 0.5, 25, 16)[0],
+                  "scaled": 2 * cloud.points, "scaled_off_graph": 2 * cloud.points,
+                  "k_neighbors_10": cloud.points}[probe]
+        geometry = workdir / f"probe_{probe}.csv"
+        tio.write_vector_csv(geometry, points)
+        payload = {"kind": "predict", "model_dir": str(fitted),
+                   "input_cloud": str(geometry), "graph": {"k_neighbors": 10},
+                   "output_dir": str(workdir / f"pred_probe_{probe}")}
+        if probe in ("scaled_off_graph", "k_neighbors_10"):
+            qcsv = workdir / f"probe_queries_{probe}.csv"
+            tio.write_vector_csv(qcsv, (points[faces[:5, 0]] + points[faces[:5, 1]]) / 2)
+            payload["query_points"] = str(qcsv)
+        result = run_cli(["predict", "--config",
+                          str(write_config(workdir, f"probe_{probe}.json", payload))])
+        if probe == "k_neighbors_10":
+            assert result.exit_code == 0, result.output
+            return
         assert result.exit_code == 1
-        assert "not the one the model was fitted on" in result.output
-        assert not (workdir / "pred_other_graph").exists()
+        assert "the configured geometry is not the one the model was fitted on" \
+            in result.output
+        assert not (workdir / f"pred_probe_{probe}").exists()
 
     @pytest.mark.parametrize("off_graph", [False, True])
     def test_geometry_of_another_size_fails(self, workdir, fitted, off_graph):
@@ -487,7 +548,9 @@ class TestFitPredict:
             "output_dir": str(workdir / "pred_96")})
         result = run_cli(["predict", "--config", str(cfg)])
         assert result.exit_code == 1
-        assert "has 96 points in 3-D, the model 400 in 3-D" in result.output
+        assert "the configured geometry is not the one the model was fitted on" \
+            in result.output
+
 
 class TestManifest:
     def test_lists_only_the_files_of_this_run(self, workdir, generated):
@@ -680,7 +743,8 @@ class TestConfigValues:
                                       "predict", "spectrum"])
     def test_missing_geometry_fails_before_any_stage(self, tmp_path, fitted,
                                                      monkeypatch, kind):
-        # predict needs it too: the model stores no node positions
+        # predict needs it too: it checks the configured points against the
+        # model's
         cfg = write_config(tmp_path, f"{kind}.json", {
             "kind": kind, "model_dir": str(fitted), "output_dir": str(tmp_path / "out")})
 
@@ -699,7 +763,8 @@ class TestCommandContract:
     the benchmark harness times stages by name and checks the inventory."""
 
     GEOMETRY = ["load_input", "build_graph", "tangent_frames", "transports"]
-    MODEL = ["model/frames.csv", "model/model.json", "model/spectrum/eigenvalues.csv",
+    MODEL = ["model/frames.csv", "model/graph.csv", "model/model.json",
+             "model/points.csv", "model/spectrum/eigenvalues.csv",
              "model/spectrum/eigenvectors.csv", "model/spectrum/spectrum.json",
              "model/targets.csv"]
     SPECTRUM = ["spectrum/eigenvalues.csv", "spectrum/eigenvectors.csv",

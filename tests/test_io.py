@@ -439,37 +439,101 @@ class TestModelPersistence:
         truth = small_torus.frames.to_ambient(rng.standard_normal((60, 2)))
         hp = tg.MaternHyperparams(sigma=1.1, kappa=1.7, nu=1.5, sigma_n=0.01)
         model = tg.fit(np.arange(0, 60, 2), truth[::2], spec, small_torus.frames, hp)
-        tio.save_model(tmp_path / "model", model, small_torus.frames)
-        loaded, frames2 = tio.load_model(tmp_path / "model")
+        tio.save_model(tmp_path / "model", model, small_torus.frames, small_torus.cloud,
+                       small_torus.graph)
+        loaded, *_ = tio.load_model(tmp_path / "model")
         p1, c1 = tg.predict(model, np.arange(60))
         p2, c2 = tg.predict(loaded, np.arange(60))
-        assert np.allclose(p1, p2, atol=1e-12)
-        assert np.allclose(c1, c2, atol=1e-12)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(c1, c2)
         assert loaded.hyperparams == hp
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(k=st.integers(4, 60), seed=st.integers(0, 2**16),
+           fraction=st.floats(0.05, 1.0), log_theta=st.tuples(
+               st.floats(-1, 1), st.floats(-1, 1.5), st.floats(-4, -0.5)))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, torus, torus_spectrum,
+                                     torus_truth, k, seed, fraction, log_theta):
+        rng = np.random.default_rng(seed)
+        train = np.sort(rng.choice(400, max(1, int(fraction * 400)), replace=False))
+        sigma, kappa, sigma_n = 10.0 ** np.array(log_theta)
+        hp = tg.MaternHyperparams(sigma=sigma, kappa=kappa, nu=1.5, sigma_n=sigma_n)
+        model = tg.fit(train, torus_truth.field.ambient()[train],
+                       tg.spectral.truncate(torus_spectrum, k), torus.frames, hp)
+        directory = tmp_path_factory.mktemp("model")
+        tio.save_model(directory, model, torus.frames, torus.cloud, torus.graph)
+        loaded, frames, cloud, graph = tio.load_model(directory)
+        assert np.array_equal(cloud.points, torus.cloud.points)
+        assert np.array_equal(graph.edges, torus.graph.edges)
+        assert np.array_equal(graph.weights, torus.graph.weights)
+        assert np.array_equal(frames.frames, torus.frames.frames)
+        for before, after in zip(tg.predict(model, np.arange(400)),
+                                 tg.predict(loaded, np.arange(400))):
+            assert np.array_equal(before, after)
+        queries = (torus.cloud.points[torus.faces[:20, 0]]
+                   + torus.cloud.points[torus.faces[:20, 1]]) / 2
+        at = [tg.predict_at_encodings(m, tg.extend_encodings(
+            queries, torus.cloud, g, frames, m.spectrum)[0])
+            for m, g in ((model, torus.graph), (loaded, graph))]
+        for before, after in zip(*at):
+            assert np.array_equal(before, after)
 
     def test_infinite_nu_round_trips(self, tmp_path, small_torus):
         spec = tg.eigendecompose(small_torus.con, 10)
         hp = tg.MaternHyperparams(nu=math.inf)
         model = tg.fit(np.arange(10), np.zeros((10, 3)), spec,
                        small_torus.frames, hp)
-        tio.save_model(tmp_path / "model", model, small_torus.frames)
-        loaded, _ = tio.load_model(tmp_path / "model")
+        tio.save_model(tmp_path / "model", model, small_torus.frames, small_torus.cloud,
+                       small_torus.graph)
+        loaded, *_ = tio.load_model(tmp_path / "model")
         assert math.isinf(loaded.hyperparams.nu)
 
     def test_stored_c_norm_must_match_refit(self, tmp_path, small_torus):
-        spec = tg.eigendecompose(small_torus.con, 10)
-        model = tg.fit(np.arange(10), np.zeros((10, 3)), spec, small_torus.frames,
-                       tg.MaternHyperparams())
-        tio.save_model(tmp_path / "model", model, small_torus.frames)
-        manifest_path = tmp_path / "model" / "model.json"
+        directory = save_small_model(tmp_path / "model", small_torus)
+        manifest_path = directory / "model.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["c_norm"] *= 1 + 1e-13  # within the tolerance: loads
         manifest_path.write_text(json.dumps(manifest))
-        tio.load_model(tmp_path / "model")
+        tio.load_model(directory)
         manifest["c_norm"] *= 1 + 1e-9
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ParseError, match="model.json: stored c_norm"):
+            tio.load_model(directory)
+
+    def test_format_1_is_refused(self, tmp_path, small_torus):
+        # a tangentgp-model/1 directory stores no points or graph
+        directory = save_small_model(tmp_path / "model", small_torus)
+        manifest_path = directory / "model.json"
+        manifest = json.loads(manifest_path.read_text())
+        for key in ("points_csv", "graph_csv"):
+            (directory / manifest.pop(key)).unlink()
+        manifest_path.write_text(json.dumps({**manifest, "format": "tangentgp-model/1"}))
+        with pytest.raises(ParseError, match="model.json: model format "
+                           "'tangentgp-model/1' is not 'tangentgp-model/2': refit"):
+            tio.load_model(directory)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("points", lambda text: "0,0,0\n1,0,0\n", "model.json: shapes"),
+        ("graph", lambda text: "0,1\n", "model.json: shapes"),
+        ("targets", lambda text: "0,0\n", "model.json: shapes"),
+        ("graph", lambda text: text.replace("0,1,", "0,1.5,", 1), "not an integer")],
+        ids=["points", "graph", "targets", "graph_endpoint"])
+    def test_damaged_csv_is_refused(self, tmp_path, small_torus, name, edit, message):
+        csv = save_small_model(tmp_path / "model", small_torus) / f"{name}.csv"
+        csv.write_text(edit(csv.read_text()))
+        with pytest.raises(ValueError, match=message):
             tio.load_model(tmp_path / "model")
+
+
+def save_small_model(directory, small_torus):
+    """A model of zero vectors at the small torus's first 10 nodes, saved to
+    ``directory`` with the torus's frames, points and graph."""
+    spec = tg.eigendecompose(small_torus.con, 10)
+    model = tg.fit(np.arange(10), np.zeros((10, 3)), spec, small_torus.frames,
+                   tg.MaternHyperparams())
+    tio.save_model(directory, model, small_torus.frames, small_torus.cloud,
+                   small_torus.graph)
+    return directory
 
 
 TRICKY = np.array([[-0.0, 5e-324, 1e308], [0.1, 1 / 3, -2.5],
@@ -548,6 +612,13 @@ GOLDEN = {
         "0,0.66666666666666663,-0.66666666666666663\n"
         "-0,0.10000000000000001,1e-08\n"
         "1,4.9406564584124654e-324,0.125\n"),
+    "model/points.csv": (
+        "-0,4.9406564584124654e-324,1e+308\n"
+        "0.10000000000000001,0.33333333333333331,-2.5\n"
+        "123456789.125,-1e-300,0\n"),
+    "model/graph.csv": (
+        "0,1,0.33333333333333331\n"
+        "1,2,4.9406564584124654e-324\n"),
     "model/frames.csv": (
         "0.33333333333333331,0.66666666666666663,0.66666666666666663,"
         "0.33333333333333331,0.66666666666666663,-0.66666666666666663\n"
@@ -600,9 +671,11 @@ class TestGoldenText:
         targets = np.array([[-0.0, 5e-324, 0.1], [1 / 3, -2.5, 1e10]])
         model = tg.fit(np.array([0, 2]), targets, spectrum, frames,
                        tg.MaternHyperparams(sigma_n=0.1))
-        tio.save_model(tmp_path / "model", model, frames)
+        graph = tg.ProximityGraph(3, np.array([[0, 1], [1, 2]]), np.array([1 / 3, 5e-324]))
+        tio.save_model(tmp_path / "model", model, frames, tg.PointCloud(TRICKY), graph)
         for name in ("spectrum/eigenvalues.csv", "spectrum/eigenvectors.csv",
-                     "model/frames.csv", "model/targets.csv"):
+                     "model/points.csv", "model/graph.csv", "model/frames.csv",
+                     "model/targets.csv"):
             self.check(tmp_path / "model" / name.replace("model/", ""), name)
 
     def test_variances_csv(self, tmp_path):

@@ -8,9 +8,9 @@ into a fresh directory under OUT_DIR (which must not exist):
 - on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
   (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
-  pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``) at
-  the midpoints of the first edges of the first 25 faces, ``spectrum`` and
-  ``eval``;
+  pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``,
+  encoded through the graph stored in the model) at the midpoints of the
+  first edges of the first 25 faces, ``spectrum`` and ``eval``;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``.
@@ -83,8 +83,8 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
         ("fit", "fit", {**searched, "num_eigenvectors": 25, "seed": 5}),
         ("predict", "predict", {"input_mesh": str(fixture), "seed": 5,
                                 "model_dir": str(out / "fit" / "model")}),
-        ("predict_off_graph", "predict", {"input_mesh": str(fixture), "graph": KNN,
-                                          "seed": 5, "model_dir": str(out / "fit" / "model"),
+        ("predict_off_graph", "predict", {"input_mesh": str(fixture), "seed": 5,
+                                          "model_dir": str(out / "fit" / "model"),
                                           "query_points": str(out / QUERIES)}),
         ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
         ("eval", "eval", ["--pred", str(out / "superresolve" / "predictions_k50.csv"),
