@@ -111,14 +111,6 @@ def _check_ids(path, ids: np.ndarray, n: int) -> None:
         raise CommandError(f"{path}: ids must be 0..{n - 1} in order")
 
 
-def _load_cloud(cfg: io.ExperimentConfig) -> tuple[geo.PointCloud, np.ndarray | None]:
-    if cfg.input_mesh:
-        return io.load_mesh(cfg.input_mesh)
-    cloud, ids = io.load_point_cloud(cfg.input_cloud)
-    _check_ids(cfg.input_cloud, ids, cloud.n)
-    return cloud, None
-
-
 def _build_graph(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
                  faces: np.ndarray | None) -> geo.ProximityGraph:
     g = cfg.graph
@@ -132,8 +124,13 @@ def _build_graph(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
 
 
 def _check_mask(mask: dict | None, n: int) -> None:
-    """Mask node indices: the schema bounds them below, the node count above."""
+    """Mask rules, which are alternatives (``center_node`` centres a fraction
+    or a radius), and node indices: the schema bounds them below, n above."""
     mask = mask or {}
+    for first, second in (("nodes", "center_node"), ("nodes", "fraction"),
+                          ("nodes", "radius"), ("radius", "fraction")):
+        if first in mask and second in mask:
+            raise CommandError(f"mask.{first} and mask.{second} are alternatives")
     named = {f"mask.nodes[{i}]": node for i, node in enumerate(mask.get("nodes", []))}
     named["mask.center_node"] = mask.get("center_node", "auto")
     for key, node in named.items():
@@ -142,13 +139,20 @@ def _check_mask(mask: dict | None, n: int) -> None:
 
 
 def _geometry_pipeline(run: Run, field: bool = False):
-    """Input, graph, frames and transports; with ``field``, a config that
-    names no field CSV fails before the first stage."""
+    """Input, graph, frames and transports; a config that names no geometry,
+    or with ``field`` no field CSV, fails before the first stage."""
     cfg = run.cfg
+    if not (cfg.input_mesh or cfg.input_cloud):
+        raise CommandError("config needs input_mesh or input_cloud")
     if field and not cfg.field:
         raise CommandError("config needs a 'field' CSV with ground-truth vectors")
     with run.stage("load_input"):
-        cloud, faces = _load_cloud(cfg)
+        if cfg.input_mesh:
+            cloud, faces = io.load_mesh(cfg.input_mesh)
+        else:
+            cloud, ids = io.load_point_cloud(cfg.input_cloud)
+            _check_ids(cfg.input_cloud, ids, cloud.n)
+            faces = None
     _check_mask(cfg.mask, cloud.n)
     with run.stage("build_graph"):
         graph = _build_graph(cfg, cloud, faces)
@@ -405,21 +409,17 @@ def _cmd_fit(run: Run):
 
 def _cmd_predict(run: Run):
     """Predict vectors at query nodes, or at off-graph points through the
-    model's graph, from a model fitted on exactly the configured points."""
+    model's graph. The model directory holds the points, graph and frames,
+    so no configured geometry is read."""
     cfg = run.cfg
     if not cfg.model_dir:
         raise CommandError("config needs model_dir")
     with run.stage("load_model"):
         model, frames, cloud, graph = io.load_model(cfg.model_dir)
-    with run.stage("load_input"):
-        configured, _ = _load_cloud(cfg)
-        if cfg.query_points is not None:
-            ids, positions, _ = io.read_vector_csv(cfg.query_points)
-    if not np.array_equal(configured.points, cloud.points):
-        raise CommandError("the configured geometry is not the one the model was "
-                           "fitted on: its points differ from the model's")
 
     if cfg.query_points is not None:
+        with run.stage("load_input"):
+            ids, positions, _ = io.read_vector_csv(cfg.query_points)
         log.warning("query_points are encoded by gp.extend_encodings, an off-graph "
                     "extension beyond the core method")
         with run.stage("extend_encodings"):
@@ -448,13 +448,10 @@ def _cmd_spectrum(run: Run):
 
 
 def _config_command(kind: str, body) -> None:
-    """Register ``body`` as the ``kind`` command over a config of that kind,
-    which must name its geometry; its docstring is the command's help."""
+    """Register ``body`` as the ``kind`` command over a config of that kind;
+    its docstring is the command's help."""
     def command(config_path, out_override, seed_override):
-        cfg = _load_config(config_path, kind, out_override, seed_override)
-        if not (cfg.input_mesh or cfg.input_cloud):
-            raise CommandError("config needs input_mesh or input_cloud")
-        _execute(body, cfg)
+        _execute(body, _load_config(config_path, kind, out_override, seed_override))
     main.command(name=kind, help=body.__doc__)(common_options(command))
 
 

@@ -391,7 +391,6 @@ class TestFitPredict:
         pred_cfg = write_config(workdir, "predict.json", {
             "kind": "predict",
             "model_dir": str(fitted),
-            "input_mesh": str(TORUS_OBJ),
             "query": "all",
             "seed": 2,
             "output_dir": str(workdir / "pred"),
@@ -403,10 +402,10 @@ class TestFitPredict:
         align = tfields.alignment_score(pred, truth)
         assert align.value > 0.99
         assert (workdir / "pred" / "variances.csv").exists()
-        # the mesh is read for the node positions before predicting
+        # the model directory holds the node positions: nothing else is read
         stages = json.loads((workdir / "pred" / "manifest.json").read_text())["stages"]
-        assert [stage["name"] for stage in stages] == ["load_model", "load_input",
-                                                       "predict", "write_outputs"]
+        assert [stage["name"] for stage in stages] == ["load_model", "predict",
+                                                       "write_outputs"]
 
     def test_empty_query_writes_header_only_files(self, workdir, fitted):
         # the schema allows "query": [], and a query_points CSV may hold only
@@ -436,8 +435,6 @@ class TestFitPredict:
         cfg = write_config(workdir, "predict_off.json", {
             "kind": "predict",
             "model_dir": str(fitted),
-            "input_mesh": str(TORUS_OBJ),
-            "graph": {"k_neighbors": 6},
             "query_points": str(qcsv),
             "seed": 2,
             "output_dir": str(workdir / "pred_off"),
@@ -451,8 +448,8 @@ class TestFitPredict:
         ids, _, vecs = tio.read_vector_csv(workdir / "pred_off" / "predictions.csv")
         assert vecs.shape == (2, 3)
         assert np.isfinite(vecs).all()
-        # the model's graph and frames encode the queries: both inputs are
-        # read in one stage, and nothing is rebuilt
+        # the model's graph and frames encode the queries, the one input read
+        # beside the model, and nothing is rebuilt
         stages = json.loads((workdir / "pred_off" / "manifest.json").read_text())["stages"]
         assert [stage["name"] for stage in stages] == [
             "load_model", "load_input", "extend_encodings", "predict", "write_outputs"]
@@ -505,51 +502,44 @@ class TestFitPredict:
         _, _, vecs = tio.read_vector_csv(workdir / "pred_mesh" / "predictions.csv")
         assert np.array_equal(vecs, mean)
 
-    @pytest.mark.parametrize("probe", ["shuffled", "other_torus", "scaled",
-                                       "scaled_off_graph", "k_neighbors_10"])
-    def test_only_the_model_geometry_predicts(self, workdir, fitted, probe):
-        # each geometry but the last differs from the fixture the model was
-        # fitted on; a graph block is ignored, so the last one predicts
+    @pytest.mark.parametrize("probe, off_graph", [
+        pytest.param(probe, off_graph, id=probe + "_off_graph" * off_graph)
+        for probe in ("fixture", "shuffled", "other_torus", "scaled", "torus_96")
+        for off_graph in (False, True)])
+    def test_only_the_model_geometry_predicts(self, tmp_path, fitted, probe, off_graph):
+        # predict reads only the model directory and its queries: a configured
+        # geometry and graph block, the model's own or not, change no byte
         cloud, faces = tio.load_mesh(TORUS_OBJ)
-        points = {"shuffled": np.random.default_rng(0).permutation(cloud.points),
-                  "other_torus": tio.generate_torus(2.0, 0.5, 25, 16)[0],
-                  "scaled": 2 * cloud.points, "scaled_off_graph": 2 * cloud.points,
-                  "k_neighbors_10": cloud.points}[probe]
-        geometry = workdir / f"probe_{probe}.csv"
-        tio.write_vector_csv(geometry, points)
-        payload = {"kind": "predict", "model_dir": str(fitted),
-                   "input_cloud": str(geometry), "graph": {"k_neighbors": 10},
-                   "output_dir": str(workdir / f"pred_probe_{probe}")}
-        if probe in ("scaled_off_graph", "k_neighbors_10"):
-            qcsv = workdir / f"probe_queries_{probe}.csv"
-            tio.write_vector_csv(qcsv, (points[faces[:5, 0]] + points[faces[:5, 1]]) / 2)
-            payload["query_points"] = str(qcsv)
-        result = run_cli(["predict", "--config",
-                          str(write_config(workdir, f"probe_{probe}.json", payload))])
-        if probe == "k_neighbors_10":
-            assert result.exit_code == 0, result.output
-            return
-        assert result.exit_code == 1
-        assert "the configured geometry is not the one the model was fitted on" \
-            in result.output
-        assert not (workdir / f"pred_probe_{probe}").exists()
+        queries = {}
+        if off_graph:
+            qcsv = tmp_path / "queries.csv"
+            tio.write_vector_csv(qcsv, (cloud.points[faces[:5, 0]]
+                                        + cloud.points[faces[:5, 1]]) / 2)
+            queries["query_points"] = str(qcsv)
+        if probe in ("fixture", "torus_96"):
+            # a 12 x 8 torus has 96 nodes, the model 400
+            mesh = TORUS_OBJ if probe == "fixture" else tmp_path / "torus_96.obj"
+            if probe == "torus_96":
+                tio.write_obj(mesh, *tio.generate_torus(2.0, 0.8, 12, 8))
+            geometry = {"input_mesh": str(mesh)}
+        else:
+            points = {"shuffled": np.random.default_rng(0).permutation(cloud.points),
+                      "other_torus": tio.generate_torus(2.0, 0.5, 25, 16)[0],
+                      "scaled": 2 * cloud.points}[probe]
+            tio.write_vector_csv(tmp_path / "cloud.csv", points)
+            geometry = {"input_cloud": str(tmp_path / "cloud.csv")}
 
-    @pytest.mark.parametrize("off_graph", [False, True])
-    def test_geometry_of_another_size_fails(self, workdir, fitted, off_graph):
-        # a 12 x 8 torus has 96 nodes, the model 400
-        points, faces = tio.generate_torus(2.0, 0.8, 12, 8)
-        tio.write_obj(workdir / "torus_96.obj", points, faces)
-        qcsv = workdir / "queries_96.csv"
-        tio.write_vector_csv(qcsv, points[:1])
-        cfg = write_config(workdir, "predict_96.json", {
-            "kind": "predict", "model_dir": str(fitted),
-            "input_mesh": str(workdir / "torus_96.obj"),
-            **({"query_points": str(qcsv)} if off_graph else {}),
-            "output_dir": str(workdir / "pred_96")})
-        result = run_cli(["predict", "--config", str(cfg)])
-        assert result.exit_code == 1
-        assert "the configured geometry is not the one the model was fitted on" \
-            in result.output
+        def predict(name, keys):
+            out = tmp_path / name
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "kind": "predict", "model_dir": str(fitted), **keys, **queries,
+                "output_dir": str(out)})
+            result = run_cli(["predict", "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            return [(out / f).read_bytes() for f in ("predictions.csv", "variances.csv")]
+
+        assert predict("probe", {**geometry, "graph": {"k_neighbors": 10}}) == \
+            predict("no_geometry", {})
 
 
 class TestManifest:
@@ -584,6 +574,8 @@ class TestConfigValues:
         ("baseline_hyperparams", {"nu": "abc"}),
         ("fit", {"nu": 0}),
         ("fit", {"nu": -2}),
+        # the baseline's kernel is the nu = inf one; another nu was replaced
+        ("baseline_hyperparams", {"nu": 1.5}),
     ])
     def test_bad_config_values_fail_before_any_work(self, tmp_path, generated,
                                                     monkeypatch, name, block):
@@ -678,6 +670,11 @@ class TestConfigValues:
     @pytest.mark.parametrize("mask, message", [
         ({"nodes": [3, 400]}, "mask.nodes[1]: must be < 400, the node count, got 400"),
         ({"center_node": 400}, "mask.center_node: must be < 400, the node count, got 400"),
+        # alternative rules, of which the mask used to keep one silently
+        ({"nodes": [3], "center_node": 0}, "mask.nodes and mask.center_node are"),
+        ({"nodes": [3], "fraction": 0.2}, "mask.nodes and mask.fraction are"),
+        ({"nodes": [3], "radius": 1.0}, "mask.nodes and mask.radius are"),
+        ({"radius": 1.0, "fraction": 0.2}, "mask.radius and mask.fraction are"),
     ])
     def test_mask_nodes_checked_before_the_graph(self, tmp_path, generated, monkeypatch,
                                                  mask, message):
@@ -743,10 +740,18 @@ class TestConfigValues:
                                       "predict", "spectrum"])
     def test_missing_geometry_fails_before_any_stage(self, tmp_path, fitted,
                                                      monkeypatch, kind):
-        # predict needs it too: it checks the configured points against the
-        # model's
+        # predict reads its model directory and no geometry, so it needs none
         cfg = write_config(tmp_path, f"{kind}.json", {
             "kind": kind, "model_dir": str(fitted), "output_dir": str(tmp_path / "out")})
+        if kind == "predict":
+            def no_geometry(*_args):
+                raise AssertionError("predict read a geometry")
+
+            monkeypatch.setattr(tio, "load_mesh", no_geometry)
+            monkeypatch.setattr(tio, "load_point_cloud", no_geometry)
+            result = run_cli([kind, "--config", str(cfg)])
+            assert result.exit_code == 0, result.output
+            return
 
         def no_stage(*_args):
             raise AssertionError("a stage ran before the geometry was checked")
@@ -788,7 +793,7 @@ class TestCommandContract:
              "predictions_vector_gp.vtk"]),
         "fit": (GEOMETRY + ["load_input", "laplacians", "spectrum", "fit_model",
                             "write_outputs"], MODEL),
-        "predict": (["load_model", "load_input", "predict", "write_outputs"],
+        "predict": (["load_model", "predict", "write_outputs"],
                     ["predictions.csv", "variances.csv"]),
         "spectrum": (GEOMETRY + ["laplacians", "spectrum", "write_outputs"], SPECTRUM),
         "eval": (["load_input", "rebuild_geometry", "write_outputs"], ["metrics.json"]),

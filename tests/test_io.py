@@ -795,7 +795,7 @@ class TestConfig:
         ("hyperparams", {"kappa": "wide"}, ".kappa: must be a finite number, got 'wide'"),
         ("baseline_hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
         ("baseline_hyperparams", {"nu": "abc"},
-         ".nu: must be a finite number or 'inf', got 'abc'"),
+         ".nu: must be 'inf', got 'abc'"),
         ("fit", {"nu": -2}, ".nu: must be > 0, got -2"),
         ("fit", {"nu": [1]}, ".nu: must be a finite number or 'inf', got [1]"),
         ("graph", [], ": must be an object, got []"),

@@ -10,7 +10,9 @@ into a fresh directory under OUT_DIR (which must not exist):
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
   pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``,
   encoded through the graph stored in the model) at the midpoints of the
-  first edges of the first 25 faces, ``spectrum`` and ``eval``;
+  first edges of the first 25 faces, ``spectrum`` and ``eval``. Both
+  ``predict`` configs name no geometry: ``predict`` reads only the model
+  directory and its queries;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``.
@@ -81,9 +83,8 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
         ("inpaint", "inpaint", {**searched, "num_eigenvectors": 50, "seed": 3,
                                 "mask": {"center_node": "auto", "fraction": 0.15}}),
         ("fit", "fit", {**searched, "num_eigenvectors": 25, "seed": 5}),
-        ("predict", "predict", {"input_mesh": str(fixture), "seed": 5,
-                                "model_dir": str(out / "fit" / "model")}),
-        ("predict_off_graph", "predict", {"input_mesh": str(fixture), "seed": 5,
+        ("predict", "predict", {"seed": 5, "model_dir": str(out / "fit" / "model")}),
+        ("predict_off_graph", "predict", {"seed": 5,
                                           "model_dir": str(out / "fit" / "model"),
                                           "query_points": str(out / QUERIES)}),
         ("spectrum", "spectrum", {**base, "num_eigenvectors": 50, "seed": 7}),
