@@ -10,7 +10,7 @@ the diffused direction collapses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -198,7 +198,8 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     """Channel-wise scalar GP baseline on graph-Laplacian positional encodings.
 
     Each ambient channel is regressed independently with the nu = inf
-    (squared-exponential) spectral filter. The channels share one kernel, so
+    (squared-exponential) spectral filter; ``hyperparams.nu`` must be inf,
+    and a finite one raises ValueError. The channels share one kernel, so
     they share the QR of the training encodings and one k x k factorization
     with one right-hand side per channel.
     Predictions are NOT projected to tangent spaces, so they can protrude
@@ -207,12 +208,13 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
     train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
                                                         train_vectors)
     query_nodes = gp._validate_query(query_nodes, spectrum.n)
-    hp = replace(hyperparams, nu=np.inf)
+    if not math.isinf(hyperparams.nu):
+        raise ValueError(f"the baseline's kernel has nu = inf, got nu = {hyperparams.nu}")
     encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
     reduced = gp._reduce(encodings, train_nodes, train_vectors)
     # one target column per channel
-    model = gp.VectorFieldGP(spectrum, encodings, hp, train_nodes, train_vectors,
-                             **gp._posterior(reduced, spectrum, hp)[0])
+    model = gp.VectorFieldGP(spectrum, encodings, hyperparams, train_nodes, train_vectors,
+                             **gp._posterior(reduced, spectrum, hyperparams)[0])
     return model.features(encodings[query_nodes]) @ model.alpha
 
 

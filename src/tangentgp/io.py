@@ -649,9 +649,12 @@ def _fit_from_dict(raw: dict | None) -> FitConfig:
     return FitConfig(**{key: _parse_nu(v) for key, v in (raw or {}).items()})
 
 
-# config blocks parsed into objects when the config is loaded
+# config blocks parsed into objects when the config is loaded; the baseline's
+# kernel is the nu = inf one, so its block defaults nu to "inf"
 _BLOCKS = {"graph": lambda raw: GraphConfig(**raw), "hyperparams": _hp_from_dict,
-           "baseline_hyperparams": _hp_from_dict, "fit": _fit_from_dict}
+           "baseline_hyperparams": lambda raw: _hp_from_dict(
+               raw if raw is None else {"nu": "inf", **raw}),
+           "fit": _fit_from_dict}
 
 # each draft-07 type: its words in a message and its test. An integer is a
 # JSON integer literal; a number is never a bool and always a finite double.

@@ -247,62 +247,51 @@ def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
     return found[:, 1.0 / mu - delta < sigma]
 
 
-def _certified_pairs(mat: sparse.csr_matrix, cut: float, basis: np.ndarray,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz pairs of L on ``basis``, grown until they hold every eigenvalue
-    below sigma = cut - _cluster_gap(cut), as counted by inertia.
-
-    A pair within the gap of the cut extends the cluster at the cut, so
-    sigma leaves it out of the count.
-    """
-    sigma = cut - _cluster_gap(cut)
-    form = "complex Hermitian form" if np.iscomplexobj(mat) else "real operator"
-    count = _count_below(mat, sigma)
-    vals, vecs = _rayleigh_ritz(mat, basis)
-    found = int(np.count_nonzero(vals < sigma))
-    if found < count:
-        delta, inverse = _shift_invert(mat)
-        while found < count:
-            missed = _missed_pairs(inverse, delta, vecs, count - found, sigma, rng)
-            vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
-            grown = int(np.count_nonzero(vals < sigma))
-            if grown <= found:
-                raise EigensolverError(
-                    f"Lanczos basis of the {form} holds {grown} of the "
-                    f"{count} eigenvalues below {sigma:.6e}, and the deflated "
-                    f"search adds none")
-            found = grown
-    if found > count:
-        raise EigensolverError(
-            f"Lanczos basis of the {form} holds {found} Ritz values "
-            f"below {sigma:.6e}, but the inertia count is {count}")
-    return vals, vecs
-
-
 def _lanczos(mat: sparse.csr_matrix, k: int, seed: int
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The k + 1 smallest eigenpairs of the symmetric or Hermitian L, the
-    (k+1)-th to witness the cut, by shift-invert ARPACK and the
-    inertia-certified Rayleigh-Ritz step, extended (each time by as many
-    pairs as the top cluster holds) until their values end a cluster at or
-    past k; None if ARPACK cannot."""
+    """The smallest eigenpairs of the symmetric or Hermitian L, ascending:
+    shift-invert ARPACK's k + 1, then Rayleigh-Ritz pairs grown by deflated
+    searches until the inertia count below sigma holds and their values end a
+    cluster at or past k; None once that would pass ARPACK's size - 2.
+
+    Each pass sets sigma a cluster gap under the largest Ritz value. A count
+    above the Ritz values below sigma asks for the missing pairs below sigma;
+    an equal one whose values end no cluster at or past k asks for as many
+    more pairs as the top cluster (the values from sigma up) holds, at any
+    eigenvalue. Each step must add a pair below its target.
+    """
     delta, inverse = _shift_invert(mat)
     rng = np.random.default_rng(seed)
-    ritz, basis = _arpack(mat, k=k + 1, sigma=-delta, which="LM", OPinv=inverse,
-                          v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
+    _, basis = _arpack(mat, k=k + 1, sigma=-delta, which="LM", OPinv=inverse,
+                       v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
     del inverse  # free the factor before the inertia count builds its own
-    vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
-    vals, vecs = vals[:k + 1], vecs[:, :k + 1]
-    while _whole_cluster_count(vals, k) is None:
-        wanted = int(np.count_nonzero(vals >= vals[-1] - _cluster_gap(vals[-1])))
-        if vals.size + wanted > mat.shape[0] - 2:
-            return None
+    vals, vecs = _rayleigh_ritz(mat, basis)
+    form = "complex Hermitian form" if np.iscomplexobj(mat) else "real operator"
+    while True:
+        sigma = vals[-1] - _cluster_gap(vals[-1])
+        count, found = _count_below(mat, sigma), int(np.count_nonzero(vals < sigma))
+        if found > count:
+            raise EigensolverError(
+                f"Lanczos basis of the {form} holds {found} Ritz values "
+                f"below {sigma:.6e}, but the inertia count is {count}")
+        if found < count:
+            target, needed = sigma, count
+        elif _whole_cluster_count(vals, k) is not None:
+            return vals, vecs
+        else:
+            target, needed = np.inf, vals.size + (vals.size - found)
+            if needed > mat.shape[0] - 2:
+                return None
+        held = int(np.count_nonzero(vals < target))
         delta, inverse = _shift_invert(mat)
-        missed = _missed_pairs(inverse, delta, vecs, wanted, np.inf, rng)
+        missed = _missed_pairs(inverse, delta, vecs, needed - held, target, rng)
         del inverse
-        ritz, basis = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
-        vals, vecs = _certified_pairs(mat, float(ritz.max()), basis, rng)
-    return vals, vecs
+        vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
+        grown = int(np.count_nonzero(vals < target))
+        if grown <= held:
+            raise EigensolverError(
+                f"Lanczos basis of the {form} holds {grown} of the {needed} "
+                f"eigenvalues below {target:.6e}, and the deflated search adds none")
 
 
 def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -323,24 +312,27 @@ def eigendecompose(operator: ConnectionLaplacian, k: int,
     """The smallest eigenpairs of a symmetric PSD Laplacian, in whole clusters:
     k rounds up to k', the end of the cluster that holds the k-th eigenvalue,
     so the (k'+1)-th, ``next_eigenvalue``, lies a cluster gap (``DEGENERATE_GAP``
-    times max(1, value)) above the k'-th. A solve that ends inside a cluster
-    is extended, never restarted: a deflated search adds pairs orthogonal to
-    the certified basis until a cluster ends at or past k.
+    times max(1, value)) above the k'-th.
 
     ``method`` "auto" factorises L + delta*I with sparse LU and runs
-    shift-invert ARPACK on it, to relative accuracy ``LANCZOS_TOL`` within
-    ``LANCZOS_ITERATIONS_PER_ROW`` iterations per operator row (more raises
-    ``EigensolverError``); "dense", the tests' oracle, and a request ARPACK
-    cannot serve (size - 1 pairs or more, extended), take numpy's eigh. A
-    single-vector Krylov method can miss copies of a repeated eigenvalue, so
-    the result is certified: one unpivoted LU of L - sigma*I, sigma a cluster
-    gap below the largest Ritz value, counts the eigenvalues below sigma by
-    Sylvester's law of inertia (Ericsson & Ruhe 1980), which also certifies
-    the witness. When the Ritz values below sigma fall short of that count, a
-    deflated shift-invert search on the complement of the basis asks for
-    exactly the missing pairs and Rayleigh-Ritz is rerun; a search that adds
-    none, a count below the Ritz values found, or a factorisation that pivots
-    raises ``EigensolverError`` rather than return an incomplete spectrum.
+    shift-invert ARPACK on it for k + 1 pairs, to relative accuracy
+    ``LANCZOS_TOL`` within ``LANCZOS_ITERATIONS_PER_ROW`` iterations per
+    operator row (more raises ``EigensolverError``); "dense", the tests'
+    oracle, and a request ARPACK cannot serve (size - 1 pairs or more,
+    grown), take numpy's eigh. The Rayleigh-Ritz pairs of that basis then
+    grow in one loop. Each pass counts the eigenvalues below sigma, a cluster
+    gap under the largest Ritz value, by one unpivoted LU of L - sigma*I and
+    Sylvester's law of inertia (Ericsson & Ruhe 1980): a single-vector Krylov
+    method can miss copies of a repeated eigenvalue, and the count also
+    certifies the witness. Ritz values below sigma short of the count ask a
+    deflated shift-invert search on the complement of the basis for exactly
+    the missing pairs; a full count whose values end inside a cluster asks
+    it for as many more pairs as the top cluster holds, so a solve is
+    extended, never restarted. Either step is followed by one Rayleigh-Ritz
+    step, and every pair found is returned once a cluster ends at or past k.
+    A step that adds no pair, a count below the Ritz values found, or a
+    factorisation that pivots raises ``EigensolverError`` rather than return
+    an incomplete spectrum.
 
     An orientable m = 2 connection Laplacian L is C-linear: assembly stores
     its n x n complex Hermitian form H of the vector heat method (Sharp et

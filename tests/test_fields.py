@@ -273,15 +273,13 @@ class TestBaseline:
                                                   truth[train][:, perm], query, hp)
         assert np.array_equal(out[:, perm], out_perm)
 
-    def test_nu_forced_to_infinity(self, torus):
+    def test_finite_nu_rejected(self, torus):
         spec = tg.eigendecompose(torus.lap, 10)
         train = np.arange(0, 400, 8)
         y = np.ones((50, 1))
-        hp_fin = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=0.01)
-        hp_inf = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=math.inf, sigma_n=0.01)
-        a = tf.baseline_scalar_rbf_predict(spec, train, y, train, hp_fin)
-        b = tf.baseline_scalar_rbf_predict(spec, train, y, train, hp_inf)
-        assert np.array_equal(a, b)
+        hp = tg.MaternHyperparams(sigma=1.0, kappa=2.0, nu=1.5, sigma_n=0.01)
+        with pytest.raises(ValueError, match="nu = inf, got nu = 1.5"):
+            tf.baseline_scalar_rbf_predict(spec, train, y, train, hp)
 
     def test_predictions_protrude_surface(self, torus, torus_truth):
         spec = tg.eigendecompose(torus.lap, 50)

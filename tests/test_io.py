@@ -790,6 +790,13 @@ class TestConfig:
         assert default.hyperparams is None and default.baseline_hyperparams is None
         assert default.fit == tio.FitConfig(1.5)
 
+    def test_baseline_block_without_nu_is_the_inf_kernel(self, tmp_path):
+        cfg = tio.load_config(self.write(tmp_path, {
+            "kind": "inpaint", "output_dir": "out",
+            "hyperparams": {"sigma": 2.0}, "baseline_hyperparams": {"sigma": 2.0}}))
+        assert cfg.baseline_hyperparams == tg.MaternHyperparams(sigma=2.0, nu=math.inf)
+        assert cfg.hyperparams == tg.MaternHyperparams(sigma=2.0)
+
     @pytest.mark.parametrize("name, block, message", [
         ("hyperparams", {"sigma": -1}, ".sigma: must be > 0, got -1"),
         ("hyperparams", {"kappa": "wide"}, ".kappa: must be a finite number, got 'wide'"),

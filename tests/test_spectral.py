@@ -216,6 +216,45 @@ class TestEigendecompose:
         assert spec.k == 13 and not spec.splits_degenerate_cluster()
         self._assert_matches_dense_at(spec, torus.lap, slice(11, 13))
 
+    def test_one_solve_restores_a_member_and_extends(self, torus, monkeypatch):
+        # the first run misses one copy of the graph Laplacian's twofold 0.427
+        # (columns 3, 4) and ends on the second copy of 0.822 (columns 11, 12):
+        # the deflated search first asks for the missing pair, then, the
+        # count met but k = 12 inside a cluster, for the top cluster's 2
+        vals, vecs, kept = self._drop_cluster_member(torus.lap.matrix, 12, [3, 4])
+        arpack = spectral._arpack
+        asked = []
+
+        def deficient_first_run(solved, **kwargs):
+            asked.append((kwargs["k"], "sigma" in kwargs))
+            if len(asked) == 1:
+                return vals[kept], vecs[:, kept]
+            return arpack(solved, **kwargs)
+
+        monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
+        spec = tg.eigendecompose(torus.lap, 12, seed=0)
+        assert asked == [(13, True), (1, False), (2, False)]
+        assert spec.k == 13 and not spec.splits_degenerate_cluster()
+        self._assert_matches_dense_at(spec, torus.lap, slice(3, 5))
+        self._assert_matches_dense_at(spec, torus.lap, slice(11, 13))
+
+    def test_extension_that_adds_nothing_raises(self, torus, monkeypatch):
+        # k = 12 ends inside the twofold 0.822, and the extension's deflated
+        # search finds no pair; the search is cut off after a few calls so
+        # that a solver which loops on it fails instead of hanging
+        calls = []
+
+        def finds_nothing(_inverse, _delta, found, *_args):
+            calls.append(found.shape[1])
+            assert len(calls) <= 3, f"deflated search called {len(calls)} times"
+            return np.empty((found.shape[0], 0), dtype=found.dtype)
+
+        monkeypatch.setattr(spectral, "_missed_pairs", finds_nothing)
+        with pytest.raises(EigensolverError, match="real operator holds 13 of the "
+                                                   "15 eigenvalues below inf, .* adds none"):
+            tg.eigendecompose(torus.lap, 12, seed=0)
+        assert calls == [13]
+
     def test_extension_past_arpack_limit_takes_dense(self):
         # the 8-cycle's twofold 2 sits at columns 3, 4: k = 4 solves 5 pairs,
         # and the 2 more the top cluster asks for pass ARPACK's size - 2
@@ -341,22 +380,27 @@ def icosphere3():
 class TestWholeClusters:
     """``eigendecompose`` and ``truncate`` return the smallest whole-cluster
     k' >= k, the same by every route: on the fixture (twofold and fourfold
-    clusters), the icosphere mesh (6, 10 and 8) and a Moebius strip (simple
-    eigenvalues, real route)."""
+    clusters), its graph Laplacian (twofold clusters, real route, extended at
+    k = 10 and 50), the icosphere mesh (6, 10 and 8) and a Moebius strip
+    (simple eigenvalues, real route)."""
 
     @pytest.fixture(scope="class")
     def surfaces(self, torus, icosphere3):
         mobius = _mesh_laplacian(*mobius_strip())
         dense = {"fixture": (torus.con, np.linalg.eigvalsh(torus.con.matrix.toarray())),
+                 "fixture_graph": (torus.lap,
+                                   np.linalg.eigvalsh(torus.lap.matrix.toarray())),
                  "icosphere": icosphere3,
                  "mobius": (mobius, np.linalg.eigvalsh(mobius.matrix.toarray()))}
         return {name: (op, vals, tg.eigendecompose(op, 60))
                 for name, (op, vals) in dense.items()}
 
     @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(surface=st.sampled_from(["fixture", "icosphere", "mobius"]),
+    @given(surface=st.sampled_from(["fixture", "fixture_graph", "icosphere", "mobius"]),
            k=st.integers(1, 60))
     @example(surface="fixture", k=25)  # 0.863913 x4 at columns 22-25: 26
+    @example(surface="fixture_graph", k=10)  # a twofold at columns 9, 10: 11
+    @example(surface="fixture_graph", k=50)  # a twofold at columns 49, 50: 51
     def test_k_rounds_up_to_a_cluster_end(self, surfaces, surface, k):
         operator, vals, full = surfaces[surface]
         expected = _whole_cluster_oracle(vals, k)

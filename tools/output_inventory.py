@@ -22,7 +22,12 @@ query points by its ``io.write_vector_csv``.
 
 Every connection Laplacian here but the Moebius one is solved by Lanczos on
 its Hermitian form, and the fixture's graph Laplacian (inpaint's baseline)
-by Lanczos on the real form.
+by Lanczos on the real form. Every connection solve here ends in the growth
+loop's first pass (the inertia count met, a cluster ending at or past k),
+so a change to that loop's growth steps moves none of their hashes. The
+inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
+only run here through the extension branch: its ``metrics.json`` and
+``predictions_channel_rbf`` files are the ones such a change may move.
 
 Prints one ``command path sha256`` line per output file, ``manifest.json``
 (which holds wall times) excepted, so that ``diff`` of two inventories
