@@ -178,7 +178,7 @@ def _spectra(run: Run, graph: geo.ProximityGraph, frames: geo.GaugeFrames,
                     "tangent frames flipped on a mesh too coarse for them", con.size)
     with run.stage("spectrum"):
         spec = spectral.eigendecompose(con, k, seed=seed)
-        spec_s = (spectral.eigendecompose(lap, min(k, graph.n - 2), seed=seed)
+        spec_s = (spectral.eigendecompose(lap, min(k, graph.n), seed=seed)
                   if scalar else None)
     return spec, spec_s
 

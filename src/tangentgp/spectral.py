@@ -43,7 +43,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8
 DEGENERATE_GAP = 1e-8
-# shift-invert pole at -SHIFT_FRACTION * mean diagonal, just below the spectrum
+# the Lanczos pole at -SHIFT_FRACTION * mean diagonal, just below the spectrum
 SHIFT_FRACTION = 1e-3
 # ARPACK's convergence tolerance, and its iteration budget per operator row
 LANCZOS_TOL = 1e-10
@@ -157,42 +157,6 @@ def _whole_cluster_count(vals: np.ndarray, k: int) -> int | None:
     return k + int(np.argmax(ends)) if ends.any() else None
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
-
-
-def _start_vector(rng: np.random.Generator, size: int, dtype) -> np.ndarray:
-    """A seeded random vector of the operator's dtype (complex: two draws)."""
-    vec = rng.standard_normal(size)
-    if np.issubdtype(dtype, np.complexfloating):
-        vec = vec + 1j * rng.standard_normal(size)
-    return vec
-
-
-def _arpack(operator, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-    # eigsh hands a complex Hermitian operator to eigs (znaupd)
-    maxiter = LANCZOS_ITERATIONS_PER_ROW * operator.shape[0]
-    try:
-        return eigsh(operator, tol=LANCZOS_TOL, maxiter=maxiter, **kwargs)
-    except ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"Lanczos failed to converge after {maxiter} iterations: "
-            f"{len(exc.eigenvalues)} of {kwargs['k']} pairs converged"
-        ) from exc
-
-
-def _shift_invert(mat: sparse.csr_matrix) -> tuple[float, LinearOperator]:
-    """(delta, operator applying (L + delta*I)^-1 through one sparse LU)."""
-    size = mat.shape[0]
-    delta = SHIFT_FRACTION * float(mat.diagonal().real.mean())
-    try:
-        lu = splu((mat + delta * sparse.identity(size)).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # SuperLU: factor is exactly singular
-        raise EigensolverError(f"cannot factorise L + {delta:.3e} I: {exc}") from exc
-    return delta, LinearOperator((size, size), matvec=lu.solve, dtype=mat.dtype)
-
-
 def _rayleigh_ritz(mat: sparse.csr_matrix,
                    basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Ritz pairs of L on span(basis), ascending."""
@@ -224,50 +188,67 @@ def _count_below(mat: sparse.csr_matrix, sigma: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _missed_pairs(inverse: LinearOperator, delta: float, vecs: np.ndarray,
-                  wanted: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+def _missed_pairs(mat: sparse.csr_matrix, vecs: np.ndarray, wanted: int,
+                  sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Up to ``wanted`` eigenvectors of L orthogonal to ``vecs`` whose
     eigenvalue lies below sigma.
 
-    The largest eigenvalues mu of P (L + delta*I)^-1 P, P the projector onto
-    the complement of span(vecs), are 1 / (lambda + delta) for the smallest
-    eigenvalues lambda of L that ``vecs`` does not span.
+    ARPACK finds the largest eigenvalues mu of P (L + delta*I)^-1 P, P the
+    projector onto the complement of span(vecs), which are 1 / (lambda +
+    delta) for the smallest eigenvalues lambda of L that ``vecs`` does not
+    span. The pole -delta lies just below the spectrum; one sparse LU applies
+    the inverse and is freed on return. The start vector is a seeded draw of
+    L's dtype (two when complex).
     """
     size, count = vecs.shape
+    delta = SHIFT_FRACTION * float(mat.diagonal().real.mean())
+    try:
+        lu = splu((mat + delta * sparse.identity(size)).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        raise EigensolverError(f"cannot factorise L + {delta:.3e} I: {exc}") from exc
 
     def project(x: np.ndarray) -> np.ndarray:
         return x - vecs @ (vecs.conj().T @ x)
 
-    complement = LinearOperator((size, size), dtype=inverse.dtype,
-                                matvec=lambda x: project(inverse @ project(x)))
-    # the complement has rank size - count, so every mu asked for is positive
-    start = _start_vector(rng, size, inverse.dtype)
-    mu, found = _arpack(complement, k=min(wanted, size - count - 1),
-                        which="LA", v0=_unit(project(start)))
+    complement = LinearOperator((size, size), dtype=mat.dtype,
+                                matvec=lambda x: project(lu.solve(project(x))))
+    start = rng.standard_normal(size)
+    if np.iscomplexobj(mat):
+        start = start + 1j * rng.standard_normal(size)
+    start = project(start)
+    # the complement has rank size - count, so every mu asked for is positive;
+    # eigsh hands a complex Hermitian operator to eigs (znaupd)
+    wanted, maxiter = min(wanted, size - count - 1), LANCZOS_ITERATIONS_PER_ROW * size
+    try:
+        mu, found = eigsh(complement, k=wanted, which="LA", tol=LANCZOS_TOL,
+                          maxiter=maxiter, v0=start / np.linalg.norm(start))
+    except ArpackNoConvergence as exc:
+        raise EigensolverError(
+            f"Lanczos failed to converge after {maxiter} iterations: "
+            f"{len(exc.eigenvalues)} of {wanted} pairs converged"
+        ) from exc
     return found[:, 1.0 / mu - delta < sigma]
 
 
 def _lanczos(mat: sparse.csr_matrix, k: int, seed: int
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The smallest eigenpairs of the symmetric or Hermitian L, ascending:
-    shift-invert ARPACK's k + 1, then Rayleigh-Ritz pairs grown by deflated
-    searches until the inertia count below sigma holds and their values end a
-    cluster at or past k; None once that would pass ARPACK's size - 2.
-
-    Each pass sets sigma a cluster gap under the largest Ritz value. A count
-    above the Ritz values below sigma asks for the missing pairs below sigma;
-    an equal one whose values end no cluster at or past k asks for as many
-    more pairs as the top cluster (the values from sigma up) holds, at any
-    eigenvalue. Each step must add a pair below its target.
-    """
-    delta, inverse = _shift_invert(mat)
+    """The smallest eigenpairs of the symmetric or Hermitian L, ascending,
+    grown from an empty basis as :func:`eigendecompose` describes; None once
+    the pairs needed pass ARPACK's size - 2."""
     rng = np.random.default_rng(seed)
-    _, basis = _arpack(mat, k=k + 1, sigma=-delta, which="LM", OPinv=inverse,
-                       v0=_unit(_start_vector(rng, mat.shape[0], mat.dtype)))
-    del inverse  # free the factor before the inertia count builds its own
-    vals, vecs = _rayleigh_ritz(mat, basis)
+    vals, vecs = np.empty(0), np.empty((mat.shape[0], 0), dtype=mat.dtype)
+    target, needed = np.inf, k + 1
     form = "complex Hermitian form" if np.iscomplexobj(mat) else "real operator"
-    while True:
+    while needed <= mat.shape[0] - 2:
+        held = int(np.count_nonzero(vals < target))
+        missed = _missed_pairs(mat, vecs, needed - held, target, rng)
+        vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
+        grown = int(np.count_nonzero(vals < target))
+        if grown <= held:
+            raise EigensolverError(
+                f"Lanczos basis of the {form} holds {grown} of the {needed} "
+                f"eigenvalues below {target:.6e}, and the deflated search adds none")
         sigma = vals[-1] - _cluster_gap(vals[-1])
         count, found = _count_below(mat, sigma), int(np.count_nonzero(vals < sigma))
         if found > count:
@@ -280,18 +261,7 @@ def _lanczos(mat: sparse.csr_matrix, k: int, seed: int
             return vals, vecs
         else:
             target, needed = np.inf, vals.size + (vals.size - found)
-            if needed > mat.shape[0] - 2:
-                return None
-        held = int(np.count_nonzero(vals < target))
-        delta, inverse = _shift_invert(mat)
-        missed = _missed_pairs(inverse, delta, vecs, needed - held, target, rng)
-        del inverse
-        vals, vecs = _rayleigh_ritz(mat, np.hstack([vecs, missed]))
-        grown = int(np.count_nonzero(vals < target))
-        if grown <= held:
-            raise EigensolverError(
-                f"Lanczos basis of the {form} holds {grown} of the {needed} "
-                f"eigenvalues below {target:.6e}, and the deflated search adds none")
+    return None
 
 
 def _real_pairs(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -314,39 +284,39 @@ def eigendecompose(operator: ConnectionLaplacian, k: int,
     so the (k'+1)-th, ``next_eigenvalue``, lies a cluster gap (``DEGENERATE_GAP``
     times max(1, value)) above the k'-th.
 
-    ``method`` "auto" factorises L + delta*I with sparse LU and runs
-    shift-invert ARPACK on it for k + 1 pairs, to relative accuracy
+    ``method`` "auto" grows a basis from empty by one kind of step, a
+    deflated search: ARPACK on (L + delta*I)^-1, applied by one sparse LU and
+    restricted to the complement of the basis, to relative accuracy
     ``LANCZOS_TOL`` within ``LANCZOS_ITERATIONS_PER_ROW`` iterations per
-    operator row (more raises ``EigensolverError``); "dense", the tests'
-    oracle, and a request ARPACK cannot serve (size - 1 pairs or more,
-    grown), take numpy's eigh. The Rayleigh-Ritz pairs of that basis then
-    grow in one loop. Each pass counts the eigenvalues below sigma, a cluster
-    gap under the largest Ritz value, by one unpivoted LU of L - sigma*I and
-    Sylvester's law of inertia (Ericsson & Ruhe 1980): a single-vector Krylov
-    method can miss copies of a repeated eigenvalue, and the count also
-    certifies the witness. Ritz values below sigma short of the count ask a
-    deflated shift-invert search on the complement of the basis for exactly
-    the missing pairs; a full count whose values end inside a cluster asks
-    it for as many more pairs as the top cluster holds, so a solve is
-    extended, never restarted. Either step is followed by one Rayleigh-Ritz
-    step, and every pair found is returned once a cluster ends at or past k.
-    A step that adds no pair, a count below the Ritz values found, or a
-    factorisation that pivots raises ``EigensolverError`` rather than return
-    an incomplete spectrum.
+    operator row (more raises ``EigensolverError``), then one Rayleigh-Ritz
+    step on the grown basis. The first search asks for k + 1 pairs. After
+    each, the eigenvalues below sigma, a cluster gap under the largest Ritz
+    value, are counted by one unpivoted LU of L - sigma*I and Sylvester's law
+    of inertia (Ericsson & Ruhe 1980): a single-vector Krylov method can miss
+    copies of a repeated eigenvalue, and the count also certifies the
+    witness. Ritz values below sigma short of the count ask the next search
+    for exactly the missing pairs; a full count whose values end inside a
+    cluster asks it for as many more pairs as the top cluster holds, so a
+    solve is extended, never restarted. Every pair found is returned once a
+    cluster ends at or past k. A search that adds no pair, a count below the
+    Ritz values found, or a factorisation that pivots raises
+    ``EigensolverError`` rather than return an incomplete spectrum. "dense",
+    the tests' oracle, and a solve that asks for more pairs than ARPACK can
+    serve take numpy's eigh.
 
     An orientable m = 2 connection Laplacian L is C-linear: assembly stores
     its n x n complex Hermitian form H of the vector heat method (Sharp et
     al. 2019) as ``operator.hermitian``. Each eigenvalue of H is one of L
     twice over, so Lanczos solves H for the ceil(k/2) pairs that hold the
-    first k and one more, and returns each complex eigenvector as two real
-    ones, x and its quarter turn Jx, in the caller's gauge; k' is even. Every
-    operator without H (the m = 1 graph Laplacian, m > 2, a Moebius strip, a
-    hand-built operator) takes the real path for its k + 1 smallest pairs;
-    the dense path is the same for all. The residual, PSD and sign
-    conventions are applied to the real L either way. The start vectors are
-    seeded: for a fixed seed and a fixed BLAS thread count, results are
-    byte-identical across runs, and the eigenspaces kept do not depend on
-    the route or the thread count.
+    first k and one more (dense when H cannot serve them), and returns each
+    complex eigenvector as two real ones, x and its quarter turn Jx, in the
+    caller's gauge; k' is even. Every operator without H (the m = 1 graph
+    Laplacian, m > 2, a Moebius strip, a hand-built operator) takes the real
+    path for its k + 1 smallest pairs; the dense path is the same for all.
+    The residual, PSD and sign conventions are applied to the real L either
+    way. The start vectors are seeded: for a fixed seed and a fixed BLAS
+    thread count, results are byte-identical across runs, and the
+    eigenspaces kept do not depend on the route or the thread count.
     """
     mat = operator.matrix
     size = mat.shape[0]
@@ -355,11 +325,11 @@ def eigendecompose(operator: ConnectionLaplacian, k: int,
     if method not in ("auto", "dense"):
         raise ValueError(f"unknown method {method!r}")
     hermitian, pairs = operator.hermitian, None
-    if method == "auto" and hermitian is not None and (k + 1) // 2 + 1 <= operator.n - 2:
+    if method == "auto" and hermitian is not None:
         pairs = _lanczos(hermitian, (k + 1) // 2, seed)
         if pairs is not None:
             pairs = np.repeat(pairs[0], 2), _real_pairs(pairs[1], operator.flips)
-    elif method == "auto" and k + 1 <= size - 2:
+    elif method == "auto":
         pairs = _lanczos(mat, k, seed)
     vals, vecs = np.linalg.eigh(mat.toarray()) if pairs is None else pairs
     k = _whole_cluster_count(vals, k) or size

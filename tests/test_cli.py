@@ -350,6 +350,35 @@ class TestInpaint:
         assert names.count("load_input") == 2  # the mesh, then the field
         assert names.count("write_outputs") == 3  # two predictions, then metrics
 
+    def test_baseline_spectrum_of_a_small_mesh_is_complete(self, workdir, monkeypatch):
+        # k >= n: the channel-wise baseline gets all n graph-Laplacian pairs
+        mesh = workdir / "torus_10x6.obj"
+        tio.write_obj(mesh, *tio.generate_torus(2.0, 0.8, 10, 6))
+        base = {"input_mesh": str(mesh), "graph": {"use_mesh_edges": True},
+                "manifold_dim": 2, "seed": 3}
+        gen_cfg = write_config(workdir, "generate_10x6.json", {
+            **base, "kind": "generate", "anchor_count": 10,
+            "output_dir": str(workdir / "gen_10x6")})
+        assert run_cli(["generate", "--config", str(gen_cfg)]).exit_code == 0
+        cfg = write_config(workdir, "inpaint_10x6.json", {
+            **base, "kind": "inpaint", "field": str(workdir / "gen_10x6" / "field.csv"),
+            "num_eigenvectors": 64, "hyperparams": HYPERPARAMS,
+            "baseline_hyperparams": BASELINE_HP,
+            "mask": {"center_node": "auto", "fraction": 0.15},
+            "output_dir": str(workdir / "inpaint_10x6")})
+        solved = []
+        eigendecompose = tg.spectral.eigendecompose
+
+        def spy(operator, k, **kwargs):
+            spec = eigendecompose(operator, k, **kwargs)
+            solved.append((operator.m, k, spec.k, spec.next_eigenvalue))
+            return spec
+
+        monkeypatch.setattr(tg.spectral, "eigendecompose", spy)
+        result = run_cli(["inpaint", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert solved[1:] == [(1, 60, 60, None)]  # after the connection's solve
+
     def test_empty_mask_rejected(self, workdir, generated):
         cfg = self._config(workdir, generated, "inpaint_empty.json",
                            {"nodes": []}, "inpaint_empty")

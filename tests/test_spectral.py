@@ -148,31 +148,30 @@ class TestEigendecompose:
 
     @staticmethod
     def _drop_cluster_member(mat, count, cluster):
-        """Dense eigenpairs of ``mat``, and its lowest count+1 pairs minus one
-        copy (the last column of ``cluster``) of a repeated eigenvalue."""
+        """The lowest count+1 dense eigenvectors of ``mat`` minus one copy (the
+        last column of ``cluster``) of a repeated eigenvalue."""
         vals, vecs = np.linalg.eigh(mat.toarray())
         assert np.flatnonzero(np.abs(vals[:count + 1] - vals[cluster[-1]]) < 1e-6
                               ).tolist() == cluster
-        kept = np.delete(np.arange(count + 1), cluster[-1])
-        return vals, vecs, kept
+        return np.delete(vecs[:, :count + 1], cluster[-1], axis=1)
 
     def _restore_missing_member(self, operator, form, k, count, cluster, monkeypatch):
-        # ARPACK hands back a basis missing one copy of a repeated eigenvalue:
-        # the inertia count sees the shortfall and the deflated search adds it;
-        # k ends on a cluster boundary, so nothing else is solved
-        vals, vecs, kept = self._drop_cluster_member(form, count, cluster)
-        arpack = spectral._arpack
+        # the first search hands back a basis missing one copy of a repeated
+        # eigenvalue: the inertia count sees the shortfall and the second
+        # search adds it; k ends on a cluster boundary, so nothing else is solved
+        deficient = self._drop_cluster_member(form, count, cluster)
+        search = spectral._missed_pairs
         asked = []
 
-        def deficient_first_run(solved, **kwargs):
-            asked.append(kwargs["k"])
+        def deficient_first_run(mat, found, wanted, *args):
+            asked.append(wanted)
             if len(asked) == 1:
-                return vals[kept], vecs[:, kept]
-            return arpack(solved, **kwargs)
+                return deficient
+            return search(mat, found, wanted, *args)
 
-        monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
+        monkeypatch.setattr(spectral, "_missed_pairs", deficient_first_run)
         spec = tg.eigendecompose(operator, k, seed=0)
-        assert asked == [count, 1]  # the deflated search asks for the one missing pair
+        assert asked == [count, 1]  # the second search asks for the one missing pair
         assert spec.k == k
         return spec
 
@@ -201,37 +200,38 @@ class TestEigendecompose:
 
     def test_solve_inside_a_cluster_extends_its_basis(self, torus, monkeypatch):
         # k = 12 ends between the two copies of 0.822 (columns 11, 12): the
-        # first solve's 13 pairs are kept and a deflated search adds the top
-        # cluster's count, 2, instead of a second shift-invert solve
-        arpack = spectral._arpack
+        # first search's 13 pairs are kept and a second search, on their
+        # complement, adds the top cluster's count, 2
+        search = spectral._missed_pairs
         asked = []
 
-        def spy(solved, **kwargs):
-            asked.append((kwargs["k"], "sigma" in kwargs))
-            return arpack(solved, **kwargs)
+        def spy(mat, found, wanted, *args):
+            asked.append((wanted, found.shape[1] == 0))
+            return search(mat, found, wanted, *args)
 
-        monkeypatch.setattr(spectral, "_arpack", spy)
+        monkeypatch.setattr(spectral, "_missed_pairs", spy)
         spec = tg.eigendecompose(torus.lap, 12)
         assert asked == [(13, True), (2, False)]
         assert spec.k == 13 and not spec.splits_degenerate_cluster()
         self._assert_matches_dense_at(spec, torus.lap, slice(11, 13))
 
     def test_one_solve_restores_a_member_and_extends(self, torus, monkeypatch):
-        # the first run misses one copy of the graph Laplacian's twofold 0.427
-        # (columns 3, 4) and ends on the second copy of 0.822 (columns 11, 12):
-        # the deflated search first asks for the missing pair, then, the
-        # count met but k = 12 inside a cluster, for the top cluster's 2
-        vals, vecs, kept = self._drop_cluster_member(torus.lap.matrix, 12, [3, 4])
-        arpack = spectral._arpack
+        # the first search misses one copy of the graph Laplacian's twofold
+        # 0.427 (columns 3, 4) and ends on the second copy of 0.822 (columns
+        # 11, 12): the second search asks for the missing pair, then the
+        # third, the count met but k = 12 inside a cluster, for the top
+        # cluster's 2
+        deficient = self._drop_cluster_member(torus.lap.matrix, 12, [3, 4])
+        search = spectral._missed_pairs
         asked = []
 
-        def deficient_first_run(solved, **kwargs):
-            asked.append((kwargs["k"], "sigma" in kwargs))
+        def deficient_first_run(mat, found, wanted, *args):
+            asked.append((wanted, found.shape[1] == 0))
             if len(asked) == 1:
-                return vals[kept], vecs[:, kept]
-            return arpack(solved, **kwargs)
+                return deficient
+            return search(mat, found, wanted, *args)
 
-        monkeypatch.setattr(spectral, "_arpack", deficient_first_run)
+        monkeypatch.setattr(spectral, "_missed_pairs", deficient_first_run)
         spec = tg.eigendecompose(torus.lap, 12, seed=0)
         assert asked == [(13, True), (1, False), (2, False)]
         assert spec.k == 13 and not spec.splits_degenerate_cluster()
@@ -242,18 +242,21 @@ class TestEigendecompose:
         # k = 12 ends inside the twofold 0.822, and the extension's deflated
         # search finds no pair; the search is cut off after a few calls so
         # that a solver which loops on it fails instead of hanging
+        search = spectral._missed_pairs
         calls = []
 
-        def finds_nothing(_inverse, _delta, found, *_args):
+        def finds_nothing(mat, found, *args):
             calls.append(found.shape[1])
             assert len(calls) <= 3, f"deflated search called {len(calls)} times"
+            if len(calls) == 1:
+                return search(mat, found, *args)
             return np.empty((found.shape[0], 0), dtype=found.dtype)
 
         monkeypatch.setattr(spectral, "_missed_pairs", finds_nothing)
         with pytest.raises(EigensolverError, match="real operator holds 13 of the "
                                                    "15 eigenvalues below inf, .* adds none"):
             tg.eigendecompose(torus.lap, 12, seed=0)
-        assert calls == [13]
+        assert calls == [0, 13]
 
     def test_extension_past_arpack_limit_takes_dense(self):
         # the 8-cycle's twofold 2 sits at columns 3, 4: k = 4 solves 5 pairs,
@@ -265,15 +268,26 @@ class TestEigendecompose:
         assert spec.k == 5 and spec.next_eigenvalue == dense.next_eigenvalue
         assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
 
+    def test_hermitian_search_past_arpack_limit_takes_dense(self):
+        # the orientable 14 x 9 mesh torus: k = 248 = 2n - 4 asks the
+        # Hermitian form for 125 pairs, past its size - 2, so the solve is
+        # dense rather than a real-route Lanczos of 249 pairs
+        con = _mesh_laplacian(*tio.generate_torus(2.0, 0.8, 14, 9))
+        assert con.hermitian is not None and con.n == 126
+        spec = tg.eigendecompose(con, 248)
+        dense = tg.eigendecompose(con, 248, method="dense")
+        assert spec.k == dense.k and spec.next_eigenvalue == dense.next_eigenvalue
+        assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, dense.eigenvectors)
+
     def _deflation_adds_nothing(self, operator, form, count, cluster, monkeypatch):
         # a deflated search that finds none of the counted pairs must end in
         # an error, never in an incomplete Spectrum
-        vals, vecs, kept = self._drop_cluster_member(form, count, cluster)
-        monkeypatch.setattr(spectral, "_arpack",
-                            lambda _operator, **_kwargs: (vals[kept], vecs[:, kept]))
+        deficient = self._drop_cluster_member(form, count, cluster)
+        # the first search misses a pair, and the second finds none
         monkeypatch.setattr(spectral, "_missed_pairs",
-                            lambda _inverse, _delta, found, *_args:
-                            np.empty((found.shape[0], 0), dtype=found.dtype))
+                            lambda _mat, found, *_args:
+                            found[:, :0] if found.size else deficient)
         tg.eigendecompose(operator, 12, seed=0)
 
     def test_deflation_that_adds_nothing_raises(self, torus, monkeypatch):

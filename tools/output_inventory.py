@@ -21,10 +21,14 @@ Both OBJs are written by the checkout's ``io.write_obj``, and the off-graph
 query points by its ``io.write_vector_csv``.
 
 Every connection Laplacian here but the Moebius one is solved by Lanczos on
-its Hermitian form, and the fixture's graph Laplacian (inpaint's baseline)
-by Lanczos on the real form. Every connection solve here ends in the growth
-loop's first pass (the inertia count met, a cluster ending at or past k),
-so a change to that loop's growth steps moves none of their hashes. The
+its Hermitian form; the Moebius connection and the fixture's graph
+Laplacian (inpaint's baseline) are solved on the real form. A change that
+moves only real-route solves may move only the inpaint baseline's
+``metrics.json`` and ``predictions_channel_rbf`` files and the three
+``mobius_spectrum/spectrum`` files; the outputs of every Hermitian solve
+keep their hashes. Every connection solve here ends after the growth
+loop's first search (the inertia count met, a cluster ending at or past
+k), so a change to the later searches moves none of their hashes. The
 inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
 only run here through the extension branch: its ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
