@@ -11,6 +11,7 @@ inventory of the files the run wrote.
 """
 from __future__ import annotations
 
+import gc
 import logging
 import math
 import time
@@ -535,6 +536,10 @@ def _cmd_eval(run: Run, pred_path, truth_path):
     for rec in records:
         click.echo(f"{rec['metric']}: {rec['value']:.6g}")
 
+
+# Every object made so far lives as long as the process: keep the import heap
+# out of every later collection, the one at exit included.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

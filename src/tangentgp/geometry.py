@@ -7,6 +7,7 @@ and computes the orthogonal transport maps that align neighbouring frames
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -217,11 +218,120 @@ def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.divmod(keys, n), axis=1), counts
 
 
+def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
+             budget: int = 1 << 20) -> np.ndarray:
+    """Indices of the k points nearest each query, as a (q, k) array, nearest
+    first, with equal squared distances in index order.
+
+    Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` for the squared
+    distances d2 summed one coordinate at a time, as a brute force sums them.
+    A cell grid (Bentley, Stanat & Williams 1977) of side h on the g <= 3
+    coordinates of widest spread: a query's candidates are the points in the
+    3^g cells around its own, and its k nearest candidates are final when the
+    k-th is nearer than h, less a rounding margin, because every other point
+    differs from it by at least h in some coordinate. The rest retry at 2h,
+    and a grid of one cell makes every point a candidate. h starts at the
+    largest k-th neighbour distance of at most 64 evenly spaced queries. Work
+    arrays hold about ``budget`` candidates at a time.
+    """
+    n, dim = points.shape
+    q = queries.shape[0]
+    # one contiguous row per coordinate, as gathers from it are faster;
+    # index n pads short rows
+    columns = np.hstack([points.T, np.full((dim, 1), np.inf)])
+    out = np.empty((q, k), dtype=np.int64)
+
+    def select(rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # cand holds each row's candidates in ascending index order
+        d2 = np.zeros(cand.shape)
+        for a in range(dim):
+            diff = queries[rows, a, None] - columns[a][cand]
+            d2 += diff * diff
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        # the entries up to the k-th value, each row's in index order, sorted
+        # stably by (row, d2): the first k of a row are its k nearest
+        r, c = np.nonzero(d2 <= kth[:, None])
+        order = np.lexsort((d2[r, c], r))
+        r, c = r[order], c[order]
+        keep = np.arange(r.size) - np.searchsorted(r, r) < k
+        return cand[r[keep], c[keep]].reshape(-1, k), kth
+
+    if q == 0:
+        return out
+    lo = points.min(axis=0)
+    spread = points.max(axis=0) - lo
+    axes = np.sort(np.argsort(-spread, kind="stable")[:3])
+    lo, g = lo[axes], axes.size
+    sample = np.unique(np.linspace(0, q - 1, min(q, 64, max(1, budget // n))
+                                   ).astype(np.int64))
+    kth = select(sample, np.broadcast_to(np.arange(n), (sample.size, n)))[1]
+    # at most 2^20 cells a side, so keys fit int64 and cell indices round
+    # off by far less than the margin
+    h = max(float(np.sqrt(kth.max())), float(spread.max()) * 2.0**-20,
+            np.finfo(float).tiny)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)),
+                       dtype=np.int64).reshape(-1, g - 1)
+    pending = np.arange(q)
+    while pending.size:
+        cells = np.floor((points[:, axes] - lo) / h).astype(np.int64)
+        shape = cells.max(axis=0) + 1
+        if (shape == 1).all():
+            step = max(1, budget // n)
+            for s in range(0, pending.size, step):
+                rows = pending[s:s + step]
+                out[rows] = select(rows, np.broadcast_to(np.arange(n), (rows.size, n)))[0]
+            break
+        strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+        keys = cells @ strides
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # a query clipped onto the ring of empty cells around the grid has no
+        # point nearer than h outside its 3^g cells, as one inside it
+        qc = np.floor(np.clip((queries[pending][:, axes] - lo) / h, -1, shape)
+                      ).astype(np.int64)
+        # the three cells along the last grid axis are one run of keys
+        nb = qc[:, None, :-1] + offsets
+        base = nb @ strides[:-1]
+        start = np.searchsorted(keys, base + np.maximum(qc[:, -1:] - 1, 0), "left")
+        stop = np.searchsorted(keys, base + np.minimum(qc[:, -1:] + 1, shape[-1] - 1),
+                               "right")
+        count = np.where(((nb >= 0) & (nb < shape[:-1])).all(axis=2), stop - start, 0)
+        total = count.sum(axis=1)
+        by_size = np.argsort(total, kind="stable")
+        final = np.zeros(pending.size, dtype=bool)
+        s = 0
+        while s < by_size.size:
+            # the longest run of rows whose padded matrix fits the budget
+            sizes = total[by_size[s:]]
+            e = s + max(1, int(np.searchsorted(
+                np.arange(1, sizes.size + 1) * np.maximum(sizes, k), budget, "right")))
+            blk = by_size[s:e]
+            # each row's key runs, packed left into a matrix padded with n
+            c = count[blk].ravel()
+            ends = np.cumsum(c)
+            pos = np.arange(ends[-1])
+            row = np.repeat(np.arange(blk.size), total[blk])
+            col = pos - np.repeat(np.cumsum(total[blk]) - total[blk], total[blk])
+            cand = np.full((blk.size, max(int(total[blk[-1]]), k)), n, dtype=np.int64)
+            cand[row, col] = order[np.repeat(start[blk].ravel() - ends + c, c) + pos]
+            cand.sort(axis=1)
+            idx, kth = select(pending[blk], cand)
+            ok = kth < ((1 - 1e-9) * h) ** 2
+            out[pending[blk[ok]]] = idx[ok]
+            final[blk[ok]] = True
+            s = e
+        pending = pending[~final]
+        h *= 2
+    return out
+
+
 def build_knn_graph(cloud: PointCloud, k_neighbors: int, weighting: str = "unit",
                     bandwidth: float | None = None,
                     on_disconnected: str = "error") -> ProximityGraph:
     """k-nearest-neighbour graph, symmetrized by union of directed selections.
 
+    Each node's k neighbours are exact (:func:`_nearest`): nearest first by
+    squared distance, with ties at the k-th going to the lower node index.
     Weights are 1 for ``weighting="unit"`` or exp(-|xi-xj|^2 / bandwidth^2)
     for ``weighting="gaussian"``.
     """
@@ -229,11 +339,7 @@ def build_knn_graph(cloud: PointCloud, k_neighbors: int, weighting: str = "unit"
     n = cloud.n
     if not 1 <= k_neighbors < n:
         raise ValueError(f"k_neighbors must be in [1, {n - 1}], got {k_neighbors}")
-    from scipy.spatial import cKDTree  # deferred: mesh-edge graphs never build a tree
-
-    tree = cKDTree(points)
-    _, idx = tree.query(points, k=k_neighbors + 1)
-    idx = np.atleast_2d(idx)
+    idx = _nearest(points, points, k_neighbors + 1)
     src = np.repeat(np.arange(n), k_neighbors)
     dst = idx[:, 1:].reshape(-1)  # column 0 is the point itself (duplicates rejected)
     edges, _ = _unique_edges(np.stack([src, dst], axis=1), n)

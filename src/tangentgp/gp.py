@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
-    _frames_from_edge_vectors, _neighbor_counts, _procrustes, _zero_singular_values
+    _frames_from_edge_vectors, _nearest, _neighbor_counts, _procrustes, _zero_singular_values
 from .spectral import Spectrum, _eigencoordinates, positional_encodings
 
 __all__ = [
@@ -592,15 +592,21 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
 
     This is an extension beyond the core method, which is defined on graph
     nodes only. Each new point gets a frame from the SVD of edge vectors to
-    its nearest graph nodes, and an encoding equal to the transported,
-    inverse-square-distance-weighted average of those nodes' tangent
-    eigencoordinates mapped into the new frame. A query at a node position
+    its ``n_neighbors`` nearest graph nodes, and an encoding equal to the
+    transported, inverse-square-distance-weighted average of those nodes'
+    tangent eigencoordinates mapped into the new frame, summed nearest first.
+    The neighbours are exact, with equal distances in node order
+    (``geometry._nearest``), so each query's encoding is the same alone or in
+    a batch, at any ``n_neighbors``. A query at a node position
     reproduces that node's encoding. With 10% of the 400-node torus fixture
     held out (k = 50): mean angular error 0.07-0.14 rad, transductive fit 0.0002-0.04.
     """
     new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
     if new_points.shape[1] != cloud.dim:
         raise ValueError("new points have wrong ambient dimension")
+    if not np.isfinite(new_points).all():
+        raise ValueError(f"query point {np.argwhere(~np.isfinite(new_points))[0, 0]}: "
+                         "non-finite coordinate")
     m, k = spectrum.m, spectrum.k
     if n_neighbors is None:
         # one size for every query point: twice the rounded mean neighbour
@@ -610,14 +616,11 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
     n_neighbors = min(n_neighbors, cloud.n)
     if n_neighbors < m:
         raise ValueError(f"query point 0: neighbourhood rank < {m}")
-    from scipy.spatial import cKDTree  # deferred, as in geometry.build_knn_graph
+    nbr_idx = _nearest(cloud.points, new_points, n_neighbors)
+    offsets = cloud.points[nbr_idx] - new_points[:, None, :]
+    dists = np.sqrt(sum(offsets[:, :, a] ** 2 for a in range(cloud.dim)))  # as _nearest sums
 
-    tree = cKDTree(cloud.points)
-    dists, nbr_idx = tree.query(new_points, k=n_neighbors)
-    nbr_idx = np.atleast_2d(nbr_idx)
-    dists = np.atleast_2d(dists)
-
-    edge_vecs = np.swapaxes(cloud.points[nbr_idx] - new_points[:, None, :], 1, 2)
+    edge_vecs = np.swapaxes(offsets, 1, 2)
     new_frames, deficient = _frames_from_edge_vectors(edge_vecs, m)
     # align each neighbour frame onto the new frame: j-coords -> new coords
     maps, smallest = _procrustes(new_frames[:, None], frames.frames[nbr_idx])

@@ -131,3 +131,12 @@ def furthest_point_order(points, count):
         selected[t] = nxt
         dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
     return selected, dist
+
+
+def nearest(points, queries, k):
+    """Stable brute force: every squared distance, summed one coordinate at a
+    time, and each query's first k in (distance, index) order."""
+    d2 = np.zeros((queries.shape[0], points.shape[0]))
+    for a in range(points.shape[1]):
+        d2 += (queries[:, a, None] - points[None, :, a]) ** 2
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -25,6 +26,15 @@ BASELINE_HP = {"sigma": 1.0, "kappa": 2.0, "nu": "inf", "sigma_n": 0.001}
 
 def run_cli(args):
     return CliRunner().invoke(main, args)
+
+
+def run_python(*args, **env):
+    """Run this interpreter on ``args`` in a process of its own, with the
+    package's source on the path and ``env`` added to the environment."""
+    src = str(Path(tg.__file__).parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def write_config(directory, name, payload):
@@ -254,16 +264,13 @@ class TestSuperresolve:
         fixed = write_config(workdir, "super_threads.json", {
             **raw, "hyperparams": {"sigma": 1.0, "kappa": 1.0, "nu": 1.5,
                                    "sigma_n": 0.01}})
-        src = str(Path(tg.__file__).parent.parent)
         runs = []
         for threads in ("1", "2"):
             out = workdir / f"super_threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "tangentgp.cli", "superresolve",
-                            "--config", str(fixed), "--out", str(out)],
-                           env=env, check=True, capture_output=True)
+            done = run_python("-m", "tangentgp.cli", "superresolve", "--config", str(fixed),
+                              "--out", str(out), OPENBLAS_NUM_THREADS=threads,
+                              OMP_NUM_THREADS=threads)
+            assert done.returncode == 0, done.stderr
             metrics = json.loads((out / "metrics.json").read_text())["metrics"]
             runs.append((out, {m["k"]: m["k_used"] for m in metrics}))
         (one, used_one), (two, used_two) = runs
@@ -1003,15 +1010,51 @@ class TestConfigVariants:
         assert "query node out of range" in result.output
 
 
-def test_import_defers_kdtree():
-    # mesh-edge commands never build a k-d tree, so start-up skips scipy.spatial
-    src = str(Path(tg.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, tangentgp.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+def test_cli_import_freezes_heap_and_knn_skips_scipy_spatial():
+    # a CLI process keeps its import heap out of every collection, and its
+    # k-NN graph needs no k-d tree, so it never pays the scipy.spatial import
+    probe = ("import gc, sys, tangentgp.cli; from tangentgp import io; "
+             f"cloud, _ = io.load_mesh(r'{TORUS_OBJ}'); "
+             "tangentgp.build_knn_graph(cloud, 6); "
+             "print('scipy.spatial' in sys.modules, gc.get_freeze_count() > 0)")
+    out = run_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False True"
+
+
+def test_library_import_freezes_nothing():
+    out = run_python("-c", "import gc, tangentgp; print(gc.get_freeze_count())")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0"
+
+
+class TestProcessExit:
+    """The CLI in a process of its own: exit code, stderr and manifest."""
+
+    def test_bad_config_exits_1_with_its_message_on_stderr(self, tmp_path):
+        cfg = write_config(tmp_path, "bad.json", {
+            "kind": "spectrum", "num_eigenvectors": 10,
+            "output_dir": str(tmp_path / "out")})
+        out = run_python("-m", "tangentgp.cli", "spectrum", "--config", str(cfg))
+        assert out.returncode == 1
+        assert "config needs input_mesh or input_cloud" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_exits_0_and_its_manifest_lists_every_file(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, "spectrum.json", {
+            "kind": "spectrum", "input_mesh": str(TORUS_OBJ),
+            "graph": {"k_neighbors": 6}, "num_eigenvectors": 20, "seed": 0,
+            "output_dir": str(out_dir)})
+        out = run_python("-m", "tangentgp.cli", "spectrum", "--config", str(cfg))
+        assert out.returncode == 0, out.stderr
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        written = sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")
+                         if p.is_file() and p.name != "manifest.json")
+        assert sorted(o["path"] for o in manifest["outputs"]) == written
+        for o in manifest["outputs"]:
+            digest = hashlib.sha256((out_dir / o["path"]).read_bytes()).hexdigest()
+            assert o["sha256"] == digest, o["path"]
 
 
 class TestSpectrumCommand:

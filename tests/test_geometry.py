@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tangentgp.geometry import (
     TransportRankError,
     _furthest_point_order,
     _max_pairwise_distance,
+    _nearest,
     _unique_edges,
     auto_frame_neighbors,
 )
@@ -109,6 +112,55 @@ class TestKnnGraph:
     def test_default_mesh_scale_k5_graph_connects(self, icosphere):
         graph = tg.build_knn_graph(icosphere.cloud, 5)
         assert graph.is_connected()
+
+    def test_fixture_6nn_graph_is_pinned(self):
+        # the graph of paper-400 and every shipped config: 1425 edges, the
+        # same as a k-d tree gives, hashed as int64 rows i < j
+        cloud, _ = tio.load_mesh(Path(__file__).parent / "fixtures" / "torus_400.obj")
+        edges = tg.build_knn_graph(cloud, 6).edges
+        assert edges.shape == (1425, 2) and edges.dtype == np.int64
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == (
+            "e47db8c810e0546609ddb18753dfb605398267b5b872ddb481ec7dae053ee758")
+
+    def test_nearest_retries_a_query_whose_kth_candidate_is_past_the_cell_side(self):
+        # 999 queries at x = 9.95 are 1.0 from their nearest point, so the
+        # first cell side is 1.0. The query at 10.1 (cell 10) finds only 11.3,
+        # 1.2 away, in cells 9-11; the nearer 8.95, 1.15 away, is in cell 8
+        points = np.array([[0.0, 0.0], [8.95, 0.0], [11.3, 0.0]])
+        queries = np.tile([9.95, 0.0], (1000, 1))
+        queries[500] = [10.1, 0.0]
+        got = _nearest(points, queries, 1)
+        assert (got == 1).all()
+        assert np.array_equal(got, oracle.nearest(points, queries, 1))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["lattice", "gaussian", "cluster"]),
+           dim=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**16),
+           size=st.integers(1, 80), budget=st.sampled_from([16, 1 << 20]),
+           data=st.data())
+    def test_nearest_matches_stable_brute_force(self, kind, dim, seed, size, budget,
+                                                data):
+        # integer lattices queried at half-integers are full of exact ties;
+        # a tight cluster with far outliers makes a grid of very uneven cells.
+        # Of 200 off-cloud queries 64 set the first cell side; Cauchy queries
+        # span many scales, so others retry at larger sides. A budget of 16
+        # candidates splits the queries into many blocks
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":
+            points = np.unique(rng.integers(0, 4, (size, dim)), axis=0).astype(float)
+            off = rng.integers(-2, 10, (200, dim)) / 2
+        elif kind == "gaussian":
+            points = rng.normal(size=(size, dim))
+            off = rng.standard_cauchy((200, dim))
+        else:
+            points = np.vstack([1e-3 * rng.normal(size=(size, dim)),
+                                100 * rng.normal(size=(3, dim))])
+            off = 1e-3 * rng.standard_cauchy((200, dim))
+        k = data.draw(st.integers(1, len(points)))
+        for queries in (points, off):
+            got = _nearest(points, queries, k, budget)
+            assert got.dtype == np.int64 and got.shape == (len(queries), k)
+            assert np.array_equal(got, oracle.nearest(points, queries, k))
 
 
 class TestMeshGraph:

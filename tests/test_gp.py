@@ -983,6 +983,30 @@ class TestOutOfGraphExtension:
                                               * np.linalg.norm(mean_node[0]))
         assert cos > 0.9
 
+    @pytest.mark.parametrize("n_neighbors", [1, 2])
+    def test_batch_equals_one_query_at_a_time(self, torus, n_neighbors):
+        # a line bundle (m = 1) at one neighbour is where a (q,) neighbour
+        # array, read as (1, q), would make one query of three neighbours
+        frames = tg.estimate_tangent_frames(torus.graph, torus.cloud, 1)
+        con = tg.assemble_connection_laplacian(
+            torus.graph, frames, tg.compute_transports(torus.graph, frames))
+        spec = tg.eigendecompose(con, 10, seed=0)
+        faces = torus.faces[:3]
+        queries = (torus.cloud.points[faces[:, 0]] + torus.cloud.points[faces[:, 1]]) / 2
+        batch, _ = tg.extend_encodings(queries, torus.cloud, torus.graph, frames, spec,
+                                       n_neighbors=n_neighbors)
+        alone = np.concatenate([
+            tg.extend_encodings(q, torus.cloud, torus.graph, frames, spec,
+                                n_neighbors=n_neighbors)[0] for q in queries])
+        assert np.array_equal(batch, alone)
+
+    def test_non_finite_query_is_rejected(self, torus, torus_spectrum):
+        queries = torus.cloud.points[:3].copy()
+        queries[1, 2] = np.nan
+        with pytest.raises(ValueError, match="query point 1: non-finite coordinate"):
+            tg.extend_encodings(queries, torus.cloud, torus.graph, torus.frames,
+                                truncate(torus_spectrum, 10))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_held_out_points_within_measured_accuracy(self, torus, torus_truth, seed):
         # 10% of the fixture's points leave the graph; the rest get their own

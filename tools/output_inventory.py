@@ -33,6 +33,14 @@ inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
 only run here through the extension branch: its ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
 
+Every k-NN graph here is exact, with equal distances in node order. The
+fixture's 6-NN graph has no tie at the sixth neighbour that a k-d tree
+breaks differently, so a change to the tie rule moves only ``eval``'s
+``metrics.json`` (its graph uses the default k = 5, which has such ties)
+and possibly the off-graph ``predict`` files: their edge-midpoint queries
+have equidistant neighbours, and neighbour order fixes the order of the
+weighted sum.
+
 Prints one ``command path sha256`` line per output file, ``manifest.json``
 (which holds wall times) excepted, so that ``diff`` of two inventories
 compares the outputs of two checkouts. Outputs are byte-identical only at a
