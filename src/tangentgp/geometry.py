@@ -62,6 +62,16 @@ class TransportRankError(ValueError):
     """Two tangent spaces are (numerically) orthogonal; the graph is too coarse."""
 
 
+def _check_points(points: np.ndarray) -> None:
+    """An (n, d) array of finite coordinates, or a ValueError naming the
+    first bad point."""
+    if points.ndim != 2:
+        raise ValueError("points must be an (n, d) array")
+    if not np.isfinite(points).all():
+        bad = np.argwhere(~np.isfinite(points))[0]
+        raise ValueError(f"non-finite coordinate at point {bad[0]}, column {bad[1]}")
+
+
 def _find_duplicate_rows(points: np.ndarray) -> tuple[int, int] | None:
     order = np.lexsort(points.T[::-1])
     eq = np.all(points[order[1:]] == points[order[:-1]], axis=1)
@@ -85,16 +95,12 @@ class PointCloud:
 
     def __post_init__(self):
         points = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if points.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
+        _check_points(points)
         n, d = points.shape
         if n < 2:
             raise ValueError(f"need at least 2 points, got {n}")
         if d < 2:
             raise ValueError(f"need ambient dimension >= 2, got {d}")
-        if not np.isfinite(points).all():
-            bad = np.argwhere(~np.isfinite(points))[0]
-            raise ValueError(f"non-finite coordinate at point {bad[0]}, column {bad[1]}")
         dup = _find_duplicate_rows(points)
         if dup is not None:
             raise DuplicatePointsError(f"points {dup[0]} and {dup[1]} coincide")
@@ -397,26 +403,34 @@ def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
 
 
 def _furthest_point_order(points: np.ndarray, count: int
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy max-min selection from index 0, and every point's distance to
-    the selection.
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy max-min selection from index 0, every point's distance to the
+    selection, and each selected point's distance to its nearest other one.
 
     Distances accumulate (x_a - p_a)^2 one coordinate column at a time: the
     additions ``np.linalg.norm(points - p, axis=1)`` makes, in its order, so
-    they are bit-identical to it, without its (n, d) temporaries.
+    they are bit-identical to it for d < 8 (numpy sums eight or more terms
+    in unrolled partial sums), without its (n, d) temporaries. Anchor t
+    starts at its distance to anchors 0..t-1, and each later anchor's
+    distance row lowers it, so the anchor distances cost no memory beyond
+    O(n + count) and no distance is computed twice.
     """
     columns = np.ascontiguousarray(points.T)
     dist = np.full(len(points), np.inf)
     selected = np.zeros(count, dtype=np.int64)
+    nearest = np.empty(count)
     for t in range(count):
         if t:
             selected[t] = np.argmax(dist)
+        nearest[t] = dist[selected[t]]
         p = points[selected[t]]
         sq = (columns[0] - p[0]) ** 2
         for col, coord in zip(columns[1:], p[1:]):
             sq += (col - coord) ** 2
-        np.minimum(dist, np.sqrt(sq), out=dist)
-    return selected, dist
+        row = np.sqrt(sq)
+        np.minimum(nearest[:t], row[selected[:t]], out=nearest[:t])
+        np.minimum(dist, row, out=dist)
+    return selected, dist, nearest
 
 
 def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
@@ -425,25 +439,25 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
 
     Returns the selected indices (in selection order) and the achieved
     relative spacing: mean distance from each selected point to its nearest
-    selected neighbour, divided by the diameter of the full cloud. The
-    diameter is exact (equal to the brute force over all pairs) but compares
-    only points far enough from the centroid to belong to the farthest pair,
-    so interior points cost one distance each; a cloud whose points all lie
-    at one radius from the centroid is compared in full.
+    selected neighbour, divided by the diameter of the full cloud. Those
+    nearest distances come from the distance rows the greedy pass computes
+    anyway, so the working memory is O(n + count). The diameter is exact
+    (equal to the brute force over all pairs) but compares only points far
+    enough from the centroid to belong to the farthest pair, so interior
+    points cost one distance each; a cloud whose points all lie at one radius
+    from the centroid is compared in full.
+
+    A plain array must be (n, d) and finite, as a ``PointCloud`` is.
     """
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
+    _check_points(points)
     n = len(points)
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    selected, _ = _furthest_point_order(points, count)
+    selected, _, nearest = _furthest_point_order(points, count)
     if count == 1:
         return selected, 0.0
-    sel_pts = points[selected]
-    d2 = np.sum((sel_pts[:, None, :] - sel_pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.sqrt(d2.min(axis=1))
-    spacing = float(nearest.mean() / _max_pairwise_distance(points))
-    return selected, spacing
+    return selected, float(nearest.mean() / _max_pairwise_distance(points))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gp as gp_mod
-from .geometry import GaugeFrames, PointCloud, ProximityGraph, _unique_edges
+from .geometry import GaugeFrames, PointCloud, ProximityGraph, _row_norms, _unique_edges
 from .spectral import LANCZOS_TOL, Spectrum
 
 __all__ = [
@@ -412,7 +412,7 @@ def generate_icosphere(subdivisions: int = 2, radius: float = 1.0
         order = np.argsort(first)
         ab, bc, ca = (len(verts) + np.argsort(order)[inverse.reshape(-1)]).reshape(-1, 3).T
         mids = verts[keys[order, 0]] + verts[keys[order, 1]]
-        verts = np.vstack([verts, [mid / np.linalg.norm(mid) for mid in mids]])
+        verts = np.vstack([verts, mids / _row_norms(mids)[:, None]])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], 1).reshape(-1, 3)
     return verts * radius, faces

@@ -121,8 +121,9 @@ def max_pairwise_distance(points):
 
 
 def furthest_point_order(points, count):
-    """Greedy max-min selection from index 0 with one norm per step, and
-    every point's distance to the selection."""
+    """Greedy max-min selection from index 0 with one norm per step, every
+    point's distance to the selection, and each selected point's distance to
+    its nearest other selected point, from all pairs of selected points."""
     selected = np.empty(count, dtype=np.int64)
     selected[0] = 0
     dist = np.linalg.norm(points - points[0], axis=1)
@@ -130,7 +131,13 @@ def furthest_point_order(points, count):
         nxt = int(np.argmax(dist))
         selected[t] = nxt
         dist = np.minimum(dist, np.linalg.norm(points - points[nxt], axis=1))
-    return selected, dist
+    anchors = points[selected]
+    nearest = np.empty(count)
+    for i in range(count):
+        others = np.linalg.norm(anchors - anchors[i], axis=1)
+        others[i] = np.inf
+        nearest[i] = others.min()
+    return selected, dist, nearest
 
 
 def nearest(points, queries, k):

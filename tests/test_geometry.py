@@ -210,6 +210,19 @@ class TestFurthestPointSample:
         with pytest.raises(ValueError):
             tg.furthest_point_sample(np.zeros((3, 2)) + np.arange(3)[:, None], 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raw_array_must_be_finite(self, bad):
+        # a NaN or inf row would be picked again and again, or spoil the
+        # spacing, so it is refused as PointCloud refuses it
+        pts = np.random.default_rng(0).standard_normal((50, 3))
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite coordinate at point 7, column 1"):
+            tg.furthest_point_sample(pts, 5)
+
+    def test_raw_array_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            tg.furthest_point_sample(np.arange(5.0), 2)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["sphere", "collinear", "pair", "cluster"]),
            seed=st.integers(0, 2**16), size=st.integers(3, 300))
@@ -275,10 +288,11 @@ class TestPrivateHelpers:
         else:
             pts = rng.integers(0, 4, (size, dim)).astype(float)
         count = data.draw(st.integers(1, len(pts)))
-        selected, dist = _furthest_point_order(pts, count)
-        ref_selected, ref_dist = oracle.furthest_point_order(pts, count)
+        selected, dist, nearest = _furthest_point_order(pts, count)
+        ref_selected, ref_dist, ref_nearest = oracle.furthest_point_order(pts, count)
         assert np.array_equal(selected, ref_selected)
         assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(nearest, ref_nearest)
 
 
 class TestTangentFrames:

@@ -352,9 +352,10 @@ class TestGenerators:
 
     def test_icosphere_matches_midpoint_cache_reference(self):
         # oracle: subdivision with a midpoint cache, one new vertex per edge
-        # in order of first use
+        # in order of first use, each normalised on its own; a subdivision
+        # appends vertices, so coarser spheres are prefixes of finer ones
         verts, faces = tio.generate_icosphere(0)
-        for subdivisions in range(1, 4):
+        for subdivisions in range(1, 5):
             cache, vert_list, new_faces = {}, list(verts), []
 
             def midpoint(a, b):
@@ -371,6 +372,8 @@ class TestGenerators:
             verts, faces = np.array(vert_list), np.array(new_faces)
             got_verts, got_faces = tio.generate_icosphere(subdivisions)
             assert np.array_equal(got_verts, verts) and np.array_equal(got_faces, faces)
+        coarse, _ = tio.generate_icosphere(2)
+        assert len(coarse) == 162 and np.array_equal(verts[:162], coarse)
 
     def test_icosphere_counts_and_radius(self):
         for subdiv, count in ((0, 12), (1, 42), (2, 162)):

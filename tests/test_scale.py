@@ -187,3 +187,18 @@ def test_furthest_point_sample_skips_interior_points():
         tracemalloc.stop()
     assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
     assert idx.shape == (160,) and 0 < spacing < 1
+
+
+def test_furthest_point_sample_memory_is_linear():
+    # the nearest-anchor distances come from the greedy pass's own distance
+    # rows; a (count, count, d) difference tensor of 1000 anchors alone
+    # would take 24 MB
+    points, _ = tio.generate_torus(2.0, 0.8, 80, 50)
+    tracemalloc.start()
+    try:
+        idx, spacing = tg.furthest_point_sample(points, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
+    assert idx.shape == (1000,) and 0 < spacing < 1

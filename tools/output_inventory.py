@@ -33,6 +33,12 @@ inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
 only run here through the extension branch: its ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
 
+Two runs go through the furthest-point anchor sampler: the fixture's
+``generate`` (40 anchors) and the 100x60 ``mesh_generate`` (600 anchors,
+``anchor_fraction`` 0.1). A change to the sampler that keeps the anchors
+and the spacing moves none of their ``field.csv``, ``field.vtk`` and
+``field_meta.json`` hashes; nor, through the truth field, any later run's.
+
 Every k-NN graph here is exact, with equal distances in node order. The
 fixture's 6-NN graph has no tie at the sixth neighbour that a k-d tree
 breaks differently, so a change to the tie rule moves only ``eval``'s
