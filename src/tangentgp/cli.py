@@ -308,11 +308,9 @@ def _cmd_superresolve(run: Run):
             model = gp.fit(train, truth[train], spec, frames, hp)
             mean, _ = gp.predict(model, test)
         _write_predictions(run, f"predictions_k{k}", cloud, test, mean, faces)
-        for metric in (fields.alignment_score(mean, truth[test]),
-                       fields.angular_error(mean, truth[test])):
-            rec = metric.to_dict()
-            rec["k"], rec["k_used"] = k, spec.k
-            metrics.append(rec)
+        metrics += [{**metric.to_dict(), "k": k, "k_used": spec.k}
+                    for metric in (fields.alignment_score(mean, truth[test]),
+                                   fields.angular_error(mean, truth[test]))]
     with run.stage("write_outputs"):
         io.write_metrics_json(run.path("metrics.json"), metrics)
         io.write_json_atomic(run.path("split.json"), {
@@ -378,16 +376,11 @@ def _cmd_inpaint(run: Run):
     for method, mean in (("vector_gp", mean_gp), ("channel_rbf", mean_base)):
         combined = truth.copy()
         combined[test] = mean
-        per_method = [
+        metrics += [{**metric.to_dict(), "method": method} for metric in (
             fields.out_of_tangent_magnitude(mean, frames, test),
             fields.boundary_angular_jump(graph, transports, frames, combined, mask),
             fields.alignment_score(mean, truth[test]),
-            fields.angular_error(mean, truth[test]),
-        ]
-        for metric in per_method:
-            rec = metric.to_dict()
-            rec["method"] = method
-            metrics.append(rec)
+            fields.angular_error(mean, truth[test]))]
         _write_predictions(run, f"predictions_{method}", cloud, test, mean, faces)
     with run.stage("write_outputs"):
         io.write_metrics_json(run.path("metrics.json"), metrics)
@@ -510,13 +503,10 @@ def _cmd_eval(run: Run, pred_path, truth_path):
                            f"at ids {[int(i) for i in shared[moved][:10]]}")
     unmatched = pred_ids.shape[0] + truth_ids.shape[0] - 2 * shared.size
 
-    records = []
-    for metric in (fields.alignment_score(pred_vecs[pred_at], truth_vecs[truth_at]),
-                   fields.angular_error(pred_vecs[pred_at], truth_vecs[truth_at])):
-        rec = metric.to_dict()
-        rec["n_nodes"] += unmatched
-        rec["n_excluded"] += unmatched
-        records.append(rec)
+    records = [{**metric.to_dict(), "n_nodes": metric.n_nodes + unmatched,
+                "n_excluded": metric.n_excluded + unmatched}
+               for metric in (fields.alignment_score(pred_vecs[pred_at], truth_vecs[truth_at]),
+                              fields.angular_error(pred_vecs[pred_at], truth_vecs[truth_at]))]
 
     with run.stage("rebuild_geometry"):
         cloud = geo.PointCloud(truth_pts)

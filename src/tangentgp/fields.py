@@ -18,7 +18,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
-    _row_norms, furthest_point_sample
+    _neighbor_counts, furthest_point_sample
 from .spectral import ConnectionLaplacian, Spectrum, positional_encodings, scalar_frames
 
 __all__ = [
@@ -316,17 +316,9 @@ def boundary_angular_jump(graph: ProximityGraph, transports: TransportMaps,
     i, j = edges[:, 0], edges[:, 1]
     coords_j = np.swapaxes(frames.frames[j], 1, 2) @ vectors[j][:, :, None]
     reference = (frames.frames[i] @ (transports.for_edges(edges) @ coords_j))[:, :, 0]
-    pred = vectors[i]
-    pred_norm, ref_norm = _row_norms(pred), _row_norms(reference)
-    keep = (pred_norm > ZERO_NORM_TOL) & (ref_norm > ZERO_NORM_TOL)
-    if not keep.any():
-        raise ValueError("all boundary edges excluded by zero norms")
-    diff = pred[keep] / pred_norm[keep, None] - reference[keep] / ref_norm[keep, None]
-    cos = np.clip(1.0 - 0.5 * (diff[:, None, :] @ diff[:, :, None])[:, 0, 0], -1.0, 1.0)
+    cos, excluded = _cosines(vectors[i], reference)
     # acos is decreasing, so the largest angle is that of the smallest cosine
-    worst = math.acos(float(cos.min()))
-    excluded = int(edges.shape[0] - keep.sum())
-    return MetricResult("boundary_max_angular_jump", worst,
+    return MetricResult("boundary_max_angular_jump", math.acos(float(cos.min())),
                         edges.shape[0], excluded)
 
 
@@ -348,5 +340,5 @@ def direction_coherence(graph: ProximityGraph, transports: TransportMaps,
     acc = np.zeros_like(coords)
     np.add.at(acc, graph.edges.reshape(-1),
               np.stack([into_i, into_j], axis=1).reshape(-1, coords.shape[1]))
-    counts = np.maximum(np.bincount(graph.edges.reshape(-1), minlength=graph.n), 1.0)
+    counts = np.maximum(_neighbor_counts(graph), 1.0)
     return np.linalg.norm(acc / counts[:, None], axis=1)

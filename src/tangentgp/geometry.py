@@ -224,13 +224,33 @@ def _unique_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.divmod(keys, n), axis=1), counts
 
 
+_BUDGET = 2**20  # entries a pairwise scan's work arrays hold at a time
+
+
+def _sum_of_squares(parts) -> np.ndarray:
+    """The squares of ``parts``, one array per coordinate, added in order: for
+    d < 8 parts bit-identical to ``np.sum(x ** 2, axis=-1)`` and the square of
+    ``np.linalg.norm(x, axis=-1)`` (numpy sums eight or more terms in unrolled
+    partial sums), without their (..., d) temporaries."""
+    parts = iter(parts)
+    total = next(parts) ** 2
+    for part in parts:
+        total += part ** 2
+    return total
+
+
+def _rank_in_group(groups: np.ndarray) -> np.ndarray:
+    """Each entry's position within its run of equal values in sorted ``groups``."""
+    return np.arange(groups.size) - np.searchsorted(groups, groups)
+
+
 def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
-             budget: int = 1 << 20) -> np.ndarray:
+             budget: int = _BUDGET) -> np.ndarray:
     """Indices of the k points nearest each query, as a (q, k) array, nearest
     first, with equal squared distances in index order.
 
     Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` for the squared
-    distances d2 summed one coordinate at a time, as a brute force sums them.
+    distances d2 of :func:`_sum_of_squares`, as a brute force sums them.
     A cell grid (Bentley, Stanat & Williams 1977) of side h on the g <= 3
     coordinates of widest spread: a query's candidates are the points in the
     3^g cells around its own, and its k nearest candidates are final when the
@@ -249,17 +269,14 @@ def _nearest(points: np.ndarray, queries: np.ndarray, k: int,
 
     def select(rows: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # cand holds each row's candidates in ascending index order
-        d2 = np.zeros(cand.shape)
-        for a in range(dim):
-            diff = queries[rows, a, None] - columns[a][cand]
-            d2 += diff * diff
+        d2 = _sum_of_squares(queries[rows, a, None] - columns[a][cand] for a in range(dim))
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
         # the entries up to the k-th value, each row's in index order, sorted
         # stably by (row, d2): the first k of a row are its k nearest
         r, c = np.nonzero(d2 <= kth[:, None])
         order = np.lexsort((d2[r, c], r))
         r, c = r[order], c[order]
-        keep = np.arange(r.size) - np.searchsorted(r, r) < k
+        keep = _rank_in_group(r) < k
         return cand[r[keep], c[keep]].reshape(-1, k), kth
 
     if q == 0:
@@ -380,25 +397,26 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
 
 
-def _max_pairwise_distance(points: np.ndarray, chunk: int = 512) -> float:
+def _max_pairwise_distance(points: np.ndarray) -> float:
     """Diameter of the cloud, bit-identical to a brute force over all pairs.
 
     L, the distance from the point farthest from the centroid to its own
     farthest point, bounds the diameter from below. A pair longer than L has
     both points at centroid radius r >= L - r_max, so only those points (with
-    a small slack for rounding) enter the chunked brute force, whose squared
-    distances use the same formula as a scan of every pair.
+    a small slack for rounding) enter the brute force, which scans each pair
+    once, in blocks of about ``_BUDGET`` pairs.
     """
-    radius = np.linalg.norm(points - points.mean(axis=0), axis=1)
+    def squared_distances(rows: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+        return _sum_of_squares(a[:, None] - b for a, b in zip(rows.T, cloud.T))
+
+    radius = np.sqrt(squared_distances(points.mean(axis=0)[None], points)[0])
     far = int(np.argmax(radius))
-    bound = float(np.sqrt(np.sum((points - points[far]) ** 2, axis=1).max()))
+    bound = float(np.sqrt(squared_distances(points[far][None], points).max()))
     slack = 1e-9 * (bound + float(np.abs(points).max()))
     candidates = points[radius >= bound - radius[far] - slack]
-    best = 0.0
-    for start in range(0, len(candidates), chunk):
-        block = candidates[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - candidates[None, :, :]) ** 2, axis=2)
-        best = max(best, float(d2.max()))
+    step = max(1, _BUDGET // len(candidates))
+    best = max(squared_distances(candidates[s:s + step], candidates[s:]).max()
+               for s in range(0, len(candidates), step))
     return float(np.sqrt(best))
 
 
@@ -407,10 +425,8 @@ def _furthest_point_order(points: np.ndarray, count: int
     """Greedy max-min selection from index 0, every point's distance to the
     selection, and each selected point's distance to its nearest other one.
 
-    Distances accumulate (x_a - p_a)^2 one coordinate column at a time: the
-    additions ``np.linalg.norm(points - p, axis=1)`` makes, in its order, so
-    they are bit-identical to it for d < 8 (numpy sums eight or more terms
-    in unrolled partial sums), without its (n, d) temporaries. Anchor t
+    Distances ``np.linalg.norm(points - p, axis=1)`` sum one coordinate
+    column at a time in :func:`_sum_of_squares`, with no (n, d) array. Anchor t
     starts at its distance to anchors 0..t-1, and each later anchor's
     distance row lowers it, so the anchor distances cost no memory beyond
     O(n + count) and no distance is computed twice.
@@ -424,10 +440,7 @@ def _furthest_point_order(points: np.ndarray, count: int
             selected[t] = np.argmax(dist)
         nearest[t] = dist[selected[t]]
         p = points[selected[t]]
-        sq = (columns[0] - p[0]) ** 2
-        for col, coord in zip(columns[1:], p[1:]):
-            sq += (col - coord) ** 2
-        row = np.sqrt(sq)
+        row = np.sqrt(_sum_of_squares(col - coord for col, coord in zip(columns, p)))
         np.minimum(nearest[:t], row[selected[:t]], out=nearest[:t])
         np.minimum(dist, row, out=dist)
     return selected, dist, nearest
@@ -589,9 +602,7 @@ def _frame_neighborhoods(graph: ProximityGraph, points: np.ndarray,
     dist = _row_norms(points[nbrs] - points[nodes])
     order = np.lexsort((nbrs, dist, hops, nodes))
     nodes, nbrs = nodes[order], nbrs[order]
-    counts = np.bincount(nodes, minlength=n)
-    rank = np.arange(nodes.size) - (np.cumsum(counts) - counts)[nodes]
-    keep = rank < sizes[nodes]
+    keep = _rank_in_group(nodes) < sizes[nodes]
     return nodes[keep], nbrs[keep]
 
 

@@ -44,7 +44,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .geometry import MIN_TRANSPORT_SV, GaugeFrames, PointCloud, ProximityGraph, \
-    _frames_from_edge_vectors, _nearest, _neighbor_counts, _procrustes, _zero_singular_values
+    _frames_from_edge_vectors, _nearest, _neighbor_counts, _procrustes, _zero_singular_values, \
+    auto_frame_neighbors
 from .spectral import Spectrum, _eigencoordinates, positional_encodings
 
 __all__ = [
@@ -609,16 +610,16 @@ def extend_encodings(new_points: np.ndarray, cloud: PointCloud,
                          "non-finite coordinate")
     m, k = spectrum.m, spectrum.k
     if n_neighbors is None:
-        # one size for every query point: twice the rounded mean neighbour
-        # count, at least m + 1 and at most n (frame estimation sizes each
-        # node by its own count, within [m, n - 1])
-        n_neighbors = max(m + 1, 2 * int(round(float(np.mean(_neighbor_counts(graph))))))
+        # one size for every query point: the auto size of the mean
+        # neighbour count, within [m + 1, n] instead of a node's [m, n - 1]
+        n_neighbors = int(auto_frame_neighbors(np.mean(_neighbor_counts(graph)), m + 1,
+                                               cloud.n + 1))
     n_neighbors = min(n_neighbors, cloud.n)
     if n_neighbors < m:
         raise ValueError(f"query point 0: neighbourhood rank < {m}")
     nbr_idx = _nearest(cloud.points, new_points, n_neighbors)
     offsets = cloud.points[nbr_idx] - new_points[:, None, :]
-    dists = np.sqrt(sum(offsets[:, :, a] ** 2 for a in range(cloud.dim)))  # as _nearest sums
+    dists = np.linalg.norm(offsets, axis=2)
 
     edge_vecs = np.swapaxes(offsets, 1, 2)
     new_frames, deficient = _frames_from_edge_vectors(edge_vecs, m)

@@ -495,17 +495,22 @@ def save_spectrum(directory, spectrum: Spectrum) -> Path:
 
 
 def load_spectrum(directory) -> Spectrum:
-    directory = Path(directory)
-    manifest = json.loads((directory / "spectrum.json").read_text())
-    vals = _read_matrix_csv(directory / manifest["eigenvalues_csv"]).reshape(-1)
-    vecs = _read_matrix_csv(directory / manifest["eigenvectors_csv"])
-    return Spectrum(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        n=int(manifest["n"]),
-        m=int(manifest["m"]),
-        next_eigenvalue=manifest.get("next_eigenvalue"),
-    )
+    """The spectrum of ``save_spectrum``. A ParseError names the file whose
+    eigenvalues are not finite and non-decreasing, whose eigenvectors are not
+    (n*m) x k for k eigenvalues, or whose next_eigenvalue is below the last."""
+    path = Path(directory) / "spectrum.json"
+    manifest = json.loads(path.read_text())
+    n, m, after = int(manifest["n"]), int(manifest["m"]), manifest.get("next_eigenvalue")
+    vals_path, vecs_path = (path.parent / manifest[f"{key}_csv"]
+                            for key in ("eigenvalues", "eigenvectors"))
+    vals, vecs = _read_matrix_csv(vals_path).reshape(-1), _read_matrix_csv(vecs_path)
+    if not (np.diff(vals) >= 0).all():
+        raise ParseError(vals_path, None, "eigenvalues must be non-decreasing")
+    if vecs.shape != (n * m, vals.size):
+        raise ParseError(vecs_path, None, f"shape {vecs.shape} is not {(n * m, vals.size)}")
+    if after is not None and not after >= vals[-1]:
+        raise ParseError(path, None, f"next_eigenvalue {after!r} below the last eigenvalue")
+    return Spectrum(vals, vecs, n, m, after)
 
 
 # ---------------------------------------------------------------------------

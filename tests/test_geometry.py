@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ortho_group
 
 import geometry_oracle as oracle
@@ -21,6 +22,7 @@ from tangentgp.geometry import (
     _furthest_point_order,
     _max_pairwise_distance,
     _nearest,
+    _sum_of_squares,
     _unique_edges,
     auto_frame_neighbors,
 )
@@ -272,6 +274,18 @@ class TestPrivateHelpers:
         assert edges.dtype == np.int64 and edges.shape == (len(ref_edges), 2)
         assert np.array_equal(edges, ref_edges)
         assert np.array_equal(counts, ref_counts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=hnp.arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 20),
+                                              st.integers(1, 7)),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_sum_of_squares_matches_numpy_sum(self, x):
+        # one coordinate at a time is numpy's own order below eight terms; the
+        # elements span every finite double, so squares also under- and overflow
+        with np.errstate(over="ignore", under="ignore"):
+            got = _sum_of_squares(x[..., a] for a in range(x.shape[-1]))
+            want = np.sum(x ** 2, axis=-1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["cloud", "grid"]), seed=st.integers(0, 2**16),

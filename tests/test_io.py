@@ -527,6 +527,31 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match=message):
             tio.load_model(tmp_path / "model")
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("eigenvalues.csv", lambda text: "".join(np.array(
+            text.splitlines(keepends=True))[[0, 6, 2, 3, 4, 5, 1, 7, 8, 9]]),
+         "eigenvalues.csv: eigenvalues must be non-decreasing"),
+        ("eigenvectors.csv", lambda text: "\n".join(
+            line.rsplit(",", 1)[0] for line in text.splitlines()),
+         r"eigenvectors.csv: shape \(800, 9\) is not \(800, 10\)"),
+        ("spectrum.json", lambda text: json.dumps(
+            {**json.loads(text), "next_eigenvalue": 0.0}),
+         "spectrum.json: next_eigenvalue 0.0 below the last eigenvalue")],
+        ids=["unsorted", "short_vectors", "next_below"])
+    def test_damaged_spectrum_is_refused(self, tmp_path, torus, torus_spectrum,
+                                         torus_truth, name, edit, message):
+        # every connection eigenpair has mean trace m, so the stored c_norm of
+        # a model trained on every node cannot see two eigenvalues swapped
+        spec = tg.spectral.truncate(torus_spectrum, 10)
+        assert spec.k == 10 and spec.eigenvalues[1] < spec.eigenvalues[6]
+        model = tg.fit(np.arange(400), torus_truth.field.ambient(), spec, torus.frames,
+                       tg.MaternHyperparams(sigma=1.0, kappa=1.0, nu=1.5, sigma_n=0.01))
+        tio.save_model(tmp_path, model, torus.frames, torus.cloud, torus.graph)
+        path = tmp_path / "spectrum" / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ParseError, match=message):
+            tio.load_model(tmp_path)
+
 
 def save_small_model(directory, small_torus):
     """A model of zero vectors at the small torus's first 10 nodes, saved to
@@ -717,9 +742,12 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(vectors=tables(min_rows=1), data=st.data())
     def test_spectrum(self, tmp_path_factory, vectors, data):
-        values = data.draw(hnp.arrays(np.float64, vectors.shape[1], elements=FINITE))
+        # a loaded spectrum must be ascending with one row per node
+        values = np.sort(data.draw(hnp.arrays(np.float64, vectors.shape[1],
+                                              elements=FINITE)))
         directory = tmp_path_factory.mktemp("spec")
-        tio.save_spectrum(directory, tg.spectral.Spectrum(values, vectors, n=1, m=1))
+        tio.save_spectrum(directory, tg.spectral.Spectrum(values, vectors,
+                                                          n=len(vectors), m=1))
         loaded = tio.load_spectrum(directory)
         assert loaded.eigenvalues.tobytes() == values.tobytes()
         assert loaded.eigenvectors.tobytes() == vectors.tobytes()
@@ -924,9 +952,9 @@ class TestConfig:
         inventory = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inventory)
         runs = inventory.runs(tmp_path / "torus.obj", tmp_path / "mesh.obj",
-                              tmp_path / "mobius.obj", tmp_path)
+                              tmp_path / "mobius.obj", tmp_path / "sphere.obj", tmp_path)
         configs = [{"kind": command, "output_dir": str(tmp_path / name), **payload}
                    for name, command, payload in runs if command != "eval"]
-        assert len(configs) == 10
+        assert len(configs) == 11
         for config in configs:
             tio.check_config(config)

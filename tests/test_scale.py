@@ -202,3 +202,17 @@ def test_furthest_point_sample_memory_is_linear():
         tracemalloc.stop()
     assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
     assert idx.shape == (1000,) and 0 < spacing < 1
+
+
+def test_diameter_scan_memory_is_bounded_on_a_sphere():
+    # every vertex lies at the centroid radius, so the diameter compares all
+    # 10242 points: blocks of (chunk, n, d) differences took over 200 MB
+    points, _ = tio.generate_icosphere(5)
+    tracemalloc.start()
+    try:
+        idx, spacing = tg.furthest_point_sample(points, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, f"traced peak {peak / 1e6:.2f} MB"
+    assert idx.shape == (1024,) and 0 < spacing < 1

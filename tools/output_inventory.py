@@ -15,10 +15,12 @@ into a fresh directory under OUT_DIR (which must not exist):
   directory and its queries;
 - on the 100x60 mesh torus: ``generate`` and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
-  so Lanczos on the real form): ``spectrum``.
+  so Lanczos on the real form): ``spectrum``;
+- on the 642-vertex icosphere of 3 subdivisions: ``generate`` (mesh edges,
+  64 anchors).
 
-Both OBJs are written by the checkout's ``io.write_obj``, and the off-graph
-query points by its ``io.write_vector_csv``.
+The three OBJs are written by the checkout's ``io.write_obj``, and the
+off-graph query points by its ``io.write_vector_csv``.
 
 Every connection Laplacian here but the Moebius one is solved by Lanczos on
 its Hermitian form; the Moebius connection and the fixture's graph
@@ -33,11 +35,20 @@ inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
 only run here through the extension branch: its ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
 
-Two runs go through the furthest-point anchor sampler: the fixture's
-``generate`` (40 anchors) and the 100x60 ``mesh_generate`` (600 anchors,
-``anchor_fraction`` 0.1). A change to the sampler that keeps the anchors
-and the spacing moves none of their ``field.csv``, ``field.vtk`` and
-``field_meta.json`` hashes; nor, through the truth field, any later run's.
+Three runs go through the furthest-point anchor sampler: the fixture's
+``generate`` (40 anchors), the 100x60 ``mesh_generate`` (600 anchors,
+``anchor_fraction`` 0.1) and ``sphere_generate`` (64 anchors). A change to
+the sampler that keeps the anchors and the spacing moves none of their
+``field.csv``, ``field.vtk`` and ``field_meta.json`` hashes; nor, through
+the truth field, any later run's. On the tori the diameter behind the
+spacing compares only a few points near the outer equator; every vertex of
+the sphere lies at one radius from the centroid, so ``sphere_generate``'s
+``field_meta.json`` ``spacing`` guards the full pairwise scan.
+
+Squared distances are summed by ``geometry._sum_of_squares`` in every
+k-NN graph here (each fixture run but on-graph ``predict``, and ``eval``'s
+rebuilt graph), in the off-graph ``predict`` queries' neighbour search, and
+in the three sampler runs' greedy pass and diameter.
 
 Every k-NN graph here is exact, with equal distances in node order. The
 fixture's 6-NN graph has no tie at the sixth neighbour that a k-d tree
@@ -83,6 +94,8 @@ a, b, c, d = grid[:, :-1], ahead[:, :-1], ahead[:, 1:], grid[:, 1:]
 faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)])
 io.write_obj(r'{path}', points.reshape(-1, 3), faces.reshape(-1, 3))
 """
+SPHERE_OBJ = ("from tangentgp import io; "
+              "io.write_obj(r'{path}', *io.generate_icosphere(3))")
 QUERIES = "queries_25.csv"  # under OUT_DIR
 QUERY_CSV = """
 from tangentgp import io
@@ -91,7 +104,7 @@ io.write_vector_csv(r'{path}', (cloud.points[faces[:25, 0]] + cloud.points[faces
 """
 
 
-def runs(fixture: Path, mesh: Path, mobius: Path,
+def runs(fixture: Path, mesh: Path, mobius: Path, sphere: Path,
          out: Path) -> list[tuple[str, str, dict | list]]:
     """(name, command, config or eval arguments) in execution order."""
     truth = str(out / "generate" / "field.csv")
@@ -121,6 +134,8 @@ def runs(fixture: Path, mesh: Path, mobius: Path,
           "seed": 7}),
         ("mobius_spectrum", "spectrum", {**mesh_base, "input_mesh": str(mobius),
                                          "num_eigenvectors": 50, "seed": 7}),
+        ("sphere_generate", "generate", {**mesh_base, "input_mesh": str(sphere),
+                                         "anchor_count": 64, "tau": 10.0, "seed": 7}),
     ]
 
 
@@ -145,12 +160,14 @@ def main(argv: list[str]) -> int:
     lines = []
     fixture = checkout / "tests" / "fixtures" / "torus_400.obj"
     mesh, mobius = out / "torus_100x60.obj", out / "mobius_120x10.obj"
-    for path, code in ((mesh, MESH_OBJ), (mobius, MOBIUS_OBJ), (out / QUERIES, QUERY_CSV)):
+    sphere = out / "icosphere_3.obj"
+    for path, code in ((mesh, MESH_OBJ), (mobius, MOBIUS_OBJ), (sphere, SPHERE_OBJ),
+                       (out / QUERIES, QUERY_CSV)):
         run(env, [sys.executable, "-c", code.format(path=path, fixture=fixture)],
             out / f"{path.stem}.log")
         lines.append(f"input {path.name} {sha256(path)}")
     cli = [sys.executable, "-m", "tangentgp.cli"]
-    for name, command, spec in runs(fixture, mesh, mobius, out):
+    for name, command, spec in runs(fixture, mesh, mobius, sphere, out):
         target = out / name
         if command == "eval":
             args = [*spec, "--out", str(target)]
