@@ -3,9 +3,9 @@
 Ground-truth fields are produced with the vector heat method: diffuse the
 tangent field under exp(-L_c tau) to get directions and the per-node norms
 under exp(-L tau) to get magnitudes, then recombine. Both flows are one
-sparse matrix-exponential action (``expm_multiply``), exact to rounding and
-the same at every size. Genus-0 surfaces force singularities, points where
-the diffused direction collapses.
+Chebyshev series of exp(-tau x) on [0, b], b the operator's largest absolute
+row sum, exact to rounding at every size and drawing no random numbers.
+Genus-0 surfaces force singularities, where the diffused direction collapses.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
@@ -69,29 +68,45 @@ class TangentField:
         return cls(frames.project(np.asarray(vectors, dtype=float)), frames)
 
 
-def _heat_apply(matrix: sparse.csr_matrix, state: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-M tau) applied to columns of state (Al-Mohy & Higham 2011).
+def _heat_coefficients(z: float) -> np.ndarray:
+    """Chebyshev coefficients (2 - [j = 0]) (-1)^j e^-z I_j(z) of exp(-z (1 + y))
+    on [-1, 1] to degree floor(9 sqrt(z)) + 20, past which they sum below
+    2^-53, from one FFT of samples at y = -cos(phi), which aliases only dropped
+    terms; 1 + y = 2 sin^2(phi / 2) keeps the samples near y = -1 accurate."""
+    degree = int(9 * math.sqrt(z)) + 20
+    size = 2 * degree + 2
+    samples = np.exp(-2 * z * np.sin(np.pi / size * np.arange(size)) ** 2)
+    coefs = np.fft.rfft(samples).real[:degree + 1] * (2 / size)
+    coefs[0] /= 2
+    coefs[1::2] *= -1
+    return coefs
 
-    For large tau ||M||_1 scipy picks the step count with ``onenormest``, which
-    draws from numpy's global RNG; that draw is seeded here and the caller's
-    RNG state restored, so the result and the global state never depend on
-    each other.
-    """
+
+def _heat_apply(matrix: sparse.csr_matrix, state: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-M tau) applied to the columns of state, for a symmetric positive
+    semidefinite M, whose spectrum lies in [0, b] for b its largest absolute
+    row sum: the series of :func:`_heat_coefficients` at z = tau b / 2 in
+    2 M / b - I, by the three-term recurrence (Hammond et al. 2011)."""
     if tau < 0:
         raise ValueError("diffusion time must be nonnegative")
-    if tau == 0:
+    bound = float(abs(matrix).sum(axis=1).max())
+    if tau * bound == 0:
         return state.copy()
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(-tau * matrix, state)
-    finally:
-        np.random.set_state(rng_state)
+    coefs = _heat_coefficients(tau * bound / 2)
+    twice = matrix * (4 / bound) - 2 * sparse.identity(matrix.shape[0], format="csr")
+    prev, cur = state, twice @ state / 2
+    out = coefs[0] * prev + coefs[1] * cur
+    for c in coefs[2:]:
+        prev, cur = cur, twice @ cur - prev
+        out += c * cur
+    return out
 
 
 def scalar_heat(laplacian: ConnectionLaplacian, u0: np.ndarray, tau: float) -> np.ndarray:
     """Scalar heat flow u(tau) = exp(-L tau) u0, exact to rounding at any size;
-    it preserves total mass and contracts the Dirichlet seminorm."""
+    it preserves total mass and contracts the Dirichlet seminorm. L must be
+    positive semidefinite: an eigenvalue lambda < 0 would multiply the series'
+    truncation error by e^(tau |lambda|)."""
     u0 = np.asarray(u0, dtype=float).reshape(-1)
     if u0.shape[0] != laplacian.n:
         raise ValueError("initial condition has wrong length")
@@ -100,7 +115,8 @@ def scalar_heat(laplacian: ConnectionLaplacian, u0: np.ndarray, tau: float) -> n
 
 def vector_diffusion(connection: ConnectionLaplacian, coords: np.ndarray,
                      tau: float) -> np.ndarray:
-    """Raw vector heat flow exp(-L_c tau) applied to stacked tangent coordinates."""
+    """Raw vector heat flow exp(-L_c tau) applied to stacked tangent coordinates;
+    L_c must be positive semidefinite, as in :func:`scalar_heat`."""
     coords = np.asarray(coords, dtype=float)
     n, m = connection.n, connection.m
     if coords.shape != (n, m):

@@ -397,29 +397,6 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
 
 
-def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Diameter of the cloud, bit-identical to a brute force over all pairs.
-
-    L, the distance from the point farthest from the centroid to its own
-    farthest point, bounds the diameter from below. A pair longer than L has
-    both points at centroid radius r >= L - r_max, so only those points (with
-    a small slack for rounding) enter the brute force, which scans each pair
-    once, in blocks of about ``_BUDGET`` pairs.
-    """
-    def squared_distances(rows: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-        return _sum_of_squares(a[:, None] - b for a, b in zip(rows.T, cloud.T))
-
-    radius = np.sqrt(squared_distances(points.mean(axis=0)[None], points)[0])
-    far = int(np.argmax(radius))
-    bound = float(np.sqrt(squared_distances(points[far][None], points).max()))
-    slack = 1e-9 * (bound + float(np.abs(points).max()))
-    candidates = points[radius >= bound - radius[far] - slack]
-    step = max(1, _BUDGET // len(candidates))
-    best = max(squared_distances(candidates[s:s + step], candidates[s:]).max()
-               for s in range(0, len(candidates), step))
-    return float(np.sqrt(best))
-
-
 def _furthest_point_order(points: np.ndarray, count: int
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy max-min selection from index 0, every point's distance to the
@@ -452,13 +429,14 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
 
     Returns the selected indices (in selection order) and the achieved
     relative spacing: mean distance from each selected point to its nearest
-    selected neighbour, divided by the diameter of the full cloud. Those
-    nearest distances come from the distance rows the greedy pass computes
-    anyway, so the working memory is O(n + count). The diameter is exact
-    (equal to the brute force over all pairs) but compares only points far
-    enough from the centroid to belong to the farthest pair, so interior
-    points cost one distance each; a cloud whose points all lie at one radius
-    from the centroid is compared in full.
+    selected neighbour, divided by the greedy pass's first step, the
+    distance between the first two anchors and the largest from point 0.
+    That step lies in [D/2, D] for the diameter D, so the spacing lies in
+    (0, 1] (0 for one anchor). The step is D where point 0 ends a farthest
+    pair, as on the meshes of ``io.generate_torus`` (point 0 lies on the
+    outer equator) and ``io.generate_icosphere`` (every vertex has an
+    antipode). The nearest distances come from the distance rows the greedy
+    pass computes anyway, so the working memory is O(n + count).
 
     A plain array must be (n, d) and finite, as a ``PointCloud`` is.
     """
@@ -470,7 +448,9 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
     selected, _, nearest = _furthest_point_order(points, count)
     if count == 1:
         return selected, 0.0
-    return selected, float(nearest.mean() / _max_pairwise_distance(points))
+    # the first distance row's largest entry, with the same bits
+    first_step = np.sqrt(_sum_of_squares(points[selected[1]] - points[0]))
+    return selected, float(nearest.mean() / first_step)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from tangentgp.geometry import (
     DuplicatePointsError,
     TransportRankError,
     _furthest_point_order,
-    _max_pairwise_distance,
     _nearest,
     _sum_of_squares,
     _unique_edges,
@@ -183,11 +182,15 @@ class TestFurthestPointSample:
         pts = rng.standard_normal((12, 3))
         idx, spacing = tg.furthest_point_sample(tg.PointCloud(pts), 12)
         assert sorted(idx.tolist()) == list(range(12))
-        # oracle: full-cloud spacing = mean nearest-neighbour distance / diameter
+        # oracle: full-cloud spacing = mean nearest-neighbour distance over the
+        # largest distance from point 0, which lies in [D/2, D]
         d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        scale, diameter = d[0].max(), d.max()
+        assert diameter / 2 <= scale <= diameter
         np.fill_diagonal(d, np.inf)
-        expected = d.min(axis=1).mean() / d[np.isfinite(d)].max()
+        expected = d.min(axis=1).mean() / scale
         assert spacing == pytest.approx(expected, rel=1e-12)
+        assert 0 < spacing <= 1
 
     def test_square_corners_beat_center(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
@@ -229,9 +232,9 @@ class TestFurthestPointSample:
     @given(kind=st.sampled_from(["sphere", "collinear", "pair", "cluster"]),
            seed=st.integers(0, 2**16), size=st.integers(3, 300))
     def test_spacing_uses_exact_diameter(self, kind, seed, size):
-        # the pruned diameter equals the brute force over every pair, bit for
-        # bit: on a sphere around the centroid nothing is pruned, a tight
-        # cluster with outliers prunes all but the outliers
+        # the scale is the greedy pass's first step, the largest distance from
+        # point 0, bit for bit: against the exact diameter D it lies in
+        # [D/2, D], so the spacing lies in (0, 1]
         rng = np.random.default_rng(seed)
         centre = rng.uniform(-5, 5, 3)
         if kind == "sphere":
@@ -245,13 +248,30 @@ class TestFurthestPointSample:
             pts = centre + 1e-3 * rng.standard_normal((size, 3))
             pts[:3] += rng.uniform(-10, 10, (3, 3))
         diameter = oracle.max_pairwise_distance(pts)
-        assert _max_pairwise_distance(pts) == diameter
+        scale = float(np.sqrt(np.sum((pts - pts[0]) ** 2, axis=1)).max())
+        assert diameter / 2 <= scale <= diameter
         count = min(len(pts), 2 + seed % 7)
         idx, spacing = tg.furthest_point_sample(pts, count)
         sel = pts[idx]
         d2 = np.sum((sel[:, None, :] - sel[None, :, :]) ** 2, axis=2)
         np.fill_diagonal(d2, np.inf)
-        assert spacing == float(np.sqrt(d2.min(axis=1)).mean() / diameter)
+        assert spacing == float(np.sqrt(d2.min(axis=1)).mean() / scale)
+        assert 0 < spacing <= 1
+
+    @pytest.mark.parametrize("mesh", [(2.0, 0.8, 25, 16), (2.0, 0.8, 12, 8),
+                                      (1.0, 0.3, 7, 5), 0, 2, 3])
+    def test_spacing_scale_is_the_diameter_on_generated_meshes(self, mesh):
+        # point 0 of a generated torus lies on its outer equator, and every
+        # icosphere vertex has an antipode, so point 0 ends a farthest pair
+        # and the first step is the diameter, to one ulp
+        pts = (tio.generate_torus(*mesh) if isinstance(mesh, tuple)
+               else tio.generate_icosphere(mesh))[0]
+        diameter = oracle.max_pairwise_distance(pts)
+        scale = np.sqrt(np.sum((pts - pts[0]) ** 2, axis=1)).max()
+        assert abs(scale - diameter) <= np.spacing(diameter)
+        nearest = oracle.furthest_point_order(pts, 12)[2]
+        _, spacing = tg.furthest_point_sample(pts, 12)
+        assert abs(spacing - nearest.mean() / diameter) <= 2 * np.spacing(spacing)
 
     def test_spacing_decreases_with_count(self, torus):
         # denser subsets space points more tightly

@@ -955,6 +955,6 @@ class TestConfig:
                               tmp_path / "mobius.obj", tmp_path / "sphere.obj", tmp_path)
         configs = [{"kind": command, "output_dir": str(tmp_path / name), **payload}
                    for name, command, payload in runs if command != "eval"]
-        assert len(configs) == 11
+        assert len(configs) == 12
         for config in configs:
             tio.check_config(config)

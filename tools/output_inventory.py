@@ -13,7 +13,11 @@ into a fresh directory under OUT_DIR (which must not exist):
   first edges of the first 25 faces, ``spectrum`` and ``eval``. Both
   ``predict`` configs name no geometry: ``predict`` reads only the model
   directory and its queries;
-- on the 100x60 mesh torus: ``generate`` and ``superresolve``;
+- on the 100x60 mesh torus: ``generate`` at tau = 10 and at tau = 100
+  (``mesh_generate_tau100``: the schema default and the tau of
+  ``configs/torus_generate.json``, and the most heat-flow work of any run
+  here, a 249-term series on 12000 rows against the fixture's 298 terms on
+  800), and ``superresolve``;
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``;
 - on the 642-vertex icosphere of 3 subdivisions: ``generate`` (mesh edges,
@@ -35,20 +39,25 @@ inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
 only run here through the extension branch: its ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
 
-Three runs go through the furthest-point anchor sampler: the fixture's
-``generate`` (40 anchors), the 100x60 ``mesh_generate`` (600 anchors,
-``anchor_fraction`` 0.1) and ``sphere_generate`` (64 anchors). A change to
-the sampler that keeps the anchors and the spacing moves none of their
-``field.csv``, ``field.vtk`` and ``field_meta.json`` hashes; nor, through
-the truth field, any later run's. On the tori the diameter behind the
-spacing compares only a few points near the outer equator; every vertex of
-the sphere lies at one radius from the centroid, so ``sphere_generate``'s
-``field_meta.json`` ``spacing`` guards the full pairwise scan.
+The four ``generate`` runs (the fixture's, ``mesh_generate``,
+``mesh_generate_tau100`` and ``sphere_generate``) are the ones that go
+through the heat flow and the furthest-point anchor sampler (40, 600, 600
+and 64 anchors). A change to the heat flow may move only the files
+downstream of a generated field: the four runs' ``field.*`` files, the
+``superresolve``, ``inpaint`` and ``mesh_superresolve`` predictions and
+metrics, ``fit``'s ``model/targets.csv``, both ``predict``
+``predictions.csv`` files and ``eval``'s ``metrics.json``. It moves no
+``spectrum`` file, no model-geometry file, no ``mask.json``, ``split.json``
+or ``variances.csv``. A change to the sampler that keeps the anchors and
+the spacing moves none of the four runs' ``field.csv``, ``field.vtk`` and
+``field_meta.json`` hashes; nor, through the truth field, any later run's.
+The spacing's scale is the sampler's first step, the distance from point 0
+to the second anchor, which every ``field_meta.json`` ``spacing`` guards.
 
 Squared distances are summed by ``geometry._sum_of_squares`` in every
 k-NN graph here (each fixture run but on-graph ``predict``, and ``eval``'s
 rebuilt graph), in the off-graph ``predict`` queries' neighbour search, and
-in the three sampler runs' greedy pass and diameter.
+in the four sampler runs' greedy pass.
 
 Every k-NN graph here is exact, with equal distances in node order. The
 fixture's 6-NN graph has no tie at the sixth neighbour that a k-d tree
@@ -128,6 +137,8 @@ def runs(fixture: Path, mesh: Path, mobius: Path, sphere: Path,
                           "--truth", truth]),
         ("mesh_generate", "generate", {**mesh_base, "seed": 7, "tau": 10.0,
                                        "anchor_fraction": 0.1}),
+        ("mesh_generate_tau100", "generate", {**mesh_base, "seed": 7, "tau": 100.0,
+                                              "anchor_fraction": 0.1}),
         ("mesh_superresolve", "superresolve",
          {**mesh_base, "field": str(out / "mesh_generate" / "field.csv"),
           "num_eigenvectors": 50, "hyperparams": FIXED_HP, "split_fraction": 0.1,
