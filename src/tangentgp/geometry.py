@@ -435,8 +435,10 @@ def furthest_point_sample(cloud: PointCloud | np.ndarray, count: int
     (0, 1] (0 for one anchor). The step is D where point 0 ends a farthest
     pair, as on the meshes of ``io.generate_torus`` (point 0 lies on the
     outer equator) and ``io.generate_icosphere`` (every vertex has an
-    antipode). The nearest distances come from the distance rows the greedy
-    pass computes anyway, so the working memory is O(n + count).
+    antipode). On other clouds the spacing depends on which point comes
+    first and can reach twice the mean nearest distance over D. The nearest
+    distances come from the distance rows the greedy pass computes anyway,
+    so the working memory is O(n + count).
 
     A plain array must be (n, d) and finite, as a ``PointCloud`` is.
     """

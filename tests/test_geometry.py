@@ -231,7 +231,7 @@ class TestFurthestPointSample:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["sphere", "collinear", "pair", "cluster"]),
            seed=st.integers(0, 2**16), size=st.integers(3, 300))
-    def test_spacing_uses_exact_diameter(self, kind, seed, size):
+    def test_spacing_scale_is_the_first_step(self, kind, seed, size):
         # the scale is the greedy pass's first step, the largest distance from
         # point 0, bit for bit: against the exact diameter D it lies in
         # [D/2, D], so the spacing lies in (0, 1]

@@ -175,6 +175,22 @@ def test_dtc_cost_stays_in_k_dimensions():
     assert np.isfinite(mean).all() and np.isfinite(covs).all()
 
 
+def test_sampler_memory_is_bounded_on_a_small_torus():
+    # 160 anchors of a 40x40 torus: the greedy pass keeps one distance row
+    # of n entries at a time and takes the spacing's scale from its first
+    # step, so nothing compares blocks of points against every point (a
+    # 512-row block traced 33 MB here)
+    points, _ = tio.generate_torus(2.0, 0.8, 40, 40)
+    tracemalloc.start()
+    try:
+        idx, spacing = tg.furthest_point_sample(points, 160)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"traced peak {peak / 1e6:.1f} MB"
+    assert idx.shape == (160,) and 0 < spacing < 1
+
+
 def test_furthest_point_sample_memory_is_linear():
     # the nearest-anchor distances come from the greedy pass's own distance
     # rows; a (count, count, d) difference tensor of 1000 anchors alone
