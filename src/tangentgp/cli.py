@@ -278,8 +278,6 @@ def _cmd_generate(run: Run):
             "anchor_count": anchor_count,
             "anchors": [int(i) for i in gen.anchors],
             "spacing": gen.spacing,
-            "singular_candidates": [int(i) for i in np.nonzero(gen.singular)[0]],
-            "singular_count": int(gen.singular.sum()),
             "min_direction_norm_node": int(np.argmin(gen.direction_norms)),
             "min_coherence_node": int(np.argmin(coherence)),
         })

@@ -6,6 +6,9 @@ under exp(-L tau) to get magnitudes, then recombine. Both flows are one
 Chebyshev series of exp(-tau x) on [0, b], b the operator's largest absolute
 row sum, exact to rounding at every size and drawing no random numbers.
 Genus-0 surfaces force singularities, where the diffused direction collapses.
+One rule, :func:`_directions`, says a vector has a direction when its norm
+exceeds ``ZERO_NORM_TOL``. Generated rows without one are zero (at tau = 0,
+every row but the anchors'), and the metrics exclude and count them.
 """
 from __future__ import annotations
 
@@ -36,11 +39,9 @@ __all__ = [
     "out_of_tangent_magnitude",
     "boundary_angular_jump",
     "direction_coherence",
-    "SINGULARITY_NORM_TOL",
     "ZERO_NORM_TOL",
 ]
 
-SINGULARITY_NORM_TOL = 1e-12
 ZERO_NORM_TOL = 1e-12
 
 
@@ -63,9 +64,16 @@ class TangentField:
     def ambient(self) -> np.ndarray:
         return self.frames.to_ambient(self.coords)
 
-    @classmethod
-    def from_ambient(cls, vectors: np.ndarray, frames: GaugeFrames) -> "TangentField":
-        return cls(frames.project(np.asarray(vectors, dtype=float)), frames)
+
+def _directions(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(units, norms, defined) of the rows of ``vectors``. A row has a
+    direction when its norm exceeds ``ZERO_NORM_TOL``; otherwise its unit is 0."""
+    vectors = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(vectors, axis=1)
+    defined = norms > ZERO_NORM_TOL
+    units = np.divide(vectors, norms[:, None], out=np.zeros_like(vectors),
+                      where=defined[:, None])
+    return units, norms, defined
 
 
 def _heat_coefficients(z: float) -> np.ndarray:
@@ -130,7 +138,6 @@ class VectorHeatResult:
     field: TangentField
     magnitudes: np.ndarray  # scalar-diffused per-node norms
     direction_norms: np.ndarray  # norms of the raw diffused directions
-    singular: np.ndarray  # bool mask of singularity candidates
 
 
 def vector_heat(connection: ConnectionLaplacian, laplacian: ConnectionLaplacian,
@@ -138,26 +145,19 @@ def vector_heat(connection: ConnectionLaplacian, laplacian: ConnectionLaplacian,
     """Vector heat method: diffused directions with scalar-diffused magnitudes.
 
     result_i = v(tau)_i / |v(tau)_i| * u(tau)_i where v solves the vector
-    heat equation and u diffuses the initial per-node norms. Nodes where the
-    diffused direction norm falls below ``SINGULARITY_NORM_TOL`` are flagged
-    as singularity candidates; their coordinates are zeroed (direction
-    undefined) and callers should exclude them from alignment metrics. The
-    scalar-diffused magnitude for those nodes remains in ``magnitudes``.
+    heat equation and u diffuses the initial per-node norms. A node whose
+    direction norm |v(tau)_i| is at most ``ZERO_NORM_TOL`` has no direction
+    (the rule of :func:`_directions`): its row is zero, and the metrics
+    exclude it. At tau = 0 that is every node where field0 is zero. The
+    scalar-diffused magnitude of such a node remains in ``magnitudes``.
     """
     coords = vector_diffusion(connection, field0.coords, tau)
-    mags0 = np.linalg.norm(field0.coords, axis=1)
-    mags = scalar_heat(laplacian, mags0, tau)
-    dnorms = np.linalg.norm(coords, axis=1)
-    singular = dnorms < SINGULARITY_NORM_TOL
-    safe = np.where(singular, 1.0, dnorms)
-    out = coords / safe[:, None] * mags[:, None]
-    out[singular] = 0.0
-    return VectorHeatResult(
-        field=TangentField(out, field0.frames),
-        magnitudes=mags,
-        direction_norms=dnorms,
-        singular=singular,
-    )
+    mags = scalar_heat(laplacian, np.linalg.norm(field0.coords, axis=1), tau)
+    units, dnorms, defined = _directions(coords)
+    # +0, not the -0 of a unit 0 times a magnitude rounded below 0
+    out = np.where(defined[:, None], units * mags[:, None], 0.0)
+    return VectorHeatResult(field=TangentField(out, field0.frames), magnitudes=mags,
+                            direction_norms=dnorms)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,6 @@ class GeneratedField:
     field: TangentField
     anchors: np.ndarray
     spacing: float
-    singular: np.ndarray
     direction_norms: np.ndarray
 
 
@@ -187,13 +186,8 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
     seeded = np.swapaxes(frames.frames[anchors], 1, 2) @ raw[:, :, None]
     coords0[anchors] = seeded[:, :, 0]
     result = vector_heat(connection, laplacian, TangentField(coords0, frames), tau)
-    return GeneratedField(
-        field=result.field,
-        anchors=anchors,
-        spacing=spacing,
-        singular=result.singular,
-        direction_norms=result.direction_norms,
-    )
+    return GeneratedField(field=result.field, anchors=anchors, spacing=spacing,
+                          direction_norms=result.direction_norms)
 
 
 def _check_baseline_inputs(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -264,18 +258,16 @@ class MetricResult:
 
 
 def _cosines(predicted: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]:
-    predicted = np.asarray(predicted, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if predicted.shape != truth.shape:
+    if np.shape(predicted) != np.shape(truth):
         raise ValueError("prediction/truth shape mismatch")
-    pn = np.linalg.norm(predicted, axis=1)
-    tn = np.linalg.norm(truth, axis=1)
-    keep = (pn > ZERO_NORM_TOL) & (tn > ZERO_NORM_TOL)
+    p_units, _, p_defined = _directions(predicted)
+    t_units, _, t_defined = _directions(truth)
+    keep = p_defined & t_defined
     if not keep.any():
         raise ValueError("no nodes left after zero-norm exclusion")
     excluded = int((~keep).sum())
     # 1 - |p/|p| - t/|t||^2 / 2 equals the cosine and is exact for p == t
-    diff = predicted[keep] / pn[keep, None] - truth[keep] / tn[keep, None]
+    diff = p_units[keep] - t_units[keep]
     dots = 1.0 - 0.5 * np.sum(diff * diff, axis=1)
     return np.clip(dots, -1.0, 1.0), excluded
 
@@ -283,8 +275,9 @@ def _cosines(predicted: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, int]
 def alignment_score(predicted: np.ndarray, truth: np.ndarray) -> MetricResult:
     """Mean normalized inner product between prediction and truth, in [-1, 1].
 
-    Nodes where either side has (near-)zero norm are excluded and counted;
-    zero-norm truth rows arise at flagged singularities of generated fields.
+    Nodes where either side has no direction (norm at most ``ZERO_NORM_TOL``,
+    the rule of :func:`_directions`; at tau = 0, every generated row but the
+    anchors') are excluded and counted.
     """
     cos, excluded = _cosines(predicted, truth)
     return MetricResult("alignment", float(cos.mean()), predicted.shape[0], excluded)
@@ -346,15 +339,13 @@ def direction_coherence(graph: ProximityGraph, transports: TransportMaps,
     cancel, so low coherence marks singularity candidates in a field whose
     magnitudes were renormalized.
     """
-    coords = np.asarray(coords, dtype=float)
-    norms = np.linalg.norm(coords, axis=1)
-    units = np.where(norms[:, None] > ZERO_NORM_TOL, coords / np.maximum(norms, 1e-300)[:, None], 0.0)
+    units = _directions(coords)[0]
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     into_i = (transports.for_edges(graph.edges) @ units[j][:, :, None])[:, :, 0]
     into_j = (transports.for_edges(graph.edges[:, ::-1]) @ units[i][:, :, None])[:, :, 0]
     # add.at accumulates in index order: each node sums its terms in edge order
-    acc = np.zeros_like(coords)
+    acc = np.zeros_like(units)
     np.add.at(acc, graph.edges.reshape(-1),
-              np.stack([into_i, into_j], axis=1).reshape(-1, coords.shape[1]))
+              np.stack([into_i, into_j], axis=1).reshape(-1, units.shape[1]))
     counts = np.maximum(_neighbor_counts(graph), 1.0)
     return np.linalg.norm(acc / counts[:, None], axis=1)

@@ -598,6 +598,10 @@ class FitConfig:
     nu: float = 1.5
 
 
+# input paths: each must exist, and resolves against the config's directory
+_PATH_KEYS = ("input_mesh", "input_cloud", "field", "query_points", "model_dir")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated run configuration; a single JSON document on disk."""
@@ -627,7 +631,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the schema cannot see the file system
-        for attr in ("input_mesh", "input_cloud", "field", "query_points", "model_dir"):
+        for attr in _PATH_KEYS:
             p = getattr(self, attr)
             if p is not None and not Path(p).exists():
                 raise FileNotFoundError(f"config {attr}: no such path {p!r}")
@@ -749,8 +753,7 @@ def load_config(path) -> ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ParseError(path, None, f"{name}: {exc}") from None
     base = path.parent
-    for attr in ("output_dir", "input_mesh", "input_cloud", "field", "query_points",
-                 "model_dir"):
+    for attr in ("output_dir", *_PATH_KEYS):
         if kwargs.get(attr):
             kwargs[attr] = str((base / kwargs[attr]).resolve())
     return ExperimentConfig(raw=raw, **kwargs)

@@ -339,7 +339,7 @@ def eigendecompose(operator: ConnectionLaplacian, k: int,
     fro = float(np.sqrt((mat.data**2).sum()))
     resid = np.linalg.norm(mat @ vecs[:, :k] - vecs[:, :k] * vals[:k], axis=0)
     worst = float(resid.max())
-    if worst > RESIDUAL_TOL * max(fro, 1e-300):
+    if worst > RESIDUAL_TOL * fro:
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |L|_F = "
             f"{RESIDUAL_TOL * fro:.3e}"

@@ -22,6 +22,8 @@ TORUS_OBJ = FIXTURES / "torus_400.obj"
 
 HYPERPARAMS = {"sigma": 1.0, "kappa": 2.0, "nu": 1.5, "sigma_n": 0.001}
 BASELINE_HP = {"sigma": 1.0, "kappa": 2.0, "nu": "inf", "sigma_n": 0.001}
+FIELD_META_KEYS = {"tau", "seed", "anchor_count", "anchors", "spacing",
+                   "min_direction_norm_node", "min_coherence_node"}
 
 
 def run_cli(args):
@@ -75,8 +77,28 @@ class TestGenerate:
         meta = json.loads((out / "field_meta.json").read_text())
         assert meta["tau"] == 100.0  # protocol default
         assert meta["anchor_count"] == 40
-        assert meta["singular_count"] >= 0
+        assert set(meta) == FIELD_META_KEYS
         assert (out / "field.csv").exists() and (out / "field.vtk").exists()
+
+    def test_zero_tau_writes_zero_rows_that_eval_excludes(self, generated, workdir):
+        # tau = 0, the schema's minimum, runs no flow: every node but the 40
+        # anchors has no direction, so its row is written as zeros
+        _, cfg = generated
+        raw = {**json.loads(Path(cfg).read_text()), "tau": 0,
+               "output_dir": str(workdir / "gen_tau0")}
+        result = run_cli(["generate", "--config",
+                          str(write_config(workdir, "generate_tau0.json", raw))])
+        assert result.exit_code == 0, result.output
+        field = workdir / "gen_tau0" / "field.csv"
+        _, _, vecs = tio.read_vector_csv(field)
+        assert np.isfinite(vecs).all()
+        assert (~vecs.any(axis=1)).sum() == 360
+        result = run_cli(["eval", "--pred", str(field), "--truth", str(field),
+                          "--out", str(workdir / "eval_tau0")])
+        assert result.exit_code == 0, result.output
+        metrics = json.loads((workdir / "eval_tau0" / "metrics.json").read_text())
+        by = {m["metric"]: m for m in metrics["metrics"]}
+        assert by["alignment"]["n_excluded"] == by["angular_error"]["n_excluded"] == 360
 
     def test_rerun_is_byte_identical(self, generated, workdir):
         out, cfg = generated
@@ -94,7 +116,7 @@ class TestGenerate:
         reseeded = output_hashes(workdir / "gen_seed9")
         assert base["field.csv"] != reseeded["field.csv"]
 
-    def test_genus_zero_reports_singularity_count(self, workdir):
+    def test_genus_zero_reports_weakest_direction_nodes(self, workdir):
         cfg = write_config(workdir, "generate_sphere.json", {
             "kind": "generate",
             "input_mesh": str(FIXTURES / "icosphere_162.obj"),
@@ -107,9 +129,13 @@ class TestGenerate:
         result = run_cli(["generate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         meta = json.loads((workdir / "gen_sphere" / "field_meta.json").read_text())
-        assert meta["singular_count"] >= 0
-        assert isinstance(meta["singular_candidates"], list)
+        assert set(meta) == FIELD_META_KEYS
+        assert 0 <= meta["min_direction_norm_node"] < 162
         assert 0 <= meta["min_coherence_node"] < 162
+        # the zero rows of the written field are the rows the metrics exclude
+        _, _, vecs = tio.read_vector_csv(workdir / "gen_sphere" / "field.csv")
+        zero = int((~vecs.any(axis=1)).sum())
+        assert tfields.alignment_score(vecs, vecs).n_excluded == zero
 
     def test_coherence_is_computed_in_the_diffuse_stage(self, generated, workdir,
                                                         monkeypatch, caplog):

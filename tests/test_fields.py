@@ -25,6 +25,17 @@ def dense_eigh(operator):
     return np.linalg.eigh(operator.matrix.toarray())
 
 
+def directionless_rows_are_zero(coords, direction_norms):
+    """The rule: the rows with direction norm at most ZERO_NORM_TOL are exactly
+    the zero rows, and the metrics exclude them. Returns their mask."""
+    none = direction_norms <= tf.ZERO_NORM_TOL
+    assert np.array_equal(none, ~coords.any(axis=1))
+    if not none.all():
+        assert tf.alignment_score(coords, coords).n_excluded == none.sum()
+        assert tf.angular_error(coords, coords).n_excluded == none.sum()
+    return none
+
+
 def path_graph(n):
     return tg.ProximityGraph(n=n, edges=[[i, i + 1] for i in range(n - 1)],
                              weights=np.ones(n - 1))
@@ -91,7 +102,8 @@ class TestVectorHeat:
         for tau in (1.0, 10.0, 100.0):
             res = tf.vector_heat(con, lap, TangentField(coords, frames), tau)
             assert np.abs(res.field.coords - coords).max() <= 1e-10
-            assert not res.singular.any()
+            assert not directionless_rows_are_zero(res.field.coords,
+                                                   res.direction_norms).any()
 
     def test_identity_transports_reduce_to_channelwise_scalar_heat(self):
         rng = np.random.default_rng(5)
@@ -108,7 +120,7 @@ class TestVectorHeat:
             per_channel = tf.scalar_heat(lap, coords[:, channel], 0.7)
             assert np.abs(diffused[:, channel] - per_channel).max() <= 1e-10
 
-    def test_vanished_direction_flagged(self):
+    def test_vanished_direction_gives_zero_rows(self):
         # antisymmetric initial data on one edge decays to numerical zero
         graph = tg.ProximityGraph(n=2, edges=[[0, 1]], weights=[1.0])
         frames = scalar_frames(2)
@@ -117,9 +129,10 @@ class TestVectorHeat:
         lap = tg.assemble_graph_laplacian(graph)
         field0 = TangentField(np.array([[1.0], [-1.0]]), frames)
         res = tf.vector_heat(con, lap, field0, tau=20.0)
-        assert res.singular.all()
-        assert np.array_equal(res.field.coords, np.zeros((2, 1)))
-        # the scalar-diffused magnitude is still reported for flagged nodes
+        assert directionless_rows_are_zero(res.field.coords, res.direction_norms).all()
+        with pytest.raises(ValueError, match="no nodes left"):
+            tf.alignment_score(res.field.coords, res.field.coords)
+        # the scalar-diffused magnitude is still reported for zero rows
         assert np.allclose(res.magnitudes, 1.0, atol=1e-9)
 
     def test_direction_energy_nonincreasing_along_flow(self, icosphere):
@@ -131,10 +144,7 @@ class TestVectorHeat:
         for tau in (1.0, 10.0, 100.0):
             res = tf.vector_heat(icosphere.con, icosphere.lap,
                                  TangentField(coords0, icosphere.frames), tau)
-            norms = np.linalg.norm(res.field.coords, axis=1)
-            keep = norms > tf.SINGULARITY_NORM_TOL
-            dirs = np.zeros_like(res.field.coords)
-            dirs[keep] = res.field.coords[keep] / norms[keep, None]
+            dirs = tf._directions(res.field.coords)[0]
             energies.append(tg.dirichlet_energy(icosphere.graph,
                                                 icosphere.transports, dirs))
         assert energies[0] >= energies[1] >= energies[2] - 1e-12
@@ -255,12 +265,16 @@ class TestGenerateExperimentField:
                                        torus_truth.field.coords)
         assert e_smooth <= e_raw
 
-    def test_genus_zero_reports_singular_count(self, icosphere):
+    @pytest.mark.parametrize("tau", [0.0, 100.0])
+    def test_genus_zero_zero_rows_follow_the_rule(self, icosphere, tau):
+        # at tau = 0 every node but the 16 anchors has no direction; at
+        # tau = 100 the discrete zeros lie inside faces, so no node is one
         gen = tf.generate_experiment_field(icosphere.cloud, icosphere.frames,
                                            icosphere.con, icosphere.lap,
-                                           anchor_count=16, seed=11)
-        assert int(gen.singular.sum()) >= 0  # reported, never asserted positive
+                                           anchor_count=16, seed=11, tau=tau)
         assert gen.direction_norms.shape == (162,)
+        none = directionless_rows_are_zero(gen.field.coords, gen.direction_norms)
+        assert none.sum() == (146 if tau == 0 else 0)
 
     def test_anchor_count_respected(self, torus, torus_truth):
         assert torus_truth.anchors.shape == (40,)

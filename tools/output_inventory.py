@@ -5,7 +5,8 @@ Usage: python3 tools/output_inventory.py CHECKOUT OUT_DIR
 Runs the tangentgp CLI of ``CHECKOUT/src`` at one BLAS thread, each command
 into a fresh directory under OUT_DIR (which must not exist):
 
-- on the shipped 400-vertex torus fixture: ``generate``, ``superresolve``
+- on the shipped 400-vertex torus fixture: ``generate``, ``generate_tau0``
+  (the same field at tau = 0, the schema's minimum), ``superresolve``
   (k in {10, 25, 50}, searched hyperparameters; k = 25 rounds up to 26,
   the end of its eigenvalue cluster), ``inpaint``, ``fit`` (k = 25, so 26
   pairs), on-graph ``predict``, off-graph ``predict`` (``query_points``,
@@ -42,17 +43,25 @@ only run here through the extension branch: its ``metrics.json`` and
 The four ``generate`` runs (the fixture's, ``mesh_generate``,
 ``mesh_generate_tau100`` and ``sphere_generate``) are the ones that go
 through the heat flow and the furthest-point anchor sampler (40, 600, 600
-and 64 anchors). A change to the heat flow may move only the files
+and 64 anchors); ``generate_tau0`` runs no series but samples the same 40
+anchors as ``generate``. A change to the heat flow may move only the files
 downstream of a generated field: the four runs' ``field.*`` files, the
 ``superresolve``, ``inpaint`` and ``mesh_superresolve`` predictions and
 metrics, ``fit``'s ``model/targets.csv``, both ``predict``
 ``predictions.csv`` files and ``eval``'s ``metrics.json``. It moves no
 ``spectrum`` file, no model-geometry file, no ``mask.json``, ``split.json``
 or ``variances.csv``. A change to the sampler that keeps the anchors and
-the spacing moves none of the four runs' ``field.csv``, ``field.vtk`` and
+the spacing moves none of the five runs' ``field.csv``, ``field.vtk`` and
 ``field_meta.json`` hashes; nor, through the truth field, any later run's.
 The spacing's scale is the sampler's first step, the distance from point 0
 to the second anchor, which every ``field_meta.json`` ``spacing`` guards.
+
+``generate_tau0`` is the run that writes zero rows: its 360 nodes off the
+anchors have no direction (norm at most ``fields.ZERO_NORM_TOL``, the one
+rule of ``fields._directions``), so their rows are zeros. A change to that
+rule, or to what a run records about it, may move only the five
+``generate`` runs' ``field_meta.json`` files; every ``field.*`` file, and
+every prediction, metrics, spectrum and model file, keeps its hash.
 
 Squared distances are summed by ``geometry._sum_of_squares`` in every
 k-NN graph here (each fixture run but on-graph ``predict``, and ``eval``'s
@@ -123,6 +132,7 @@ def runs(fixture: Path, mesh: Path, mobius: Path, sphere: Path,
                  "manifold_dim": 2}
     return [
         ("generate", "generate", {**base, "anchor_count": 40, "tau": 100.0, "seed": 7}),
+        ("generate_tau0", "generate", {**base, "anchor_count": 40, "tau": 0.0, "seed": 7}),
         ("superresolve", "superresolve", {**searched, "num_eigenvectors": [10, 25, 50],
                                           "split_fraction": 0.5, "seed": 11}),
         ("inpaint", "inpaint", {**searched, "num_eigenvectors": 50, "seed": 3,
