@@ -329,7 +329,11 @@ def _resolve_mask(cfg: io.ExperimentConfig, cloud: geo.PointCloud,
         # singularity-like node of the truth field
         coords = frames.project(truth)
         coherence = fields.direction_coherence(graph, transports, coords)
-        center = int(np.argmin(coherence))
+        lowest = np.flatnonzero(coherence == coherence.min())
+        if lowest.size > 1:
+            raise CommandError(f"mask.center_node 'auto': {lowest.size} nodes tie at the "
+                               "lowest direction coherence; set center_node")
+        center = int(lowest[0])
     dists = np.linalg.norm(cloud.points - cloud.points[center], axis=1)
     if "radius" in spec:
         mask[dists <= float(spec["radius"])] = True

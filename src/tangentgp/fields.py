@@ -21,7 +21,7 @@ from scipy import sparse
 from . import gp
 from .geometry import GaugeFrames, PointCloud, ProximityGraph, TransportMaps, \
     _neighbor_counts, furthest_point_sample
-from .spectral import ConnectionLaplacian, Spectrum, positional_encodings, scalar_frames
+from .spectral import ConnectionLaplacian, Spectrum, scalar_frames
 
 __all__ = [
     "TangentField",
@@ -190,16 +190,13 @@ def generate_experiment_field(cloud: PointCloud, frames: GaugeFrames,
                           direction_norms=result.direction_norms)
 
 
-def _check_baseline_inputs(spectrum: Spectrum, train_nodes: np.ndarray,
-                           train_vectors: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    if spectrum.m != 1:
-        raise ValueError("baseline needs a scalar (graph-Laplacian) spectrum")
+def _channel_fields(train_vectors: np.ndarray) -> np.ndarray:
+    """The channels of (nodes, channels) vectors as scalar fields, shape
+    (channels, nodes, 1), the T-field targets of :func:`gp.fit`."""
     train_vectors = np.asarray(train_vectors, dtype=float)
     if train_vectors.ndim != 2:
         raise ValueError("train_vectors must be a 2-D (nodes, channels) array")
-    return gp._validate_training(train_nodes, train_vectors, spectrum.n,
-                                 train_vectors.shape[1])
+    return train_vectors.T[:, :, None]
 
 
 def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -209,23 +206,17 @@ def baseline_scalar_rbf_predict(spectrum: Spectrum, train_nodes: np.ndarray,
 
     Each ambient channel is regressed independently with the nu = inf
     (squared-exponential) spectral filter; ``hyperparams.nu`` must be inf,
-    and a finite one raises ValueError. The channels share one kernel, so
-    they share the QR of the training encodings and one k x k factorization
-    with one right-hand side per channel.
+    and a finite one raises ValueError. The channels are scalar fields on
+    one training set, so :func:`gp.fit` and :func:`gp.predict` take them
+    together: one QR of the training encodings and one k x k factorization.
     Predictions are NOT projected to tangent spaces, so they can protrude
     from the surface; that failure mode is the point of the baseline.
     """
-    train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
-                                                        train_vectors)
-    query_nodes = gp._validate_query(query_nodes, spectrum.n)
     if not math.isinf(hyperparams.nu):
         raise ValueError(f"the baseline's kernel has nu = inf, got nu = {hyperparams.nu}")
-    encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    reduced = gp._reduce(encodings, train_nodes, train_vectors)
-    # one target column per channel
-    model = gp.VectorFieldGP(spectrum, encodings, hyperparams, train_nodes, train_vectors,
-                             **gp._posterior(reduced, spectrum, hyperparams)[0])
-    return model.features(encodings[query_nodes]) @ model.alpha
+    model = gp.fit(train_nodes, _channel_fields(train_vectors), spectrum,
+                   scalar_frames(spectrum.n), hyperparams)
+    return gp.predict(model, query_nodes)[0][:, :, 0].T
 
 
 def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
@@ -236,11 +227,8 @@ def fit_baseline_hyperparameters(spectrum: Spectrum, train_nodes: np.ndarray,
                                  ) -> gp.MaternHyperparams:
     """Shared (sigma, kappa, sigma_n) for the channel-wise baseline by
     maximizing the summed per-channel log marginal likelihood (nu = inf)."""
-    train_nodes, train_vectors = _check_baseline_inputs(spectrum, train_nodes,
-                                                        train_vectors)
-    encodings = positional_encodings(spectrum, scalar_frames(spectrum.n))
-    return gp._search(encodings, train_nodes, train_vectors, spectrum, np.inf,
-                      search, seed, initial)
+    return gp.fit_hyperparameters(train_nodes, _channel_fields(train_vectors), spectrum,
+                                  scalar_frames(spectrum.n), np.inf, search, seed, initial)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,11 @@ W = I; only rank-deficient training sets (fewer than k/m nodes) pay an SVD
 of B per setting. That costs one O(N*d*k^2) QR per fit or search, then
 O(k^3) per LML evaluation whatever N*d is, and O(q*d*k^2) per prediction of
 q nodes, which runs in blocks of B nodes in O(B*d*k) working memory; no
-(N*d)^2 matrix is built. Target columns that share the kernel
-(the channel-wise baseline) share Q. Jitter is added only when sigma_n = 0,
-climbing the multiplicative ladder from 1e-10 times the mean prior variance
+(N*d)^2 matrix is built. T fields on one training set, targets of shape
+(T, N, d) (the channel-wise baseline's channels), share Q, the factor of M,
+the summed log marginal likelihood and the covariances; w has one column
+per field. Jitter is added only when sigma_n = 0, climbing the
+multiplicative ladder from 1e-10 times the mean prior variance
 trace(A^T A)/(N*d) as the dense Gram path does; for sigma_n > 0 a failed
 factorization raises :class:`GramConditioningError`. :func:`assemble_gram`
 builds the dense (N*d)^2 Gram matrix and serves only as a reference.
@@ -283,20 +285,21 @@ class VectorFieldGP:
     ``basis`` is the orthonormal basis W (k x p) of the row space of the
     conditioning features A (None for W = I), ``chol`` the lower Cholesky
     factor of the p x p matrix M = s^2 I + (A W)^T A W, ``alpha`` the weight
-    mean w = W M^-1 (A W)^T y (length k), and ``jitter`` the noise variance
-    added to sigma_n^2 to give s^2 (nonzero only when sigma_n = 0).
+    mean w = W M^-1 (A W)^T y (length k; k x T for T fields), and ``jitter``
+    the noise variance added to sigma_n^2 to give s^2 (nonzero only when
+    sigma_n = 0).
     """
 
     spectrum: Spectrum
     encodings: np.ndarray  # (n, d, k), all nodes
     hyperparams: MaternHyperparams
     train_nodes: np.ndarray
-    targets: np.ndarray  # (n_train, d) ambient vectors
+    targets: np.ndarray  # (n_train, d) ambient vectors, or (T, n_train, d)
     filter_values: np.ndarray
     c_norm: float
     basis: np.ndarray | None  # (k, p)
     chol: np.ndarray  # (p, p)
-    alpha: np.ndarray  # (k,) weight mean
+    alpha: np.ndarray  # (k,) weight mean, or (k, T)
     jitter: float
 
     @property
@@ -317,18 +320,16 @@ class VectorFieldGP:
 
 def _validate_training(train_nodes: np.ndarray, targets: np.ndarray, n: int,
                        dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct in-range training nodes and finite (len(nodes), dim) targets."""
+    """Distinct in-range training nodes and finite targets, (n, dim) or (T, n, dim)."""
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     if np.unique(train_nodes).shape[0] != train_nodes.shape[0]:
         raise ValueError("training nodes must be distinct")
     if train_nodes.min(initial=0) < 0 or train_nodes.max(initial=0) >= n:
         raise IndexError("training node out of range")
     targets = np.asarray(targets, dtype=float)
-    if targets.shape != (train_nodes.shape[0], dim):
-        raise ValueError(
-            f"targets must have shape {(train_nodes.shape[0], dim)}, "
-            f"got {targets.shape}"
-        )
+    if targets.ndim not in (2, 3) or targets.shape[-2:] != (train_nodes.shape[0], dim):
+        raise ValueError(f"targets must have shape {(train_nodes.shape[0], dim)} or "
+                         f"(T, {train_nodes.shape[0]}, {dim}), got {targets.shape}")
     if not np.isfinite(targets).all():
         raise ValueError("targets contain NaN or Inf")
     return train_nodes, targets
@@ -342,6 +343,14 @@ def _validate_query(query_nodes: np.ndarray, n: int, role: str = "query"
     return query_nodes
 
 
+def _columns(targets: np.ndarray) -> np.ndarray:
+    """Targets as rows of the flat training features: (n, d) as one n*d
+    vector, (T, n, d) as an (n*d, T) matrix with one column per field."""
+    if targets.ndim == 2:
+        return targets.reshape(-1)
+    return targets.transpose(1, 2, 0).reshape(-1, targets.shape[0])
+
+
 def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyperparams,
                train_nodes: np.ndarray, targets: np.ndarray,
                inducing_nodes: np.ndarray | None = None) -> VectorFieldGP:
@@ -349,7 +358,7 @@ def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyp
     the features at ``inducing_nodes`` (default: the training nodes)."""
     r_u = None if inducing_nodes is None else np.linalg.qr(
         encodings[inducing_nodes].reshape(-1, encodings.shape[-1]), mode="r")
-    reduced = _reduce(encodings, train_nodes, targets.reshape(-1))
+    reduced = _reduce(encodings, train_nodes, _columns(targets))
     return VectorFieldGP(spectrum=spectrum, encodings=encodings, hyperparams=hyperparams,
                          train_nodes=train_nodes, targets=targets,
                          **_posterior(reduced, spectrum, hyperparams, r_u)[0])
@@ -357,7 +366,8 @@ def _condition(encodings: np.ndarray, spectrum: Spectrum, hyperparams: MaternHyp
 
 def fit(train_nodes: np.ndarray, targets: np.ndarray, spectrum: Spectrum,
         frames: GaugeFrames, hyperparams: MaternHyperparams) -> VectorFieldGP:
-    """Condition the GP on ambient training vectors at the given nodes."""
+    """Condition the GP on ambient training vectors at the given nodes:
+    targets (n_train, d), or (T, n_train, d) for T fields."""
     train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
                                               frames.dim)
     return _condition(positional_encodings(spectrum, frames), spectrum, hyperparams,
@@ -376,25 +386,27 @@ def _block_posterior(model: VectorFieldGP, block: np.ndarray
     if model.basis is not None:
         outside = (feats - inside @ model.basis.T).reshape(b, d, k)
         covs += np.einsum("qdk,qek->qde", outside, outside)
-    return (feats @ model.alpha).reshape(b, d), (covs + covs.transpose(0, 2, 1)) / 2.0
+    return ((feats @ model.alpha).reshape((b, d) + model.alpha.shape[1:]),
+            (covs + covs.transpose(0, 2, 1)) / 2.0)
 
 
 def _predict_blocks(model: VectorFieldGP, encodings: np.ndarray, nodes: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_block_posterior` at ``encodings[nodes]``, gathering
-    ``_PREDICT_BLOCK`` nodes at a time into preallocated (q, d) and
-    (q, d, d) outputs."""
+    ``_PREDICT_BLOCK`` nodes at a time into preallocated (q, d) (or
+    (q, d, T)) and (q, d, d) outputs; T means are returned as (T, q, d)."""
     q, d = nodes.shape[0], encodings.shape[1]
-    mean, covs = np.empty((q, d)), np.empty((q, d, d))
+    mean, covs = np.empty((q, d) + model.alpha.shape[1:]), np.empty((q, d, d))
     for start in range(0, q, _PREDICT_BLOCK):
         rows = slice(start, start + _PREDICT_BLOCK)
         mean[rows], covs[rows] = _block_posterior(model, encodings[nodes[rows]])
-    return mean, covs
+    return (mean if mean.ndim == 2 else mean.transpose(2, 0, 1)), covs
 
 
 def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean vectors A_q w, shape (q, d), and per-node d x d
+    """Posterior mean vectors A_q w, shape (q, d) (or (T, q, d) for a model
+    of T fields, which share the covariances), and per-node d x d
     covariance blocks of s^2 (A_q W) M^-1 (A_q W)^T + A_q (I - W W^T) A_q^T,
     shape (q, d, d), at query encodings of shape (q, d, k). Queries are
     independent given the k x k posterior, so they run in fixed blocks of
@@ -405,9 +417,10 @@ def predict_at_encodings(model: VectorFieldGP, query_encodings: np.ndarray
 
 def predict(model: VectorFieldGP, query_nodes: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean, shape (q, d), and covariance blocks, shape (q, d, d),
-    at graph nodes (any order, repeats allowed, none at all). Each block of
-    nodes gathers its own encodings, as in :func:`predict_at_encodings`."""
+    """Posterior mean, shape (q, d) (or (T, q, d) for T fields), and
+    covariance blocks, shape (q, d, d), at graph nodes (any order, repeats
+    allowed, none at all). Each block of nodes gathers its own encodings, as
+    in :func:`predict_at_encodings`."""
     query_nodes = _validate_query(query_nodes, model.encodings.shape[0])
     return _predict_blocks(model, model.encodings, query_nodes)
 
@@ -417,8 +430,9 @@ def log_marginal_likelihood(model: VectorFieldGP) -> float:
     from :func:`_posterior` on the model's training data (W from the training
     features, as in :func:`fit`): in residual form on the p x p system, with
     no subtraction of nearly equal terms, for N = N*d rows above or below k.
+    For T fields it is the sum of their log marginal likelihoods.
     """
-    return _posterior(_reduce(model.encodings, model.train_nodes, model.targets.reshape(-1)),
+    return _posterior(_reduce(model.encodings, model.train_nodes, _columns(model.targets)),
                       model.spectrum, model.hyperparams)[1]
 
 
@@ -502,17 +516,29 @@ def _hyperparams_at(theta: np.ndarray, nu: float) -> MaternHyperparams:
                              nu=nu, sigma_n=math.exp(theta[2]))
 
 
-def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
-                   targets: np.ndarray, spectrum: Spectrum, nu: float):
-    """The search objective: theta -> log marginal likelihood of ``targets``
-    (one column per independent output, or a vector) at the training nodes,
-    with (sigma, kappa, sigma_n) = exp(theta) and nu fixed.
+def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
+                        spectrum: Spectrum, frames: GaugeFrames,
+                        nu: float = 1.5, search: SearchConfig | None = None,
+                        seed: int = 0,
+                        initial: MaternHyperparams | None = None,
+                        ) -> MaternHyperparams:
+    """Maximize the log marginal likelihood over (sigma, kappa, sigma_n).
 
-    :func:`_reduce` runs here once, so each evaluation is one
-    :func:`_posterior` on k x k arrays. Failed factorizations and invalid
-    hyperparameters score -inf.
+    :func:`coordinate_search` in log space with nu held fixed; deterministic
+    for a fixed seed. ``initial`` seeds the first start (defaults to the box
+    centre). Training inputs are checked as in :func:`fit`; T fields share
+    one setting, that of the largest summed log marginal likelihood.
+    :func:`_reduce` runs once, so each evaluation is one :func:`_posterior`
+    on k x k arrays. Failed factorizations and invalid hyperparameters score
+    -inf.
     """
-    reduced = _reduce(encodings, train_nodes, targets)
+    train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
+                                              frames.dim)
+    start = None
+    if initial is not None:
+        start = np.array([math.log(initial.sigma), math.log(initial.kappa),
+                          math.log(max(initial.sigma_n, 1e-12))])
+    reduced = _reduce(positional_encodings(spectrum, frames), train_nodes, _columns(targets))
 
     def objective(theta: np.ndarray) -> float:
         try:
@@ -522,42 +548,11 @@ def _lml_objective(encodings: np.ndarray, train_nodes: np.ndarray,
             return -np.inf
         return value if np.isfinite(value) else -np.inf
 
-    return objective
-
-
-def _search(encodings: np.ndarray, train_nodes: np.ndarray, targets: np.ndarray,
-            spectrum: Spectrum, nu: float, search: SearchConfig | None, seed: int,
-            initial: MaternHyperparams | None) -> MaternHyperparams:
-    """Maximize :func:`_lml_objective` over (sigma, kappa, sigma_n) in log
-    space with :func:`coordinate_search`, nu held fixed."""
-    start = None
-    if initial is not None:
-        start = np.array([math.log(initial.sigma), math.log(initial.kappa),
-                          math.log(max(initial.sigma_n, 1e-12))])
-    objective = _lml_objective(encodings, train_nodes, targets, spectrum, nu)
     try:
         best = coordinate_search(objective, search or SearchConfig(), seed, start)
     except ValueError as exc:
         raise ValueError(f"hyperparameter search failed: {exc}") from None
     return _hyperparams_at(best, nu)
-
-
-def fit_hyperparameters(train_nodes: np.ndarray, targets: np.ndarray,
-                        spectrum: Spectrum, frames: GaugeFrames,
-                        nu: float = 1.5, search: SearchConfig | None = None,
-                        seed: int = 0,
-                        initial: MaternHyperparams | None = None,
-                        ) -> MaternHyperparams:
-    """Maximize the log marginal likelihood over (sigma, kappa, sigma_n).
-
-    Coordinate descent in log space with nu held fixed; deterministic for a
-    fixed seed. ``initial`` seeds the first start (defaults to the box
-    centre). Training inputs are checked as in :func:`fit`.
-    """
-    train_nodes, targets = _validate_training(train_nodes, targets, spectrum.n,
-                                              frames.dim)
-    return _search(positional_encodings(spectrum, frames), train_nodes,
-                   targets.reshape(-1), spectrum, nu, search, seed, initial)
 
 
 def inducing_point_predict(train_nodes: np.ndarray, targets: np.ndarray,

@@ -524,7 +524,11 @@ def save_model(directory, model: gp_mod.VectorFieldGP, frames: GaugeFrames,
     ``targets.csv`` and, last so that a partial directory never loads,
     ``model.json``. The load recomputes the k x k weight-space factor and
     weight mean (deterministically, O(N*d*k^2)) and checks the stored c_norm.
+    The format holds one field, so a model of T fields raises ValueError.
     """
+    if model.targets.ndim != 2:
+        raise ValueError(f"a saved model holds one field; targets of shape "
+                         f"{model.targets.shape} hold {model.targets.shape[0]}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_spectrum(directory / "spectrum", model.spectrum)

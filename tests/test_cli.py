@@ -412,6 +412,26 @@ class TestInpaint:
         assert result.exit_code == 0, result.output
         assert solved[1:] == [(1, 60, 60, None)]  # after the connection's solve
 
+    def test_tied_auto_centre_rejected(self, workdir):
+        # at tau = 0 every node off the 40 anchors has no direction, and 154
+        # nodes tie at coherence 0: no node is the one lowest
+        base = {"input_mesh": str(TORUS_OBJ), "graph": {"k_neighbors": 6},
+                "manifold_dim": 2, "seed": 7}
+        gen_cfg = write_config(workdir, "generate_tau0.json", {
+            **base, "kind": "generate", "anchor_count": 40, "tau": 0.0,
+            "output_dir": str(workdir / "gen_tau0")})
+        assert run_cli(["generate", "--config", str(gen_cfg)]).exit_code == 0
+        cfg = write_config(workdir, "inpaint_tau0.json", {
+            **base, "kind": "inpaint", "field": str(workdir / "gen_tau0" / "field.csv"),
+            "num_eigenvectors": 10, "hyperparams": HYPERPARAMS,
+            "baseline_hyperparams": BASELINE_HP,
+            "mask": {"center_node": "auto", "fraction": 0.15},
+            "output_dir": str(workdir / "inpaint_tau0")})
+        result = run_cli(["inpaint", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "154 nodes tie at the lowest direction coherence" in result.output
+        assert not (workdir / "inpaint_tau0" / "metrics.json").exists()
+
     def test_empty_mask_rejected(self, workdir, generated):
         cfg = self._config(workdir, generated, "inpaint_empty.json",
                            {"nodes": []}, "inpaint_empty")

@@ -25,6 +25,15 @@ from tangentgp.spectral import scalar_frames, truncate
 from conftest import big_setup, build_setup, dtc_oracle, svd_lml
 
 
+def search_objective(*args, **kwargs):
+    """The objective that ``tg.fit_hyperparameters(*args, **kwargs)`` searches."""
+    handed = []
+    with mock.patch.object(gp, "coordinate_search",
+                           lambda objective, *rest: handed.append(objective) or np.zeros(3)):
+        tg.fit_hyperparameters(*args, **kwargs)
+    return handed[0]
+
+
 class TestSpectralFilter:
     def test_zero_eigenvalue_unit_value(self):
         hp = tg.MaternHyperparams(sigma=1.0, kappa=math.sqrt(2.0), nu=1.0)
@@ -241,6 +250,33 @@ class TestFitPredict:
                                                      small_torus.frames, hp, [])):
             assert mean.shape == (0, 3) and covs.shape == (0, 3, 3)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(fields=st.integers(1, 4), n_train=st.integers(1, 25) | st.integers(26, 400),
+           k=st.sampled_from([10, 20, 50]), seed=st.integers(0, 2**32 - 1))
+    def test_fields_of_one_training_set_fit_as_one(self, torus, torus_spectrum, fields,
+                                                   n_train, k, seed):
+        # T fields share Q, the factor of M and the covariances: each field's
+        # mean is its single-field mean to rounding, and the LML is the sum
+        spec = truncate(torus_spectrum, k)
+        rng = np.random.default_rng(seed)
+        train = rng.choice(400, n_train, replace=False)
+        targets = rng.standard_normal((fields, n_train, 3))
+        hp = tg.MaternHyperparams(sigma=math.exp(rng.uniform(-1, 1)),
+                                  kappa=math.exp(rng.uniform(-1, 1.5)), nu=1.5,
+                                  sigma_n=10 ** rng.uniform(-3, 0))
+        batch = tg.fit(train, targets, spec, torus.frames, hp)
+        assert batch.alpha.shape == (spec.k, fields)
+        means, covs = tg.predict(batch, np.arange(400))
+        assert means.shape == (fields, 400, 3) and covs.shape == (400, 3, 3)
+        total = 0.0
+        for field, mean in zip(targets, means):
+            single = tg.fit(train, field, spec, torus.frames, hp)
+            single_mean, single_covs = tg.predict(single, np.arange(400))
+            assert np.abs(mean - single_mean).max() <= 1e-13 * np.abs(single_mean).max()
+            assert np.array_equal(covs, single_covs)
+            total += tg.log_marginal_likelihood(single)
+        assert tg.log_marginal_likelihood(batch) == pytest.approx(total, rel=1e-13)
+
     def test_variance_grows_away_from_training(self):
         # oracle: dense GP formulas on a 8-node path graph
         graph = tg.ProximityGraph(n=8, edges=[[i, i + 1] for i in range(7)],
@@ -405,11 +441,10 @@ class TestWeightSpaceCore:
                             hp.sigma_n**2 + model.jitter)
         assert tg.log_marginal_likelihood(model) == pytest.approx(reference, rel=1e-10)
         # the search objective is the same computation as fit + LML
-        objective = gp._lml_objective(model.encodings, train,
-                                      truth[train].reshape(-1), spec, 1.5)
+        objective = search_objective(train, truth[train], spec, torus.frames, nu=1.5)
         assert objective(np.array(theta)) == tg.log_marginal_likelihood(model)
 
-        # the channel-wise baseline: m = 1, three target columns sharing Q
+        # the channel-wise baseline: m = 1, three scalar fields sharing Q
         scalar = truncate(torus_scalar_spectrum, k)
         scalar_train = rng.choice(400, n_train, replace=False)
         enc = tg.positional_encodings(scalar, scalar_frames(400))
@@ -420,8 +455,8 @@ class TestWeightSpaceCore:
                           tg.normalization_constant(enc, filt, 1))
         columns = truth[scalar_train]
         reference = sum(svd_lml(feats, columns[:, c], hp.sigma_n**2) for c in range(3))
-        value = gp._lml_objective(enc, scalar_train, columns, scalar, math.inf)(
-            np.array(theta))
+        value = search_objective(scalar_train, columns.T[:, :, None], scalar,
+                                 scalar_frames(400), nu=math.inf)(np.array(theta))
         assert value == pytest.approx(reference, rel=1e-10)
         per_column = sum(tg.log_marginal_likelihood(
             tg.fit(scalar_train, columns[:, [c]], scalar, scalar_frames(400), hp_inf))

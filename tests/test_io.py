@@ -481,6 +481,16 @@ class TestModelPersistence:
         for before, after in zip(*at):
             assert np.array_equal(before, after)
 
+    def test_model_of_several_fields_is_refused(self, tmp_path, small_torus):
+        # the format holds one field's targets
+        spec = tg.eigendecompose(small_torus.con, 10)
+        model = tg.fit(np.arange(10), np.zeros((2, 10, 3)), spec, small_torus.frames,
+                       tg.MaternHyperparams())
+        with pytest.raises(ValueError, match=r"targets of shape \(2, 10, 3\) hold 2"):
+            tio.save_model(tmp_path / "model", model, small_torus.frames,
+                           small_torus.cloud, small_torus.graph)
+        assert not (tmp_path / "model").exists()
+
     def test_infinite_nu_round_trips(self, tmp_path, small_torus):
         spec = tg.eigendecompose(small_torus.con, 10)
         hp = tg.MaternHyperparams(nu=math.inf)
@@ -955,6 +965,6 @@ class TestConfig:
                               tmp_path / "mobius.obj", tmp_path / "sphere.obj", tmp_path)
         configs = [{"kind": command, "output_dir": str(tmp_path / name), **payload}
                    for name, command, payload in runs if command != "eval"]
-        assert len(configs) == 13
+        assert len(configs) == 14
         for config in configs:
             tio.check_config(config)

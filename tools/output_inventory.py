@@ -18,7 +18,9 @@ into a fresh directory under OUT_DIR (which must not exist):
   (``mesh_generate_tau100``: the schema default and the tau of
   ``configs/torus_generate.json``, and the most heat-flow work of any run
   here, a 249-term series on 12000 rows against the fixture's 298 terms on
-  800), and ``superresolve``;
+  800), ``superresolve`` and ``inpaint`` (``mesh_inpaint``: the tau = 10
+  truth, k = 50, searched hyperparameters, an ``auto`` 15% mask of 900
+  nodes);
 - on a 120x10 Moebius strip mesh (2400 rows, a non-orientable connection,
   so Lanczos on the real form): ``spectrum``;
 - on the 642-vertex icosphere of 3 subdivisions: ``generate`` (mesh edges,
@@ -28,17 +30,23 @@ The three OBJs are written by the checkout's ``io.write_obj``, and the
 off-graph query points by its ``io.write_vector_csv``.
 
 Every connection Laplacian here but the Moebius one is solved by Lanczos on
-its Hermitian form; the Moebius connection and the fixture's graph
-Laplacian (inpaint's baseline) are solved on the real form. A change that
-moves only real-route solves may move only the inpaint baseline's
-``metrics.json`` and ``predictions_channel_rbf`` files and the three
+its Hermitian form; the Moebius connection and the graph Laplacians of
+the two inpaint baselines are solved on the real form. A
+change that moves only real-route solves may move only the two inpaint
+runs' ``metrics.json`` and ``predictions_channel_rbf`` files and the three
 ``mobius_spectrum/spectrum`` files; the outputs of every Hermitian solve
 keep their hashes. Every connection solve here ends after the growth
 loop's first search (the inertia count met, a cluster ending at or past
-k), so a change to the later searches moves none of their hashes. The
-inpaint baseline's solve (k = 50 inside a twofold cluster, so 51) is the
-only run here through the extension branch: its ``metrics.json`` and
+k), so a change to the later searches moves none of their hashes. The two
+inpaint baselines' solves (k = 50 inside a twofold cluster, so 51; on 6000
+rows for ``mesh_inpaint``, five searches) are the only runs here through
+the extension branch: their ``metrics.json`` and
 ``predictions_channel_rbf`` files are the ones such a change may move.
+
+``mesh_inpaint`` is the only run whose baseline predicts more nodes (900)
+than ``gp._PREDICT_BLOCK`` (512): a change to the prediction blocks may move
+its ``metrics.json`` and ``predictions_channel_rbf`` files, and no other
+run's baseline files.
 
 The four ``generate`` runs (the fixture's, ``mesh_generate``,
 ``mesh_generate_tau100`` and ``sphere_generate``) are the ones that go
@@ -46,8 +54,8 @@ through the heat flow and the furthest-point anchor sampler (40, 600, 600
 and 64 anchors); ``generate_tau0`` runs no series but samples the same 40
 anchors as ``generate``. A change to the heat flow may move only the files
 downstream of a generated field: the four runs' ``field.*`` files, the
-``superresolve``, ``inpaint`` and ``mesh_superresolve`` predictions and
-metrics, ``fit``'s ``model/targets.csv``, both ``predict``
+``superresolve``, ``inpaint``, ``mesh_superresolve`` and ``mesh_inpaint``
+predictions and metrics, ``fit``'s ``model/targets.csv``, both ``predict``
 ``predictions.csv`` files and ``eval``'s ``metrics.json``. It moves no
 ``spectrum`` file, no model-geometry file, no ``mask.json``, ``split.json``
 or ``variances.csv``. A change to the sampler that keeps the anchors and
@@ -153,6 +161,10 @@ def runs(fixture: Path, mesh: Path, mobius: Path, sphere: Path,
          {**mesh_base, "field": str(out / "mesh_generate" / "field.csv"),
           "num_eigenvectors": 50, "hyperparams": FIXED_HP, "split_fraction": 0.1,
           "seed": 7}),
+        ("mesh_inpaint", "inpaint",
+         {**mesh_base, "field": str(out / "mesh_generate" / "field.csv"),
+          "num_eigenvectors": 50, "fit": {"nu": 1.5}, "seed": 7,
+          "mask": {"center_node": "auto", "fraction": 0.15}}),
         ("mobius_spectrum", "spectrum", {**mesh_base, "input_mesh": str(mobius),
                                          "num_eigenvectors": 50, "seed": 7}),
         ("sphere_generate", "generate", {**mesh_base, "input_mesh": str(sphere),
